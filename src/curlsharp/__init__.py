@@ -25,6 +25,7 @@ from fractions import Fraction
 from .constants import (
     ModeConstant,
     MinResult,
+    ModeInvariantError,
     Params,
     TailBoundError,
     alpha,
@@ -55,6 +56,7 @@ __all__ = [
     "ModeConstant",
     "MinResult",
     "TailBoundError",
+    "ModeInvariantError",
     "alpha",
     "hardy_leray",
     "rellich_leray_unconstrained",

@@ -56,7 +56,7 @@ def _parse_gamma(text: str) -> tuple[Fraction | None, float, bool]:
                          "or a decimal") from None
 
 
-def _emit(doc, args, default_name: str) -> None:
+def _emit(doc, args) -> None:
     out_path = getattr(args, "output", None)
     if out_path:
         base = os.environ.get("CURLSHARP_OUTDIR", "")
@@ -66,7 +66,6 @@ def _emit(doc, args, default_name: str) -> None:
             fh.write(doc)
     else:
         sys.stdout.write(doc)
-    del default_name
 
 
 def _json(payload: dict) -> str:
@@ -98,7 +97,7 @@ def cmd_constants(args) -> int:
             "equal": abs(a_min - c_min) <= 1e-12 * max(abs(a_min), abs(c_min), 1.0),
             "in_improvement_region": sweep_mod.in_improvement_region_f(args.N, gf),
         }
-        _emit(_json(payload), args, "constants")
+        _emit(_json(payload), args)
         return EXIT_OK
     p = Params(args.N, exact)
     rep = improvement_report(p)
@@ -119,7 +118,7 @@ def cmd_constants(args) -> int:
         "sandwich_ok": rep.sandwich_ok,
         "degenerate_mode_nu1": rep.degenerate_mode_nu1,
     }
-    _emit(_json(payload), args, "constants")
+    _emit(_json(payload), args)
     return EXIT_OK
 
 
@@ -159,7 +158,7 @@ def cmd_certify(args) -> int:
         ],
         "all_ok": suite.all_ok and not extra_fail,
     }
-    _emit(_json(payload), args, "certify")
+    _emit(_json(payload), args)
     return EXIT_OK if payload["all_ok"] else EXIT_MATH
 
 
@@ -175,7 +174,7 @@ def cmd_quotient(args) -> int:
         res = minimizing_sequence(p, args.nu, ns, kind=args.kind,
                                   points_per_unit=args.ppu)
     except DegenerateModeError as exc:
-        _emit(_json({"command": "quotient", "error": str(exc)}), args, "quotient")
+        _emit(_json({"command": "quotient", "error": str(exc)}), args)
         return EXIT_MATH
     payload = {
         "command": "quotient",
@@ -185,7 +184,7 @@ def cmd_quotient(args) -> int:
         "fitted_exponent": res.fitted_exponent,
         "rows": [r.as_dict() for r in res.reports],
     }
-    _emit(_json(payload), args, "quotient")
+    _emit(_json(payload), args)
     return EXIT_OK
 
 
@@ -199,7 +198,7 @@ def cmd_sweep(args) -> int:
             "command": "sweep", "N": args.N,
             "rows": [row.__dict__ for row in rows],
         }
-        _emit(_json(payload), args, "sweep")
+        _emit(_json(payload), args)
         return EXIT_OK
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -209,7 +208,7 @@ def cmd_sweep(args) -> int:
         writer.writerow([row.N, repr(row.gamma), repr(row.A_min), row.A_argmin,
                          repr(row.C_min), row.C_argmin, row.equal,
                          row.in_improvement_region])
-    _emit(buf.getvalue(), args, "sweep")
+    _emit(buf.getvalue(), args)
     return EXIT_OK
 
 
@@ -225,11 +224,11 @@ def cmd_oracle(args) -> int:
     try:
         rep = crosscheck(p, args.nu, profile)
     except (CrosscheckMismatch, NotConvergedError) as exc:
-        _emit(_json({"command": "oracle", "error": str(exc)}), args, "oracle")
+        _emit(_json({"command": "oracle", "error": str(exc)}), args)
         return EXIT_MATH
     payload = {"command": "oracle", "kind": args.kind}
     payload.update(rep.as_dict())
-    _emit(_json(payload), args, "oracle")
+    _emit(_json(payload), args)
     return EXIT_OK
 
 
@@ -277,7 +276,7 @@ def cmd_remainder(args) -> int:
         "all_ok": all_ok,
         "rows": rows,
     }
-    _emit(_json(payload), args, "remainder")
+    _emit(_json(payload), args)
     return EXIT_OK if all_ok else EXIT_MATH
 
 

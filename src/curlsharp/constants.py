@@ -11,10 +11,13 @@ together with the verified minimisation over the mode index nu.  Every
 function takes integer dimension N >= 2 and rational weight exponent
 gamma; the derived exponent is lam = 2 - N/2 - gamma.
 
-Minima over nu are certified, not assumed: the A-family scan looks for a
-turning index and relies on the (machine-verified) monotonicity of the
-difference numerator, and the C-family scan re-checks an 8x longer tail.
-Both raise TailBoundError rather than silently truncating.
+Minima over nu are certified, not assumed.  The A-family scan looks for a
+turning index and relies on the monotonicity of the difference numerator
+(certificate a-diff-monotone).  The C-family scan bounds its tail by
+A(nu_max): for nu >= 2, C(nu) >= min(A(nu-1), A(nu+1)) (c-minus-a-prev,
+c-minus-a-next, with P1(0, alpha_nu) > 0 from p1-zero-display and
+p1-alpha2), and A is nondecreasing past its turn.  Both raise
+TailBoundError rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from math import ceil
 
 class TailBoundError(RuntimeError):
     """The scan window could not be certified to contain the minimum."""
+
+
+class ModeInvariantError(RuntimeError):
+    """Two exact evaluations of one mode constant disagree."""
 
 
 @dataclass(frozen=True)
@@ -151,8 +158,8 @@ def rellich_leray_curlfree(p: Params, nu_max: int | None = None) -> MinResult:
 def rellich_hardy_A(p: Params, nu: int) -> Fraction:
     """Unconstrained Rellich-Hardy mode constant A(nu).
 
-    Evaluates both the gamma-form and the lam-form (which must agree and
-    are asserted to), returning the common value.
+    Evaluates both the gamma-form and the lam-form, which must agree
+    (ModeInvariantError otherwise), returning the common value.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
@@ -165,7 +172,9 @@ def rellich_hardy_A(p: Params, nu: int) -> Fraction:
         via_gamma = ((g - 1) ** 2 - (nu + Fraction(N, 2) - 1) ** 2) ** 2 \
             / ((g + Fraction(N, 2) - 2) ** 2 + anu)
         via_lam = (anu - alpha(lam, N)) ** 2 / (anu + lam ** 2)
-    assert via_gamma == via_lam
+    if via_gamma != via_lam:
+        raise ModeInvariantError(
+            f"A({nu}) forms disagree at N={N}, gamma={g}: {via_gamma} != {via_lam}")
     return via_gamma
 
 
@@ -173,7 +182,8 @@ def rellich_hardy_C(p: Params, nu: int) -> Fraction:
     """Curl-free Rellich-Hardy mode constant C(nu).
 
     All three branches are finite for every rational gamma, including the
-    degenerate lam == 0 case.  C(0) == A(1) exactly (asserted).
+    degenerate lam == 0 case.  C(0) == A(1) exactly (ModeInvariantError
+    otherwise).
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
@@ -181,7 +191,8 @@ def rellich_hardy_C(p: Params, nu: int) -> Fraction:
     if nu == 0:
         value = ((g - 1) ** 2 - Fraction(N * N, 4)) ** 2 \
             / ((g + Fraction(N, 2) - 2) ** 2 + N - 1)
-        assert value == rellich_hardy_A(p, 1)
+        if value != rellich_hardy_A(p, 1):
+            raise ModeInvariantError(f"C(0) != A(1) at N={N}, gamma={g}")
         return value
     if nu == 1:
         return (g - Fraction(N, 2) - 2) ** 2 \
@@ -200,9 +211,9 @@ def rellich_hardy_C(p: Params, nu: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _scan_with_tail(term, nu_max: int, label: str) -> MinResult:
-    """Scan nu in 0..nu_max; certify the tail by re-checking every value in
-    the 8x overshoot window plus monotone growth on the last scanned
-    stretch."""
+    """Scan nu in 0..nu_max, then check the tail numerically: the last nine
+    values must be nondecreasing and no value in nu_max < nu <= 8 nu_max may
+    reach the window minimum.  A finite overshoot check, not a proof."""
     vals = [term(nu) for nu in range(nu_max + 1)]
     value = min(vals)
     argmin = vals.index(value)
@@ -240,11 +251,24 @@ def rellich_hardy_A_min(p: Params, nu_max: int | None = None) -> MinResult:
 
 @lru_cache(maxsize=4096)
 def rellich_hardy_C_min(p: Params, nu_max: int | None = None) -> MinResult:
-    """Certified minimum of C(nu) over nu >= 0 (8x overshoot tail check)."""
+    """Certified minimum of C(nu) over nu >= 0.
+
+    Certification: for nu >= 2, C(nu) >= min(A(nu-1), A(nu+1)) at every lam
+    (c-minus-a-prev and c-minus-a-next, whose denominators are positive
+    because P1(0, alpha_nu) > 0 for alpha_nu >= 2N by p1-zero-display and
+    p1-alpha2).  rellich_hardy_A_min(p, nu_max) certifies that A is
+    nondecreasing from some k <= nu_max - 1 on (a-diff-monotone), so
+    C(nu) >= A(nu_max) for every nu > nu_max.  The window therefore holds
+    the minimum once A(nu_max) exceeds it.
+    """
     if nu_max is None:
         nu_max = _default_nu_max(p)
-    return _scan_with_tail(lambda nu: rellich_hardy_C(p, nu), nu_max,
-                           label="C-scan")
+    rellich_hardy_A_min(p, nu_max)  # raises unless A turns inside the window
+    vals = [rellich_hardy_C(p, nu) for nu in range(nu_max + 1)]
+    value = min(vals)
+    if not rellich_hardy_A(p, nu_max) > value:
+        raise TailBoundError(f"tail_bound_failed: C-scan window nu <= {nu_max}")
+    return MinResult(value, vals.index(value), nu_max, True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +298,9 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
 
     `equal` and `strict_improvement` are exact; `in_region` is the exact
     strict-improvement criterion for the C = C(0) regime; `sandwich_ok`
-    checks min/max interleaving of C(nu) between A(nu-1), A(nu+1) on the
-    scanned window (only meaningful when lam != 0).
+    checks min(A(nu-1), A(nu+1)) <= C(nu) <= max(A(nu-1), A(nu+1)) for
+    1 <= nu <= nu_max (c-minus-a-prev, c-minus-a-next), evaluating each
+    mode once; None when lam == 0, where the nu = 1 mode degenerates.
     """
     if nu_max is None:
         nu_max = _default_nu_max(p)
@@ -283,14 +308,11 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
     c_min = rellich_hardy_C_min(p, nu_max)
     sandwich: bool | None = None
     if not p.degenerate:
-        sandwich = True
-        for nu in range(1, nu_max + 1):
-            lo = min(rellich_hardy_A(p, nu - 1), rellich_hardy_A(p, nu + 1))
-            hi = max(rellich_hardy_A(p, nu - 1), rellich_hardy_A(p, nu + 1))
-            c = rellich_hardy_C(p, nu)
-            if not (lo <= c <= hi):
-                sandwich = False
-                break
+        a = [rellich_hardy_A(p, nu) for nu in range(nu_max + 2)]
+        sandwich = all(
+            min(a[nu - 1], a[nu + 1]) <= rellich_hardy_C(p, nu)
+            <= max(a[nu - 1], a[nu + 1])
+            for nu in range(1, nu_max + 1))
     return ImprovementReport(
         params=p,
         A=a_min,

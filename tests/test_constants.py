@@ -1,10 +1,16 @@
 """Closed-form sharp constants: frozen values, certified minima, invariants."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from curlsharp.constants import (Params, alpha, hardy_leray,
+import curlsharp
+from curlsharp import constants
+from curlsharp.constants import (ModeInvariantError, Params, TailBoundError,
+                                 alpha, hardy_leray,
                                  improvement_report, in_improvement_region,
                                  rellich_hardy_A, rellich_hardy_A_min,
                                  rellich_hardy_C, rellich_hardy_C_min,
@@ -104,13 +110,29 @@ def test_min_results():
 
 
 def test_min_against_brute_force():
+    # oracle: value and first argmin over nu <= 8 nu_max, including the
+    # lam = 0 points gamma = (4 - N)/2 and |gamma| up to 12
     for n in range(2, 9):
-        for g in [F(-2), F(-1, 2), F(0), F(1, 2), F(1), F(5, 2)]:
+        gammas = {F(-12), F(-7, 3), F(-2), F(-1, 2), F(0), F(1, 2), F(1),
+                  F(5, 2), F(31, 4), F(12), F(4 - n, 2)}
+        for g in sorted(gammas):
             p = Params(n, g)
-            assert rellich_hardy_C_min(p).value == min(
-                rellich_hardy_C(p, nu) for nu in range(200))
-            assert rellich_hardy_A_min(p).value == min(
-                rellich_hardy_A(p, nu) for nu in range(200))
+            for mode, mode_min in ((rellich_hardy_C, rellich_hardy_C_min),
+                                   (rellich_hardy_A, rellich_hardy_A_min)):
+                res = mode_min(p)
+                vals = [mode(p, nu) for nu in range(8 * res.scanned_up_to + 1)]
+                brute = min(vals)
+                assert (res.value, res.argmin_nu) == (brute, vals.index(brute)), \
+                    (n, g, mode.__name__)
+
+
+def test_c_min_short_windows():
+    # A still decreasing at nu = 4 (it turns near nu = 11): no certificate
+    with pytest.raises(TailBoundError):
+        rellich_hardy_C_min(Params(2, F(12)), nu_max=4)
+    p = Params(3, F(0))
+    short, full = rellich_hardy_C_min(p, nu_max=2), rellich_hardy_C_min(p)
+    assert (short.value, short.argmin_nu) == (full.value, full.argmin_nu)
 
 
 def test_c0_equals_a1_on_grid():
@@ -160,6 +182,40 @@ def test_two_a_forms_agree_on_random_points():
         g = F(rng.randint(-24, 24), rng.randint(1, 6))
         nu = rng.randint(0, 10)
         rellich_hardy_A(Params(n, g), nu)
+
+
+def test_mode_invariants_raise(monkeypatch):
+    p = Params(3, F(0))
+    real_alpha = constants.alpha
+    monkeypatch.setattr(constants, "alpha", lambda s, n: 2 * real_alpha(s, n))
+    with pytest.raises(ModeInvariantError):
+        rellich_hardy_A(p, 2)
+    monkeypatch.setattr(constants, "alpha", real_alpha)
+    monkeypatch.setattr(constants, "rellich_hardy_A", lambda p, nu: F(-1))
+    with pytest.raises(ModeInvariantError):
+        rellich_hardy_C(p, 0)
+    assert issubclass(curlsharp.ModeInvariantError, RuntimeError)
+
+
+def test_mode_invariants_raise_under_python_O():
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from curlsharp import constants as c\n"
+            "if __debug__:\n"
+            "    sys.exit(4)\n"
+            "real_alpha = c.alpha\n"
+            "c.alpha = lambda s, n: 2 * real_alpha(s, n)\n"
+            "try:\n"
+            "    c.rellich_hardy_A(c.Params(3, Fraction(0)), 2)\n"
+            "except c.ModeInvariantError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_degenerate_gamma_values():
