@@ -43,7 +43,7 @@ from .constants import (
 from .certificates import c0_for, run_suite, verify_qp1_identity
 from .nonneg import IntervalQ, nonneg_on_interval
 from .poly import MultiPoly, Rational, parse_poly
-from .polyfamily import PolyFamily, build_family
+from .polyfamily import FamilyInvariantError, PolyFamily, build_family
 
 __all__ = [
     "Fraction",
@@ -69,6 +69,8 @@ __all__ = [
     "in_improvement_region",
     "mode_table",
     "PolyFamily",
+    "FamilyInvariantError",
+    "NonPositiveFormError",
     "build_family",
     "run_suite",
     "verify_qp1_identity",
@@ -76,3 +78,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # spectral imports numpy and scipy; load it only when its name is used
+    if name == "NonPositiveFormError":
+        from .spectral import NonPositiveFormError
+        return NonPositiveFormError
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

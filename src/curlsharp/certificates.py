@@ -901,14 +901,12 @@ def difference_quotient_guard(seed: int = 0, count: int = 10_000,
 
 def difference_quotient_infimum(p: Params, nu: int, tau_max: float = 1e4,
                                 points: int = 4000) -> float:
-    """Empirical infimum of the difference quotient over a dense tau grid
-    (approaches the channel constant from above at large tau)."""
+    """Empirical infimum of the difference quotient of channel nu's
+    (Q, P) pair over a dense tau grid (approaches the channel constant
+    from above at large tau)."""
     import numpy as np
 
-    fam = pf.build_family(p)
-    anu = alpha(nu, p.N)
-    q1 = fam.Q1.subs("a", anu)
-    p1 = fam.P1.subs("a", anu)
+    q1, p1 = pf.channel_polys(p, nu)
     p1z = p1.subs("tau", 0)
     diff = q1 * p1z - q1.subs("tau", 0) * p1
     dcoeffs = diff.coeffs_in("tau")

@@ -376,12 +376,7 @@ def crosscheck(params: Params, nu: int, profile: Profile,
     tol = tol if tol is not None else (1e-6 if params.N == 2 else 1e-5)
     bundle = analytic_field(params, nu, profile, params.N)
     ints = weighted_integrals(bundle)
-    fam = pf.build_family(params)
-    if nu == 0:
-        q_poly, p_poly = fam.Q0, fam.P0
-    else:
-        anu = alpha(nu, params.N)
-        q_poly, p_poly = fam.Q1.subs("a", anu), fam.P1.subs("a", anu)
+    q_poly, p_poly = pf.channel_polys(params, nu)
     norm_y2 = bundle.harmonic_norm2_quadrature()
     lap_red = norm_y2 * quadratic_form(profile, q_poly).value
     grad_red = norm_y2 * quadratic_form(profile, p_poly).value

@@ -15,8 +15,11 @@ C(nu) between the unconstrained A(nu -/+ 1).
 
 Everything is exact: coefficients live in Fraction, symbols in MultiPoly
 over (tau, a, lam, N) with shift variables s, m, mu reserved for Taylor
-re-expansions.  `build_family` returns either the fully symbolic family
-or one with lam, N substituted by rationals.
+re-expansions.  `build_family` returns the full family, either symbolic
+or with lam, N substituted by rationals.  `channel_polys` is the numeric
+builder of one channel's (Q, P) pair: it substitutes (lam, N) into
+Q0/P0/Q1/P1 only, once per Params, then alpha_nu, and memoises both
+steps.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .constants import Params
+from .constants import Params, alpha
 from .poly import MultiPoly
 
 TAU = MultiPoly.var("tau")
@@ -36,6 +39,10 @@ S = MultiPoly.var("s")
 M = MultiPoly.var("m")
 
 _half = Fraction(1, 2)
+
+
+class FamilyInvariantError(RuntimeError):
+    """The two displayed closed forms of Q1 disagree."""
 
 
 def alpha_poly(x: MultiPoly | int | Fraction) -> MultiPoly:
@@ -72,7 +79,7 @@ def q1() -> MultiPoly:
 def q1_factored() -> MultiPoly:
     """Second closed form of Q1: cubic-in-tau factorisation.
 
-    Must equal q1() identically; build_family asserts this.
+    Must equal q1() identically; `_check_q1_forms` raises otherwise.
     """
     al1 = alpha_poly(LAM + 1)
     return (TAU + A + (LAM - 1) ** 2) * (
@@ -233,13 +240,24 @@ class PolyFamily:
         return self.Q1.subs("a", a_value)
 
 
+@lru_cache(maxsize=None)
+def _check_q1_forms() -> None:
+    """Raise FamilyInvariantError unless q1() == q1_factored() exactly.
+
+    Both forms are cached constants, so one passing check per process
+    covers every later call; this is re-checked by the certificate suite.
+    """
+    if q1() != q1_factored():
+        raise FamilyInvariantError("Q1 closed forms disagree")
+
+
 def build_family(params: Params | None = None) -> PolyFamily:
     """Construct the family; numeric mode substitutes rational lam and N.
 
-    Asserts that the two displayed closed forms of Q1 agree (exact
-    polynomial identity); this is re-checked by the certificate suite.
+    Raises FamilyInvariantError when the two displayed closed forms of
+    Q1 disagree (exact polynomial identity).
     """
-    assert q1() == q1_factored(), "Q1 closed forms disagree"
+    _check_q1_forms()
     fields = dict(
         P0=p0(), P1=p1(), Q0=q0(), Q1=q1(), G0=g0(), G1=g1(),
         scriptG1=script_g1(), scriptG2=script_g2(),
@@ -253,11 +271,25 @@ def build_family(params: Params | None = None) -> PolyFamily:
     return PolyFamily(params=params, **fields)
 
 
+@lru_cache(maxsize=4096)
+def _numeric_channels(params: Params) -> tuple[MultiPoly, ...]:
+    """(Q0, P0, Q1, P1) with lam, N substituted; Q1, P1 keep the slot a."""
+    _check_q1_forms()
+    subs = {"lam": params.lam, "N": Fraction(params.N)}
+    return tuple(f().subs_many(subs) for f in (q0, p0, q1, p1))
+
+
+@lru_cache(maxsize=4096)
 def channel_polys(params: Params, nu: int) -> tuple[MultiPoly, MultiPoly]:
-    """(Q, P) univariate in tau for channel nu at numeric parameters."""
-    fam = build_family(params)
+    """(Q, P) univariate in tau for channel nu at numeric parameters.
+
+    Equal to `build_family(params)`'s (Q0, P0) for nu = 0 and its
+    (Q1, P1) at a = alpha_nu otherwise, without building the other 16
+    family members.  Memoised; MultiPoly is immutable, so the shared
+    result is safe to hand out.
+    """
+    q0n, p0n, q1n, p1n = _numeric_channels(params)
     if nu == 0:
-        return fam.Q0, fam.P0
-    from .constants import alpha
+        return q0n, p0n
     anu = alpha(nu, params.N)
-    return fam.Q1.subs("a", anu), fam.P1.subs("a", anu)
+    return q1n.subs("a", anu), p1n.subs("a", anu)

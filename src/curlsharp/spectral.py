@@ -15,18 +15,26 @@ composite Gauss-Legendre quadrature (integration by parts realisation)
 and a Fourier-side sum over |h^(tau)|^2.  The Fourier discretisation is
 exact up to aliasing: the integrand's inverse transform is supported in
 [-2n, 2n], inside the sampling window's Poisson-summation margin.
+
+A form of degree <= 3 in tau is a dot product of its tau-coefficients
+with the profile's derivative norms and Fourier moments of orders 0..3.
+Those two vectors are computed once per (profile, derivative shift) and
+kept on the Profile instance, so one basis serves every form on it: the
+Q and P forms of a quotient, and the three forms of a remainder check or
+an oracle cross-check (two bases).  The (Q, P) pair of a channel comes
+from `polyfamily.channel_polys`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .constants import Params, alpha, rellich_hardy_C, rellich_hardy_C_min
+from .constants import Params, rellich_hardy_C, rellich_hardy_C_min
 from .certificates import c0_for
 from .poly import MultiPoly
 from . import polyfamily as pf
@@ -34,6 +42,10 @@ from . import polyfamily as pf
 
 class BackendDisagreementError(RuntimeError):
     """The quadrature and Fourier backends differ beyond tolerance."""
+
+
+class NonPositiveFormError(RuntimeError):
+    """A quadratic form of a nonzero field came out <= 0."""
 
 
 class DegenerateModeError(ValueError):
@@ -108,15 +120,24 @@ BUMP_NORM2 = 0.1330861208449942715569473
 COS4_NORM2 = 35.0 / 64.0
 
 
+# highest tau power a form polynomial may carry
+MAX_TAU_DEGREE = 3
+
+
 @dataclass(frozen=True)
 class Profile:
-    """Dilated compactly supported smooth profile h(t/n) on [-n, n]."""
+    """Dilated compactly supported smooth profile h(t/n) on [-n, n].
+
+    `points_per_unit` is validated but feeds no computation: the GL rule
+    and the FFT grid set their own resolutions.
+    """
 
     kind: str
     n: int
     points_per_unit: int
-    t: np.ndarray
-    samples: np.ndarray  # shape (5, len(t)): h .. h''''
+    # (derivative shift, nodes per unit) -> (norms, moments); see form_basis
+    _bases: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def make(cls, kind: str = "bump", n: int = 1,
@@ -128,16 +149,30 @@ class Profile:
         if points_per_unit < 16:
             raise ValueError(
                 "points_per_unit < 16 under-resolves the 4th derivatives")
-        npts = 2 * n * points_per_unit + 1
-        t = np.linspace(-n, n, npts)
-        base = _KINDS[kind](t / n)
-        scale = np.array([n ** -k for k in range(5)])[:, None]
-        return cls(kind, n, points_per_unit, t, base * scale)
+        return cls(kind, n, points_per_unit)
 
     def deriv(self, t, k: int) -> np.ndarray:
         """k-th derivative of the dilated profile at arbitrary points."""
+        return self.derivs(t, (k,))[0]
+
+    def derivs(self, t, orders) -> list[np.ndarray]:
+        """Derivatives of the given orders at t, from one evaluation of the
+        closed-form table."""
         t = np.asarray(t, dtype=float)
-        return _KINDS[self.kind](t / self.n)[k] / self.n ** k
+        table = _KINDS[self.kind](t / self.n)
+        return [table[k] / self.n ** k for k in orders]
+
+    def form_basis(self, derivative_shift: int = 0, nodes_per_unit: int = 16
+                   ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(derivative norms, Fourier moments) of orders 0..MAX_TAU_DEGREE
+        for h^(derivative_shift), computed on first use and then reused."""
+        key = (derivative_shift, nodes_per_unit)
+        if key not in self._bases:
+            self._bases[key] = (
+                tuple(derivative_norms(self, MAX_TAU_DEGREE, derivative_shift,
+                                       nodes_per_unit)),
+                tuple(_fourier_moments(self, MAX_TAU_DEGREE, derivative_shift)))
+        return self._bases[key]
 
     def base_norm2(self) -> float:
         return BUMP_NORM2 if self.kind == "bump" else COS4_NORM2
@@ -189,11 +224,9 @@ def derivative_norms(profile: Profile, max_order: int,
                      nodes_per_unit: int = 16) -> list[float]:
     """[integral (h^(k+shift))^2 dt for k = 0..max_order] by composite GL."""
     nodes, weights = _gl_nodes(profile.n, nodes_per_unit)
-    out = []
-    for k in range(max_order + 1):
-        vals = profile.deriv(nodes, k + derivative_shift)
-        out.append(float(np.sum(weights * vals * vals)))
-    return out
+    orders = range(derivative_shift, derivative_shift + max_order + 1)
+    return [float(np.sum(weights * vals * vals))
+            for vals in profile.derivs(nodes, orders)]
 
 
 def _fourier_moments(profile: Profile, max_order: int,
@@ -238,14 +271,14 @@ def _tau_coefficients(poly: MultiPoly, a_value: Fraction | None) -> list[float]:
     if any(v != "tau" for v in used):
         raise ValueError(f"form polynomial still has free variables {used}")
     coeffs = [c.constant_value() for c in poly.coeffs_in("tau")]
-    if len(coeffs) > 4:
-        raise ValueError("form polynomial must have degree <= 3 in tau")
+    if len(coeffs) > MAX_TAU_DEGREE + 1:
+        raise ValueError(
+            f"form polynomial must have degree <= {MAX_TAU_DEGREE} in tau")
     return [float(c) for c in coeffs]
 
 
 def quadratic_form(profile: Profile, poly: MultiPoly,
                    a_value: Fraction | None = None,
-                   params: Params | None = None,
                    derivative_shift: int = 0,
                    nodes_per_unit: int = 16,
                    tol: float = 1e-8) -> FormValue:
@@ -254,14 +287,13 @@ def quadratic_form(profile: Profile, poly: MultiPoly,
 
     Computed twice: tau^k -> integral (h^(k))^2 (integration by parts;
     boundary terms vanish by compact support) and tau^k -> Fourier moment.
-    Raises BackendDisagreementError when the backends differ beyond `tol`
+    Both vectors come from `Profile.form_basis`, so one basis per
+    (profile, derivative shift) serves every form on it.  Raises
+    BackendDisagreementError when the backends differ beyond `tol`
     relative (a resolution problem, not a rounding one).
     """
-    del params  # parameters already baked into the numeric polynomial
     coeffs = _tau_coefficients(poly, a_value)
-    norms = derivative_norms(profile, len(coeffs) - 1, derivative_shift,
-                             nodes_per_unit)
-    moments = _fourier_moments(profile, len(coeffs) - 1, derivative_shift)
+    norms, moments = profile.form_basis(derivative_shift, nodes_per_unit)
     value = sum(c * v for c, v in zip(coeffs, norms))
     fourier = sum(c * v for c, v in zip(coeffs, moments))
     scale = max(abs(value), abs(fourier),
@@ -317,25 +349,19 @@ class QuotientReport:
         }
 
 
-def _channel(params: Params, mode: int) -> tuple[MultiPoly, MultiPoly]:
-    fam = pf.build_family(params)
-    if mode == 0:
-        return fam.Q0, fam.P0
-    anu = alpha(mode, params.N)
-    return fam.Q1.subs("a", anu), fam.P1.subs("a", anu)
-
-
 def rh_quotient(field: SpectralField, nodes_per_unit: int = 16) -> QuotientReport:
     """Laplacian-to-gradient quotient of the field via the reduced forms."""
     if field.degenerate:
         raise DegenerateModeError(
             "mode nu=1 at gamma = 2 - N/2: P1(0, alpha_1) vanishes; "
             "interpret only through the n-dependence")
-    q_poly, p_poly = _channel(field.params, field.mode)
+    q_poly, p_poly = pf.channel_polys(field.params, field.mode)
     num = quadratic_form(field.profile, q_poly, nodes_per_unit=nodes_per_unit)
     den = quadratic_form(field.profile, p_poly, nodes_per_unit=nodes_per_unit)
-    assert num.value > 0 and den.value > 0, \
-        "quadratic forms must be positive for a nonzero field"
+    if not (num.value > 0 and den.value > 0):
+        raise NonPositiveFormError(
+            f"quadratic forms must be positive for a nonzero field: "
+            f"Q form {num.value}, P form {den.value}")
     target = float(rellich_hardy_C(field.params, field.mode))
     quot = num.value / den.value
     return QuotientReport(field.params, field.mode, field.profile.n,
@@ -400,15 +426,8 @@ def brute_min_tau_nu(params: Params, tau_min: float = 1e-4,
     taus = np.concatenate([[0.0], np.exp(np.linspace(
         np.log(tau_min), np.log(tau_max), tau_points))])
     best = (math.inf, 0.0, -1)
-    subs_nl = {"lam": params.lam, "N": Fraction(params.N)}
-    q0n, p0n = pf.q0().subs_many(subs_nl), pf.p0().subs_many(subs_nl)
-    q1n, p1n = pf.q1().subs_many(subs_nl), pf.p1().subs_many(subs_nl)
     for nu in range(nu_max + 1):
-        if nu == 0:
-            q_poly, p_poly = q0n, p0n
-        else:
-            anu = alpha(nu, params.N)
-            q_poly, p_poly = q1n.subs("a", anu), p1n.subs("a", anu)
+        q_poly, p_poly = pf.channel_polys(params, nu)
         qc = np.array(_tau_coefficients(q_poly, None))
         pc = np.array(_tau_coefficients(p_poly, None))
         tt = taus
@@ -471,7 +490,7 @@ def remainder_check(field: SpectralField, tol: float = 1e-8,
     """
     if field.degenerate:
         raise DegenerateModeError("(lam = 0, nu = 1) excluded")
-    q_poly, p_poly = _channel(field.params, field.mode)
+    q_poly, p_poly = pf.channel_polys(field.params, field.mode)
     qf = quadratic_form(field.profile, q_poly, nodes_per_unit=nodes_per_unit)
     pform = quadratic_form(field.profile, p_poly, nodes_per_unit=nodes_per_unit)
     rem = quadratic_form(field.profile, p_poly, derivative_shift=1,

@@ -1,19 +1,25 @@
 """Profiles, quadratic-form backends, quotients, scans, remainder checks."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import curlsharp
 from curlsharp import polyfamily as pf
-from curlsharp.constants import Params, rellich_hardy_C, rellich_hardy_C_min
+from curlsharp import spectral
+from curlsharp.constants import (Params, alpha, rellich_hardy_C,
+                                 rellich_hardy_C_min)
 from curlsharp.spectral import (AngularGrid, ArgminNotAtZeroError,
                                 BUMP_NORM2, COS4_NORM2, DegenerateModeError,
-                                Profile, SpectralField, brute_min_tau_nu,
-                                decompose_potential, derivative_norms,
-                                minimizing_sequence, quadratic_form,
-                                remainder_check, rh_quotient)
+                                NonPositiveFormError, Profile, SpectralField,
+                                brute_min_tau_nu, decompose_potential,
+                                derivative_norms, minimizing_sequence,
+                                quadratic_form, remainder_check, rh_quotient)
 
 # frozen from an independent 40-digit quadrature / symbolic differentiation
 BUMP_AT_HALF = [0.26359713811572677, -0.46861713442795870,
@@ -291,3 +297,117 @@ def test_angular_grid_norms():
             y = grid.harmonic(nu)
             got = float(np.sum(grid.weights * y * y))
             assert got == pytest.approx(grid.harmonic_norm2(nu), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the channel builder, the shared form basis, and the runtime invariants
+# ---------------------------------------------------------------------------
+
+CHANNEL_PARAMS = sorted({Params(n, g) for n in range(2, 7)
+                         for g in (F(-1), F(0), F(1, 2), F(5, 4), F(4 - n, 2))},
+                        key=lambda p: (p.N, p.gamma))
+
+
+def test_channel_polys_match_family():
+    assert any(p.degenerate for p in CHANNEL_PARAMS)
+    for p in CHANNEL_PARAMS:
+        fam = pf.build_family(p)
+        assert pf.channel_polys(p, 0) == (fam.Q0, fam.P0)
+        for nu in range(1, 9):
+            anu = alpha(nu, p.N)
+            want = (fam.Q1.subs("a", anu), fam.P1.subs("a", anu))
+            assert pf.channel_polys(p, nu) == want, (p, nu)
+
+
+def test_channel_polys_cached():
+    p = Params(5, F(1, 2))
+    assert pf.channel_polys(p, 3) is pf.channel_polys(p, 3)
+    assert pf.channel_polys(Params(5, F(1, 2)), 3) is pf.channel_polys(p, 3)
+
+
+def _reference_form(prof, poly, shift):
+    """quadratic_form's two backends, computed per order from profile.deriv
+    with no shared basis."""
+    coeffs = [float(c.constant_value()) for c in poly.coeffs_in("tau")]
+    nodes, weights = spectral._gl_nodes(prof.n)
+    norms = []
+    for k in range(len(coeffs)):
+        vals = prof.deriv(nodes, k + shift)
+        norms.append(float(np.sum(weights * vals * vals)))
+    moments = spectral._fourier_moments(prof, len(coeffs) - 1, shift)
+    return (sum(c * v for c, v in zip(coeffs, norms)),
+            sum(c * v for c, v in zip(coeffs, moments)))
+
+
+@pytest.mark.parametrize("kind", ["bump", "cos4"])
+def test_shared_basis_forms_exact(kind):
+    p = Params(3, F(1, 2))
+    q0, p0 = pf.channel_polys(p, 0)
+    q1, p1 = pf.channel_polys(p, 2)
+    shared = Profile.make(kind, 3, 64)
+    # cos4's fourth derivative jumps at the support ends, so a cubic form
+    # on the shifted profile splits the backends; tol=1 tests exactness only
+    for shift in (0, 1):
+        for poly in (q0, p0, q1, p1):
+            fv = quadratic_form(shared, poly, derivative_shift=shift, tol=1.0)
+            fresh = quadratic_form(Profile.make(kind, 3, 64), poly,
+                                   derivative_shift=shift, tol=1.0)
+            assert fv == fresh
+            assert (fv.value, fv.fourier) == _reference_form(shared, poly, shift)
+    assert set(shared._bases) == {(0, 16), (1, 16)}
+
+
+@pytest.mark.parametrize("kind,n", [("bump", 1), ("bump", 4), ("cos4", 2)])
+def test_derivative_norms_match_per_order(kind, n):
+    prof = Profile.make(kind, n, 64)
+    nodes, weights = spectral._gl_nodes(n)
+    for shift in (0, 1):
+        want = []
+        for k in range(4):
+            vals = prof.deriv(nodes, k + shift)
+            want.append(float(np.sum(weights * vals * vals)))
+        assert derivative_norms(prof, 3, shift) == want
+
+
+def test_form_positivity_invariant(monkeypatch):
+    p = Params(3, F(0))
+    q_poly, p_poly = pf.channel_polys(p, 2)
+    monkeypatch.setattr(pf, "channel_polys", lambda params, nu: (-q_poly, p_poly))
+    with pytest.raises(NonPositiveFormError):
+        rh_quotient(SpectralField(p, 2, Profile.make("bump", 2, 64)))
+    assert curlsharp.NonPositiveFormError is NonPositiveFormError
+    assert issubclass(NonPositiveFormError, RuntimeError)
+
+
+def test_q1_forms_invariant(monkeypatch):
+    monkeypatch.setattr(pf, "q1_factored", lambda: pf.q1() + pf.TAU)
+    pf._check_q1_forms.cache_clear()
+    pf._numeric_channels.cache_clear()
+    pf.channel_polys.cache_clear()
+    with pytest.raises(pf.FamilyInvariantError):
+        pf.build_family()
+    with pytest.raises(pf.FamilyInvariantError):
+        pf.channel_polys(Params(3, F(0)), 1)
+    assert curlsharp.FamilyInvariantError is pf.FamilyInvariantError
+    assert issubclass(pf.FamilyInvariantError, RuntimeError)
+
+
+def test_q1_forms_invariant_under_python_O():
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from curlsharp import polyfamily as pf\n"
+            "from curlsharp.constants import Params\n"
+            "if __debug__:\n"
+            "    sys.exit(4)\n"
+            "pf.q1_factored = lambda: pf.q1() + pf.TAU\n"
+            "try:\n"
+            "    pf.channel_polys(Params(3, Fraction(0)), 1)\n"
+            "except pf.FamilyInvariantError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
