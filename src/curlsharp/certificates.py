@@ -785,16 +785,17 @@ def run_suite(regimes: list[str] | None = None) -> SuiteResult:
 # exact links between the quotient framework and the closed-form constants
 # ---------------------------------------------------------------------------
 
-def quotient_constant_links(n_max: int = 10, nu_max: int = 8,
+def quotient_constant_links(n_min: int = 2, n_max: int = 10, nu_max: int = 8,
                             gammas=None) -> list[str]:
     """Exact identities Q1(0,alpha_nu)/P1(0,alpha_nu) = C(nu) and
-    Q0(0)/P0(0) = C(0) on a (N, gamma, nu) grid; returns failures."""
+    Q0(0)/P0(0) = C(0) on a (N, gamma, nu) grid, N in n_min..n_max;
+    returns failures."""
     if gammas is None:
         gammas = [Fraction(g) for g in (-3, -2, -1)] + \
             [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1),
              Fraction(3, 2), Fraction(2), Fraction(3)]
     failures = []
-    for n in range(2, n_max + 1):
+    for n in range(n_min, n_max + 1):
         for g in gammas:
             p = Params(n, g)
             fam = pf.build_family(p)

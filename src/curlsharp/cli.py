@@ -135,7 +135,7 @@ def cmd_certify(args) -> int:
     suite = certs.run_suite(regimes)
     extra_fail = []
     if args.regime == "all":
-        extra_fail += certs.quotient_constant_links(n_max=n_hi)
+        extra_fail += certs.quotient_constant_links(n_min=n_lo, n_max=n_hi)
         extra_fail += certs.interleaving_spot_checks(seed=args.seed)
         margin, checked, guard_fails = certs.difference_quotient_guard(
             seed=args.seed)

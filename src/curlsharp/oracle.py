@@ -27,13 +27,14 @@ identically for these fields; the numerical residual is pure rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_legendre, roots_legendre
+from scipy.special import eval_legendre
 
 from .constants import Params, alpha, rellich_hardy_C
-from .spectral import Profile, _gl_nodes, quadratic_form, NotConvergedError
+from .spectral import (Profile, _gl_nodes, _legendre_rule, quadratic_form,
+                       NotConvergedError)
 from . import polyfamily as pf
 
 
@@ -106,18 +107,25 @@ def _angular_rule(dim: int, nu: int, points: int | None = None):
         theta = 2.0 * np.pi * np.arange(m) / m
         return theta, np.full(m, 2.0 * np.pi / m)
     m = points or max(24, 2 * nu + 8)
-    c, w = roots_legendre(m)
+    c, w = _legendre_rule(m)
     return np.arccos(c), 2.0 * np.pi * w
 
 
 @dataclass(frozen=True)
 class AnalyticFieldBundle:
-    """Closed-form evaluators for one test field in dimension 2 or 3."""
+    """Closed-form evaluators for one test field in dimension 2 or 3.
+
+    The integrand evaluators take `gs`, the profile derivatives of
+    orders 0..3 at t from `radial_derivs` (no integrand reads the fourth),
+    so several integrands on one radial grid share one derivative table.
+    """
 
     dim: int
     nu: int
     params: Params
     profile: Profile
+    # sigma-integral of Y^2 by the angular rule, checked at construction
+    harmonic_norm2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -132,11 +140,13 @@ class AnalyticFieldBundle:
         if abs(got - want) > 1e-10 * want:
             raise AssertionError(
                 f"harmonic normalisation mismatch: {got} vs {want}")
+        object.__setattr__(self, "harmonic_norm2", got)
 
     # -- scalar building blocks ------------------------------------------
 
-    def _g(self, t, k: int):
-        return self.profile.deriv(t, k)
+    def radial_derivs(self, t) -> list[np.ndarray]:
+        """g and its first three derivatives at t, from one derivative table."""
+        return self.profile.derivs(t, range(4))
 
     def _lam(self) -> float:
         return float(self.params.lam)
@@ -152,27 +162,26 @@ class AnalyticFieldBundle:
             raise ValueError("the radial channel is specified by its field")
         lam = self._lam()
         zon = _Zonal(self.dim, self.nu)
-        return np.exp((lam + 1) * t) * self._g(t, 0) * zon.y(ang)
+        return np.exp((lam + 1) * t) * self.profile.deriv(t, 0) * zon.y(ang)
 
     def u_frame(self, t, ang):
         """(U, V): radial and theta components of u at (t, theta)."""
         lam = self._lam()
-        g = self._g(t, 0)
+        g, dg = self.profile.derivs(t, (0, 1))
         if self.nu == 0:
             shape = np.broadcast(t, ang).shape
             return np.exp(lam * t) * g * np.ones(shape), np.zeros(shape)
         zon = _Zonal(self.dim, self.nu)
-        u1 = (lam + 1) * g + self._g(t, 1)
+        u1 = (lam + 1) * g + dg
         rl = np.exp(lam * t)
         return rl * u1 * zon.y(ang), rl * g * zon.dy(ang)
 
-    def _frame_gradient(self, t, ang, shift: int):
+    def _frame_gradient(self, t, ang, gs, shift: int):
         """Gradient-tensor frame entries of the field built from the
         (shift)-times differentiated profile pair; shift=0 is u itself,
         shift=1 the remainder field r^lam d(r^-lam u)."""
         lam = self._lam()
-        g = self._g(t, shift)
-        dg = self._g(t, shift + 1)
+        g, dg, d2g = gs[shift:shift + 3]
         rfac = np.exp((lam - 1) * t)
         if self.nu == 0:
             zero = np.zeros(np.broadcast(t, ang).shape)
@@ -184,7 +193,7 @@ class AnalyticFieldBundle:
             return entries
         zon = _Zonal(self.dim, self.nu)
         a_val = (lam + 1) * g + dg          # u1 shifted
-        da_val = (lam + 1) * dg + self._g(t, shift + 2)
+        da_val = (lam + 1) * dg + d2g
         y, dy, d2y = zon.y(ang), zon.dy(ang), zon.d2y(ang)
         j_rr = rfac * (lam * a_val + da_val) * y
         j_rt = rfac * (a_val - g) * dy
@@ -195,22 +204,22 @@ class AnalyticFieldBundle:
             entries.append(rfac * (a_val * y + g * zon.cot_dy(ang)))
         return entries
 
-    def grad_sq(self, t, ang, shift: int = 0):
+    def grad_sq(self, t, ang, gs, shift: int = 0):
         """|grad u|^2 (shift 0) or the remainder integrand core (shift 1)."""
-        return sum(e * e for e in self._frame_gradient(t, ang, shift))
+        return sum(e * e for e in self._frame_gradient(t, ang, gs, shift))
 
     def curl_residual(self, t, ang) -> float:
         """Max |J_{r theta} - J_{theta r}| over the points, relative to the
         tensor magnitude (identically zero in exact arithmetic)."""
-        e = self._frame_gradient(t, ang, 0)
+        e = self._frame_gradient(t, ang, self.radial_derivs(t), 0)
         scale = max(float(np.max(np.sqrt(sum(x * x for x in e)))), 1e-300)
         return float(np.max(np.abs(e[1] - e[2]))) / scale
 
-    def lap_sq(self, t, ang):
+    def lap_sq(self, t, ang, gs):
         """|laplacian u|^2 with laplacian u = grad(laplacian potential)."""
         lam = self._lam()
         n = self.dim
-        g, dg, d2g, d3g = (self._g(t, k) for k in range(4))
+        g, dg, d2g, d3g = gs
         rfac = np.exp((lam - 2) * t)
         if self.nu == 0:
             kg = d2g + (2 * lam + n - 2) * dg + (lam - 1) * (lam + n - 1) * g
@@ -224,14 +233,14 @@ class AnalyticFieldBundle:
         y, dy = zon.y(ang), zon.dy(ang)
         return (rfac * mg * y) ** 2 + (rfac * lg * dy) ** 2
 
-    def u_sq(self, t, ang):
+    def u_sq(self, t, ang, gs):
         lam = self._lam()
-        g = self._g(t, 0)
+        g, dg = gs[:2]
         rl = np.exp(lam * t)
         if self.nu == 0:
             return (rl * g) ** 2 * np.ones(np.broadcast(t, ang).shape)
         zon = _Zonal(self.dim, self.nu)
-        u1 = (lam + 1) * g + self._g(t, 1)
+        u1 = (lam + 1) * g + dg
         return (rl * u1 * zon.y(ang)) ** 2 + (rl * g * zon.dy(ang)) ** 2
 
     # -- Cartesian evaluators (for pointwise sanity checks) ---------------
@@ -261,7 +270,9 @@ class AnalyticFieldBundle:
     def jac_cart(self, x: np.ndarray) -> np.ndarray:
         r, theta, sigma, e_t, e_p = self._frames(x)
         t = math.log(r)
-        e = self._frame_gradient(np.array([t]), np.array([theta]), 0)
+        tt = np.array([t])
+        e = self._frame_gradient(tt, np.array([theta]),
+                                 self.radial_derivs(tt), 0)
         vals = [float(v[0]) for v in e]
         j = (vals[0] * np.outer(sigma, sigma) + vals[1] * np.outer(sigma, e_t)
              + vals[2] * np.outer(e_t, sigma) + vals[3] * np.outer(e_t, e_t))
@@ -290,15 +301,16 @@ def _integrate(bundle: AnalyticFieldBundle, nodes_per_unit: int,
     tt = tn[:, None]
     aa = ang[None, :]
     volume = np.exp(n_dim * tn)[:, None] * (tw[:, None] * aw[None, :])
+    gs = bundle.radial_derivs(tt)
 
     def wint(values: np.ndarray, weight_power: float) -> float:
         weight = np.exp(weight_power * tn)[:, None]
         return float(np.sum(values * weight * volume))
 
-    i_lap = wint(bundle.lap_sq(tt, aa), 2 * gamma)
-    i_grad = wint(bundle.grad_sq(tt, aa, 0), 2 * gamma - 2)
-    i_u = wint(bundle.u_sq(tt, aa), 2 * gamma - 4)
-    i_rem = wint(bundle.grad_sq(tt, aa, 1), 2 * gamma - 2)
+    i_lap = wint(bundle.lap_sq(tt, aa, gs), 2 * gamma)
+    i_grad = wint(bundle.grad_sq(tt, aa, gs, 0), 2 * gamma - 2)
+    i_u = wint(bundle.u_sq(tt, aa, gs), 2 * gamma - 4)
+    i_rem = wint(bundle.grad_sq(tt, aa, gs, 1), 2 * gamma - 2)
     return i_lap, i_grad, i_u, i_rem
 
 
@@ -377,7 +389,7 @@ def crosscheck(params: Params, nu: int, profile: Profile,
     bundle = analytic_field(params, nu, profile, params.N)
     ints = weighted_integrals(bundle)
     q_poly, p_poly = pf.channel_polys(params, nu)
-    norm_y2 = bundle.harmonic_norm2_quadrature()
+    norm_y2 = bundle.harmonic_norm2
     lap_red = norm_y2 * quadratic_form(profile, q_poly).value
     grad_red = norm_y2 * quadratic_form(profile, p_poly).value
     rem_red = norm_y2 * quadratic_form(profile, p_poly, derivative_shift=1).value

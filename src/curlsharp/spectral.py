@@ -23,6 +23,12 @@ kept on the Profile instance, so one basis serves every form on it: the
 Q and P forms of a quotient, and the three forms of a remainder check or
 an oracle cross-check (two bases).  The (Q, P) pair of a channel comes
 from `polyfamily.channel_polys`.
+
+The closed-form derivative tables hold orders 0..4 and are built only up
+to the highest order an evaluation asks for: the GL norms of shift s read
+orders s..s+3, and the FFT window samples the single order s.  A Fourier
+moment of order k needs h^(k) continuous, so a form that would read a
+higher order (cos4 is only C^3) is rejected before any quadrature.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -64,55 +71,77 @@ class NotConvergedError(RuntimeError):
 # profiles
 # ---------------------------------------------------------------------------
 
-def _bump_derivs(x: np.ndarray) -> np.ndarray:
-    """h = exp(-1/(1-x^2)) on (-1,1) and its first four derivatives.
+def _bump_derivs(x: np.ndarray, top: int) -> np.ndarray:
+    """h = exp(-1/(1-x^2)) on (-1,1) and its derivatives of orders
+    0..top (top <= 4).
 
     Closed forms via w = -1/(1-x^2): successive w-derivatives feed the
-    exponential chain rule (Bell polynomial form).  Returns shape (5, ...).
+    exponential chain rule (Bell polynomial form).  Returns shape
+    (top + 1, ...); no row above `top` is computed.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros((5,) + x.shape)
+    out = np.zeros((top + 1,) + x.shape)
     inside = np.abs(x) < 1.0
     xi = x[inside]
     u = 1.0 - xi * xi
+    h = np.exp(-1.0 / u)
+    out[0][inside] = h
+    if top == 0:
+        return out
     du = -2.0 * xi
     d2u = -2.0
     w1 = du / u ** 2
+    out[1][inside] = w1 * h
+    if top == 1:
+        return out
     w2 = d2u / u ** 2 - 2.0 * du ** 2 / u ** 3
+    out[2][inside] = (w2 + w1 ** 2) * h
+    if top == 2:
+        return out
     w3 = -6.0 * du * d2u / u ** 3 + 6.0 * du ** 3 / u ** 4
+    out[3][inside] = (w3 + 3.0 * w1 * w2 + w1 ** 3) * h
+    if top == 3:
+        return out
     w4 = (-6.0 * d2u ** 2 / u ** 3 + 36.0 * du ** 2 * d2u / u ** 4
           - 24.0 * du ** 4 / u ** 5)
-    h = np.exp(-1.0 / u)
-    out[0][inside] = h
-    out[1][inside] = w1 * h
-    out[2][inside] = (w2 + w1 ** 2) * h
-    out[3][inside] = (w3 + 3.0 * w1 * w2 + w1 ** 3) * h
     out[4][inside] = (w4 + 4.0 * w1 * w3 + 3.0 * w2 ** 2
                       + 6.0 * w1 ** 2 * w2 + w1 ** 4) * h
     return out
 
 
-def _cos4_derivs(x: np.ndarray) -> np.ndarray:
-    """h = cos^4(pi x / 2) on (-1,1); fourth power keeps h''' continuous,
-    which the cubic-in-tau forms need (the classic power-2 raised cosine
-    is only C^1 and breaks them)."""
+def _cos4_derivs(x: np.ndarray, top: int) -> np.ndarray:
+    """h = cos^4(pi x / 2) on (-1,1) and its derivatives of orders 0..top
+    (top <= 4); shape (top + 1, ...).  The fourth power keeps h'''
+    continuous, which the cubic-in-tau forms need (the classic power-2
+    raised cosine is only C^1 and breaks them); h'''' jumps at +-1."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros((5,) + x.shape)
+    out = np.zeros((top + 1,) + x.shape)
     inside = np.abs(x) < 1.0
     xi = x[inside]
     c = np.cos(0.5 * np.pi * xi)
     s = np.sin(0.5 * np.pi * xi)
     pi = np.pi
     out[0][inside] = c ** 4
-    out[1][inside] = -2.0 * pi * c ** 3 * s
-    out[2][inside] = -pi ** 2 * (c ** 4 - 3.0 * c ** 2 * s ** 2)
-    out[3][inside] = 0.5 * pi ** 3 * (10.0 * c ** 3 * s - 6.0 * c * s ** 3)
-    out[4][inside] = 0.25 * pi ** 4 * (10.0 * c ** 4 - 48.0 * c ** 2 * s ** 2
-                                       + 6.0 * s ** 4)
+    if top >= 1:
+        out[1][inside] = -2.0 * pi * c ** 3 * s
+    if top >= 2:
+        out[2][inside] = -pi ** 2 * (c ** 4 - 3.0 * c ** 2 * s ** 2)
+    if top >= 3:
+        out[3][inside] = 0.5 * pi ** 3 * (10.0 * c ** 3 * s - 6.0 * c * s ** 3)
+    if top >= 4:
+        out[4][inside] = 0.25 * pi ** 4 * (10.0 * c ** 4
+                                           - 48.0 * c ** 2 * s ** 2
+                                           + 6.0 * s ** 4)
     return out
 
 
 _KINDS = {"bump": _bump_derivs, "cos4": _cos4_derivs}
+# the tables hold derivative orders 0..MAX_DERIV_ORDER
+MAX_DERIV_ORDER = 4
+# highest tabulated derivative order that is continuous on the whole line;
+# a Fourier moment of order k needs h^(k) continuous to converge (bump is
+# smooth, cos4 only C^3)
+_CONTINUOUS_ORDER = {"bump": MAX_DERIV_ORDER, "cos4": 3}
 
 # reference value of the base-profile norm integral over (-1, 1),
 # frozen from a high-precision independent quadrature
@@ -152,14 +181,24 @@ class Profile:
         return cls(kind, n, points_per_unit)
 
     def deriv(self, t, k: int) -> np.ndarray:
-        """k-th derivative of the dilated profile at arbitrary points."""
+        """k-th derivative (0 <= k <= MAX_DERIV_ORDER) of the dilated profile
+        at arbitrary points."""
         return self.derivs(t, (k,))[0]
 
     def derivs(self, t, orders) -> list[np.ndarray]:
-        """Derivatives of the given orders at t, from one evaluation of the
-        closed-form table."""
+        """Derivatives of the given orders at t, in the order asked for.
+
+        One evaluation of the closed-form table, built only up to the
+        highest order asked for.  Raises ValueError unless every order lies
+        in 0..MAX_DERIV_ORDER.
+        """
+        orders = tuple(orders)
+        if not orders or any(k not in range(MAX_DERIV_ORDER + 1)
+                             for k in orders):
+            raise ValueError(f"derivative orders must lie in "
+                             f"0..{MAX_DERIV_ORDER}, got {orders}")
         t = np.asarray(t, dtype=float)
-        table = _KINDS[self.kind](t / self.n)
+        table = _KINDS[self.kind](t / self.n, max(orders))
         return [table[k] / self.n ** k for k in orders]
 
     def form_basis(self, derivative_shift: int = 0, nodes_per_unit: int = 16
@@ -191,7 +230,19 @@ def make_profile(kind: str = "bump", n: int = 1,
 # quadratic forms, two backends
 # ---------------------------------------------------------------------------
 
-def _gl_nodes(n: int, nodes_per_unit: int = 16, edge_levels: int = 36):
+@lru_cache(maxsize=16)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre (nodes, weights) on [-1, 1], read-only and shared."""
+    x, w = roots_legendre(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+# halvings of the grading toward each support endpoint in _gl_nodes
+_EDGE_LEVELS = 36
+
+
+def _gl_nodes(n: int, nodes_per_unit: int = 16):
     """Composite Gauss-Legendre nodes/weights on [-n, n].
 
     One rule per unit interval, with the two outermost unit intervals
@@ -199,24 +250,16 @@ def _gl_nodes(n: int, nodes_per_unit: int = 16, edge_levels: int = 36):
     high derivatives oscillate in an O((1 - |t/n|)^2) boundary layer that
     a uniform composite rule resolves too slowly.
     """
-    x, w = roots_legendre(nodes_per_unit)
-
-    def rule(a: float, b: float):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return mid + half * x, half * w
-
-    breaks: list[float] = [float(k) for k in range(-n + 1, n)]
+    x, w = _legendre_rule(nodes_per_unit)
+    interior = [float(k) for k in range(-n + 1, n)]
     # geometric grading inside [n-1, n] and mirrored on the left
-    right = [n - 2.0 ** (-j) for j in range(0, edge_levels + 1)]
-    breaks = sorted(set([-n] + [-b for b in right] + breaks + right + [n]))
-    nodes, weights = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b <= a:
-            continue
-        nn, ww = rule(a, b)
-        nodes.append(nn)
-        weights.append(ww)
-    return np.concatenate(nodes), np.concatenate(weights)
+    right = [n - 2.0 ** (-j) for j in range(0, _EDGE_LEVELS + 1)]
+    breaks = np.array(sorted(set([-n] + [-b for b in right] + interior
+                                 + right + [n])))
+    a, b = breaks[:-1], breaks[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return ((mid[:, None] + half[:, None] * x).ravel(),
+            (half[:, None] * w).ravel())
 
 
 def derivative_norms(profile: Profile, max_order: int,
@@ -289,10 +332,19 @@ def quadratic_form(profile: Profile, poly: MultiPoly,
     boundary terms vanish by compact support) and tau^k -> Fourier moment.
     Both vectors come from `Profile.form_basis`, so one basis per
     (profile, derivative shift) serves every form on it.  Raises
+    ValueError, before any quadrature, when the form reads a derivative
+    order the profile does not have continuous (cos4 is only C^3), and
     BackendDisagreementError when the backends differ beyond `tol`
     relative (a resolution problem, not a rounding one).
     """
     coeffs = _tau_coefficients(poly, a_value)
+    top = derivative_shift + len(coeffs) - 1
+    if top > _CONTINUOUS_ORDER[profile.kind]:
+        raise ValueError(
+            f"a degree-{len(coeffs) - 1} form on h^({derivative_shift}) "
+            f"reads h^({top}), but the {profile.kind} table is continuous "
+            f"only up to order {_CONTINUOUS_ORDER[profile.kind]}: its "
+            f"Fourier moment of order {top} does not converge")
     norms, moments = profile.form_basis(derivative_shift, nodes_per_unit)
     value = sum(c * v for c, v in zip(coeffs, norms))
     fourier = sum(c * v for c, v in zip(coeffs, moments))

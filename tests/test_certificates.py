@@ -110,6 +110,16 @@ def test_quotient_constant_links_exact():
     assert certs.quotient_constant_links(n_max=10, nu_max=8) == []
 
 
+def test_quotient_constant_links_n_range(monkeypatch):
+    seen = []
+    real = pf.build_family
+    monkeypatch.setattr(pf, "build_family",
+                        lambda p: seen.append(p.N) or real(p))
+    assert certs.quotient_constant_links(n_min=4, n_max=6, nu_max=2,
+                                         gammas=[F(0), F(1, 2)]) == []
+    assert seen == [4, 4, 5, 5, 6, 6]
+
+
 def test_interleaving_spot_checks():
     assert certs.interleaving_spot_checks(seed=0, count=200) == []
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from curlsharp import oracle, spectral
 from curlsharp.constants import Params, rellich_hardy_C_min
 from curlsharp.oracle import (CrosscheckMismatch, _Zonal, analytic_field,
                               crosscheck, weighted_integrals)
@@ -158,3 +159,33 @@ def test_crosscheck_rejects_high_dim():
 def test_mismatch_raises():
     with pytest.raises(CrosscheckMismatch):
         crosscheck(Params(2, F(0)), 1, Profile.make("bump", 2, 64), tol=1e-18)
+
+
+@pytest.mark.parametrize("dim,nu", [(2, 0), (2, 2), (3, 0), (3, 2)])
+def test_weighted_integrals_match_per_term_reference(monkeypatch, dim, nu):
+    # one derivative table per radial grid and pass gives the same floats
+    # as evaluating profile.deriv separately for every term
+    bundle = analytic_field(Params(dim, F(1, 2)), nu,
+                            Profile.make("bump", 2, 64), dim)
+    got = weighted_integrals(bundle)
+
+    def per_term(self, t, orders):
+        # each order from its own full five-row table
+        x = np.asarray(t, dtype=float) / self.n
+        return [spectral._KINDS[self.kind](x, spectral.MAX_DERIV_ORDER)[k]
+                / self.n ** k for k in orders]
+
+    monkeypatch.setattr(Profile, "derivs", per_term)
+    assert weighted_integrals(bundle) == got
+
+
+def test_crosscheck_reuses_harmonic_norm(monkeypatch):
+    bundle = analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1, 64), 3)
+    assert bundle.harmonic_norm2 == bundle.harmonic_norm2_quadrature()
+    calls = []
+    real = oracle.AnalyticFieldBundle.harmonic_norm2_quadrature
+    monkeypatch.setattr(oracle.AnalyticFieldBundle, "harmonic_norm2_quadrature",
+                        lambda self: calls.append(1) or real(self))
+    rep = crosscheck(Params(3, F(0)), 2, Profile.make("bump", 1, 64))
+    assert len(calls) == 1
+    assert rep.harmonic_norm2 == bundle.harmonic_norm2

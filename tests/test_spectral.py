@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 import curlsharp
 from curlsharp import polyfamily as pf
@@ -33,6 +34,60 @@ def test_profile_validation():
         Profile.make("sinc", 1, 64)
     with pytest.raises(ValueError):
         Profile.make("bump", 0, 64)
+    # derivative orders outside the closed-form tables: -1 used to wrap
+    # round to the fourth derivative and 5 to raise a bare IndexError
+    for kind in ("bump", "cos4"):
+        prof = Profile.make(kind, 2, 64)
+        for bad in (-1, 5):
+            with pytest.raises(ValueError):
+                prof.deriv(np.array([0.5]), bad)
+            with pytest.raises(ValueError):
+                prof.derivs(np.array([0.5]), (0, bad))
+        with pytest.raises(ValueError):
+            prof.derivs(np.array([0.5]), ())
+
+
+@pytest.mark.parametrize("kind", ["bump", "cos4"])
+def test_order_limited_derivs_match_full_table(kind):
+    # rows of the table built up to the highest order asked for equal the
+    # rows of the full five-row table, bit for bit, inside and outside the
+    # support [-n, n]
+    n = 3
+    prof = Profile.make(kind, n, 64)
+    t = np.linspace(-4.0, 4.0, 801)
+    top = spectral.MAX_DERIV_ORDER
+    full = spectral._KINDS[kind](t / n, top)
+    want = [full[k] / n ** k for k in range(top + 1)]
+    for k in range(top + 1):
+        assert np.array_equal(prof.deriv(t, k), want[k])
+        for hi in range(k, top + 1):
+            got = prof.derivs(t, range(k, hi + 1))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want[k:]))
+    got = prof.derivs(t, (3, 0, 1))
+    assert all(np.array_equal(g, want[k]) for g, k in zip(got, (3, 0, 1)))
+
+
+def _gl_nodes_loop(n, nodes_per_unit=16):
+    """Per-interval reference for spectral._gl_nodes."""
+    x, w = roots_legendre(nodes_per_unit)
+    right = [n - 2.0 ** (-j) for j in range(0, spectral._EDGE_LEVELS + 1)]
+    breaks = sorted(set([-n] + [-b for b in right]
+                        + [float(k) for k in range(-n + 1, n)] + right + [n]))
+    nodes, weights = [], []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes.append(mid + half * x)
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_gl_nodes_match_loop(n):
+    for npu in (16, 32):
+        nodes, weights = spectral._gl_nodes(n, npu)
+        want_nodes, want_weights = _gl_nodes_loop(n, npu)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(weights, want_weights)
 
 
 def test_bump_point_values():
@@ -345,13 +400,19 @@ def test_shared_basis_forms_exact(kind):
     q0, p0 = pf.channel_polys(p, 0)
     q1, p1 = pf.channel_polys(p, 2)
     shared = Profile.make(kind, 3, 64)
-    # cos4's fourth derivative jumps at the support ends, so a cubic form
-    # on the shifted profile splits the backends; tol=1 tests exactness only
     for shift in (0, 1):
         for poly in (q0, p0, q1, p1):
-            fv = quadratic_form(shared, poly, derivative_shift=shift, tol=1.0)
+            if kind == "cos4" and shift == 1 and poly is q1:
+                # cubic in tau on h' reads cos4's fourth derivative, which
+                # jumps at the support ends: rejected before any quadrature
+                fresh = Profile.make(kind, 3, 64)
+                with pytest.raises(ValueError):
+                    quadratic_form(fresh, poly, derivative_shift=shift)
+                assert fresh._bases == {}
+                continue
+            fv = quadratic_form(shared, poly, derivative_shift=shift)
             fresh = quadratic_form(Profile.make(kind, 3, 64), poly,
-                                   derivative_shift=shift, tol=1.0)
+                                   derivative_shift=shift)
             assert fv == fresh
             assert (fv.value, fv.fourier) == _reference_form(shared, poly, shift)
     assert set(shared._bases) == {(0, 16), (1, 16)}
