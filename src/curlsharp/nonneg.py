@@ -412,8 +412,26 @@ def _sturm_decide(c: list[Fraction]):
 # public entry point
 # ---------------------------------------------------------------------------
 
+def _far_negative_point(c: list[Fraction], start: Fraction,
+                        step: int) -> Fraction:
+    """First start + k*step, k = 1, 2, 4, ..., where p < 0.
+
+    Called for the point at infinity of a half-line, where the leading
+    coefficient of p (of the reflected p on a left half-line) is negative,
+    so p tends to -oo in the direction of `step` and the doubling ends.
+    """
+    k = 1
+    while _eval(c, start + k * step) >= 0:
+        k *= 2
+    return start + k * step
+
+
 def _unit_interval_problems(coeffs: list[Fraction], iv: IntervalQ):
-    """Reduce `p >= 0 on iv` to problems on [0,1]; yields (coeffs, back-map)."""
+    """Reduce `p >= 0 on iv` to problems on [0,1]; yields (coeffs, back-map).
+
+    The back-map sends a point y of [0,1] where the unit problem is
+    negative to a point x of iv where p is negative (the signs agree).
+    """
     lo, hi = iv.lo, iv.hi
     if lo is not None and hi is not None:
         if lo == hi:
@@ -425,30 +443,41 @@ def _unit_interval_problems(coeffs: list[Fraction], iv: IntervalQ):
     if lo is not None:  # [lo, oo)
         shifted = _shift_scale(coeffs, lo, Fraction(1))
         yield _reverse_into_goursat(shifted), (
-            lambda y, lo=lo: lo + y / (1 - y) if y != 1 else lo + 10 ** 9)
+            lambda y, lo=lo: lo + y / (1 - y) if y != 1
+            else _far_negative_point(coeffs, lo, 1))
         return
     if hi is not None:  # (-oo, hi]: reflect onto [-hi, oo)
         reflected = [(-1) ** k * ck for k, ck in enumerate(coeffs)]
         shifted = _shift_scale(reflected, -hi, Fraction(1))
         yield _reverse_into_goursat(shifted), (
-            lambda y, hi=hi: hi - y / (1 - y) if y != 1 else hi - 10 ** 9)
+            lambda y, hi=hi: hi - y / (1 - y) if y != 1
+            else _far_negative_point(coeffs, hi, -1))
         return
     yield from _unit_interval_problems(coeffs, IntervalQ.at_least(0))
     yield from _unit_interval_problems(coeffs, IntervalQ.at_most(0))
+
+
+def _negative_witness(c: list[Fraction], x: Fraction,
+                      sign_roots: int | None = None) -> NonnegWitness:
+    """Disproof at x, carrying the exact value of p itself there."""
+    return NonnegWitness("negative-value", sample=(x, _eval(c, x)),
+                         interior_sign_roots=sign_roots)
 
 
 def nonneg_on_interval(
     poly: MultiPoly | list,
     interval: IntervalQ,
     var: str | None = None,
-    max_depth: int = 32,
+    max_depth: int = 10,
 ) -> tuple[bool, NonnegWitness]:
     """Decide exactly whether a univariate polynomial is >= 0 on an interval.
 
     Accepts a univariate MultiPoly (variable inferred when unique) or an
-    ascending coefficient list.  Bernstein subdivision answers the easy
-    cases quickly and carries an all-nonnegative-coefficients witness; the
-    Sturm fallback makes the decision complete.  The result is exact.
+    ascending coefficient list.  Bernstein subdivision (at most `max_depth`
+    halvings) answers the easy cases quickly and carries an
+    all-nonnegative-coefficients witness; the Sturm fallback makes the
+    decision complete.  The result is exact, and a negative verdict's
+    sample (x, v) has x in the interval and v == p(x).
     """
     if isinstance(poly, MultiPoly):
         used = poly.variables_used()
@@ -464,10 +493,10 @@ def nonneg_on_interval(
         return True, NonnegWitness("zero-poly")
     if len(coeffs) == 1:
         ok = coeffs[0] >= 0
+        x = next((e for e in (interval.lo, interval.hi) if e is not None),
+                 Fraction(0))
         return ok, NonnegWitness(
-            "bernstein" if ok else "negative-value",
-            sample=(interval.lo if interval.lo is not None else Fraction(0),
-                    coeffs[0]))
+            "bernstein" if ok else "negative-value", sample=(x, coeffs[0]))
 
     best: NonnegWitness | None = None
     for unit_coeffs, back in _unit_interval_problems(coeffs, interval):
@@ -476,23 +505,18 @@ def nonneg_on_interval(
             continue
         if len(unit_coeffs) == 1:
             if unit_coeffs[0] < 0:
-                return False, NonnegWitness(
-                    "negative-value", sample=(back(Fraction(0)), unit_coeffs[0]))
+                return False, _negative_witness(coeffs, back(Fraction(0)))
             continue
-        verdict, info = _bernstein_decide(unit_coeffs, min(max_depth, 10))
+        verdict, info = _bernstein_decide(unit_coeffs, max_depth)
         if verdict is True:
             cand = NonnegWitness("bernstein", depth=info)
         elif verdict is False:
-            y, v = info
-            return False, NonnegWitness("negative-value", sample=(back(y), v))
+            return False, _negative_witness(coeffs, back(info[0]))
         else:
             ok, w = _sturm_decide(unit_coeffs)
             if not ok:
-                x = back(w.sample[0]) if w.sample else None
-                return False, NonnegWitness(
-                    "negative-value",
-                    sample=(x, w.sample[1]) if w.sample else None,
-                    interior_sign_roots=w.interior_sign_roots)
+                return False, _negative_witness(coeffs, back(w.sample[0]),
+                                                w.interior_sign_roots)
             cand = w
         if best is None or (cand.method == "sturm") or cand.depth > best.depth:
             best = cand

@@ -2,11 +2,13 @@
 
 Builds the curl-free test fields in polar/spherical coordinates with
 fully analytic derivatives (no finite differences inside the oracle) and
-computes the weighted integrals by direct tensor-product quadrature with
-the radial weights and volume Jacobians written out explicitly.  The
-results cross-check the reduction to the 1-D spectral forms: the oracle
+computes the weighted integrals by tensor-product quadrature with the
+radial weights and volume Jacobians written out explicitly.  The results
+cross-check the reduction to the 1-D spectral forms, which every
+sharp-constant claim rests on, so the oracle stays independent of it: it
 shares only the profile's closed-form derivatives with `spectral`, not
-its quadratic-form code path.
+its quadratic-form code path, and it integrates the zonal harmonic over
+the sphere by quadrature rather than through a closed-form norm.
 
 Field shapes (g is the dilated profile, t = log r, Y a zonal harmonic):
 
@@ -22,6 +24,21 @@ field U e_r + V e_theta has
 
 Curl-freeness is the symmetry J_{r theta} = J_{theta r}, which holds
 identically for these fields; the numerical residual is pure rounding.
+
+Every integrand is a sum of squared entries, and every entry is a sum of
+at most two separable terms r_k(t) A_k(theta), where A_k is one of the
+angular factors 1, Y, dY/dtheta, d2Y/dtheta2 and cot(theta) dY/dtheta.
+So the tensor-product quadrature of an integrand with radial weight
+r^p factorises.  With W(t) = exp((p + N) t) w_t on the radial nodes and
+the angular Gram matrix G = (A w_theta) A^T on the angular rule,
+
+    sum_{t, theta} W(t) w_theta (sum_k r_k(t) A_k(theta))^2
+        = sum_{k, l} G[k, l] sum_t W(t) r_k(t) r_l(t).
+
+That is the same quadrature sum in another order, at O(N_t + N_theta)
+cost instead of O(N_t N_theta).  The terms are stated once, in
+`AnalyticFieldBundle`; the pointwise evaluators behind `u_cart` and
+`jac_cart` form the same terms' outer products on a (t, theta) grid.
 """
 
 from __future__ import annotations
@@ -33,8 +50,8 @@ import numpy as np
 from scipy.special import eval_legendre
 
 from .constants import Params, alpha, rellich_hardy_C
-from .spectral import (Profile, _gl_nodes, _legendre_rule, quadratic_form,
-                       NotConvergedError)
+from .spectral import (AngularGrid, Profile, _gl_nodes, _legendre_rule,
+                       quadratic_form, NotConvergedError)
 from . import polyfamily as pf
 
 
@@ -54,48 +71,39 @@ class _Zonal:
         self.dim = dim
         self.nu = nu
 
-    def y(self, ang):
+    def samples(self, ang) -> dict[str, np.ndarray]:
+        """The angular factors of the field terms at ang, by key: "1",
+        "y" (Y), "dy" (dY/dtheta), "d2y" (d2Y/dtheta2) and, for N = 3
+        only, "cot_dy" (cot(theta) dY/dtheta, written without the cot
+        singularity).  For N = 3 the Legendre values are evaluated once
+        for all of them."""
+        ang = np.asarray(ang, dtype=float)
+        nu = self.nu
+        one = np.ones_like(ang)
         if self.dim == 2:
-            return np.cos(self.nu * ang)
-        return eval_legendre(self.nu, np.cos(ang))
-
-    def dy(self, ang):
-        """dY/d theta."""
-        if self.dim == 2:
-            return -self.nu * np.sin(self.nu * ang)
-        c = np.cos(ang)
-        return -np.sin(ang) * self._dp(c)
-
-    def d2y(self, ang):
-        if self.dim == 2:
-            return -self.nu ** 2 * np.cos(self.nu * ang)
+            return {"1": one, "y": np.cos(nu * ang),
+                    "dy": -nu * np.sin(nu * ang),
+                    "d2y": -nu ** 2 * np.cos(nu * ang)}
         c, s = np.cos(ang), np.sin(ang)
-        return -c * self._dp(c) + s ** 2 * self._d2p(c)
+        p = eval_legendre(nu, c)
+        if nu == 0:
+            dp = np.zeros_like(c)
+        else:
+            dp = nu * (eval_legendre(nu - 1, c) - c * p) / (1.0 - c * c)
+        # Legendre ODE: (1-c^2) P'' - 2c P' + nu(nu+1) P = 0
+        d2p = (2.0 * c * dp - nu * (nu + 1) * p) / (1.0 - c * c)
+        return {"1": one, "y": p, "dy": -s * dp,
+                "d2y": -c * dp + s ** 2 * d2p, "cot_dy": -c * dp}
+
+    def y(self, ang):
+        return self.samples(ang)["y"]
 
     def cot_dy(self, ang):
-        """cot(theta) dY/d theta, written without the cot singularity."""
+        """cot(theta) dY/dtheta; only the N = 3 phi-phi entry reads it."""
         if self.dim == 2:
-            raise AssertionError("phi-phi entry only exists for N = 3")
-        c = np.cos(ang)
-        return -c * self._dp(c)
-
-    def _dp(self, c):
-        nu = self.nu
-        if nu == 0:
-            return np.zeros_like(c)
-        return (nu * (eval_legendre(nu - 1, c) - c * eval_legendre(nu, c))
-                / (1.0 - c * c))
-
-    def _d2p(self, c):
-        nu = self.nu
-        # Legendre ODE: (1-c^2) P'' - 2c P' + nu(nu+1) P = 0
-        return ((2.0 * c * self._dp(c) - nu * (nu + 1) * eval_legendre(nu, c))
-                / (1.0 - c * c))
-
-    def norm2_closed_form(self) -> float:
-        if self.dim == 2:
-            return 2.0 * np.pi if self.nu == 0 else np.pi
-        return 4.0 * np.pi if self.nu == 0 else 4.0 * np.pi / (2 * self.nu + 1)
+            raise ValueError("cot(theta) dY/dtheta exists for N = 3 only: "
+                             "the phi-phi entry has no N = 2 counterpart")
+        return self.samples(ang)["cot_dy"]
 
 
 def _angular_rule(dim: int, nu: int, points: int | None = None):
@@ -111,13 +119,39 @@ def _angular_rule(dim: int, nu: int, points: int | None = None):
     return np.arccos(c), 2.0 * np.pi * w
 
 
+# A field term r(t) A(theta) is (radial vector, key of A in
+# _Zonal.samples).  An entry (one component of a vector or of the gradient
+# tensor) is a list of terms; an empty list is an entry that vanishes
+# identically.
+Term = tuple[np.ndarray, str]
+
+# radial weight r^(2 gamma + offset) of each integrand, in the field
+# order of WeightedIntegrals
+_WEIGHT_OFFSET = {"lap": 0, "grad": -2, "u": -4, "rem": -2}
+
+
+def _on_grid(entries: list[list[Term]], t: np.ndarray,
+             angular: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Each entry's value at every (t, theta) pair of the grid: the outer
+    products of its terms, summed."""
+    shape = (len(t), len(angular["1"]))
+    return [sum((np.multiply.outer(r, angular[k]) for r, k in entry),
+                np.zeros(shape)) for entry in entries]
+
+
 @dataclass(frozen=True)
 class AnalyticFieldBundle:
     """Closed-form evaluators for one test field in dimension 2 or 3.
 
-    The integrand evaluators take `gs`, the profile derivatives of
-    orders 0..3 at t from `radial_derivs` (no integrand reads the fourth),
-    so several integrands on one radial grid share one derivative table.
+    The field, its gradient tensor and its Laplacian are stated once, as
+    entries made of separable (radial vector, angular key) terms.  The
+    radial vectors are built from `gs`, the profile derivatives of orders
+    0..3 on the radial nodes (`radial_derivs`; no entry reads the
+    fourth), so every integrand of a pass shares one derivative table.
+    `_integrate` contracts the squared entries with the angular Gram
+    matrix; `u_frame` and `_frame_gradient` (behind `u_cart` and
+    `jac_cart`) evaluate the same terms on a (t, theta) grid, so the
+    pointwise checks test the very formulas that are integrated.
     """
 
     dim: int
@@ -136,7 +170,7 @@ class AnalyticFieldBundle:
             raise ValueError("mode must be >= 0")
         # fail fast on a normalisation-convention error
         got = self.harmonic_norm2_quadrature()
-        want = _Zonal(self.dim, self.nu).norm2_closed_form()
+        want = AngularGrid.make(self.dim).harmonic_norm2(self.nu)
         if abs(got - want) > 1e-10 * want:
             raise AssertionError(
                 f"harmonic normalisation mismatch: {got} vs {want}")
@@ -164,84 +198,77 @@ class AnalyticFieldBundle:
         zon = _Zonal(self.dim, self.nu)
         return np.exp((lam + 1) * t) * self.profile.deriv(t, 0) * zon.y(ang)
 
-    def u_frame(self, t, ang):
-        """(U, V): radial and theta components of u at (t, theta)."""
-        lam = self._lam()
-        g, dg = self.profile.derivs(t, (0, 1))
-        if self.nu == 0:
-            shape = np.broadcast(t, ang).shape
-            return np.exp(lam * t) * g * np.ones(shape), np.zeros(shape)
-        zon = _Zonal(self.dim, self.nu)
-        u1 = (lam + 1) * g + dg
-        rl = np.exp(lam * t)
-        return rl * u1 * zon.y(ang), rl * g * zon.dy(ang)
+    # -- the field, its gradient tensor and its Laplacian, as terms -------
 
-    def _frame_gradient(self, t, ang, gs, shift: int):
-        """Gradient-tensor frame entries of the field built from the
-        (shift)-times differentiated profile pair; shift=0 is u itself,
-        shift=1 the remainder field r^lam d(r^-lam u)."""
+    def _u_terms(self, t, gs) -> list[list[Term]]:
+        """(U, V): radial and theta components of u."""
+        lam = self._lam()
+        g, dg = gs[:2]
+        rl = np.exp(lam * t)
+        if self.nu == 0:
+            return [[(rl * g, "1")], []]
+        return [[(rl * ((lam + 1) * g + dg), "y")], [(rl * g, "dy")]]
+
+    def _frame_terms(self, t, gs, shift: int) -> list[list[Term]]:
+        """Gradient-tensor frame entries (rr, r theta, theta r, theta theta
+        and, for N = 3, phi phi) of the field built from the (shift)-times
+        differentiated profile pair; shift=0 is u itself, shift=1 the
+        remainder field r^lam d(r^-lam u)."""
         lam = self._lam()
         g, dg, d2g = gs[shift:shift + 3]
         rfac = np.exp((lam - 1) * t)
         if self.nu == 0:
-            zero = np.zeros(np.broadcast(t, ang).shape)
-            j_rr = rfac * (lam * g + dg) + zero
-            j_tt = rfac * g + zero
-            entries = [j_rr, zero, zero, j_tt]
-            if self.dim == 3:
-                entries.append(j_tt)
-            return entries
-        zon = _Zonal(self.dim, self.nu)
+            j_tt = [(rfac * g, "1")]
+            entries = [[(rfac * (lam * g + dg), "1")], [], [], j_tt]
+            return entries + [j_tt] if self.dim == 3 else entries
         a_val = (lam + 1) * g + dg          # u1 shifted
         da_val = (lam + 1) * dg + d2g
-        y, dy, d2y = zon.y(ang), zon.dy(ang), zon.d2y(ang)
-        j_rr = rfac * (lam * a_val + da_val) * y
-        j_rt = rfac * (a_val - g) * dy
-        j_tr = rfac * (lam * g + dg) * dy
-        j_tt = rfac * (g * d2y + a_val * y)
-        entries = [j_rr, j_rt, j_tr, j_tt]
+        entries = [[(rfac * (lam * a_val + da_val), "y")],
+                   [(rfac * (a_val - g), "dy")],
+                   [(rfac * (lam * g + dg), "dy")],
+                   [(rfac * g, "d2y"), (rfac * a_val, "y")]]
         if self.dim == 3:
-            entries.append(rfac * (a_val * y + g * zon.cot_dy(ang)))
+            entries.append([(rfac * a_val, "y"), (rfac * g, "cot_dy")])
         return entries
 
-    def grad_sq(self, t, ang, gs, shift: int = 0):
-        """|grad u|^2 (shift 0) or the remainder integrand core (shift 1)."""
-        return sum(e * e for e in self._frame_gradient(t, ang, gs, shift))
-
-    def curl_residual(self, t, ang) -> float:
-        """Max |J_{r theta} - J_{theta r}| over the points, relative to the
-        tensor magnitude (identically zero in exact arithmetic)."""
-        e = self._frame_gradient(t, ang, self.radial_derivs(t), 0)
-        scale = max(float(np.max(np.sqrt(sum(x * x for x in e)))), 1e-300)
-        return float(np.max(np.abs(e[1] - e[2]))) / scale
-
-    def lap_sq(self, t, ang, gs):
-        """|laplacian u|^2 with laplacian u = grad(laplacian potential)."""
+    def _lap_terms(self, t, gs) -> list[list[Term]]:
+        """Components of laplacian u = grad(laplacian potential)."""
         lam = self._lam()
         n = self.dim
         g, dg, d2g, d3g = gs
         rfac = np.exp((lam - 2) * t)
         if self.nu == 0:
             kg = d2g + (2 * lam + n - 2) * dg + (lam - 1) * (lam + n - 1) * g
-            return (rfac * kg) ** 2 * np.ones(np.broadcast(t, ang).shape)
-        zon = _Zonal(self.dim, self.nu)
+            return [[(rfac * kg, "1")]]
         anu = float(alpha(self.nu, n))
         al1 = (lam + 1) * (lam + n - 1)
         lg = d2g + (2 * lam + n) * dg + (al1 - anu) * g
         dlg = d3g + (2 * lam + n) * d2g + (al1 - anu) * dg
         mg = (lam - 1) * lg + dlg
-        y, dy = zon.y(ang), zon.dy(ang)
-        return (rfac * mg * y) ** 2 + (rfac * lg * dy) ** 2
+        return [[(rfac * mg, "y")], [(rfac * lg, "dy")]]
 
-    def u_sq(self, t, ang, gs):
-        lam = self._lam()
-        g, dg = gs[:2]
-        rl = np.exp(lam * t)
-        if self.nu == 0:
-            return (rl * g) ** 2 * np.ones(np.broadcast(t, ang).shape)
-        zon = _Zonal(self.dim, self.nu)
-        u1 = (lam + 1) * g + dg
-        return (rl * u1 * zon.y(ang)) ** 2 + (rl * g * zon.dy(ang)) ** 2
+    def integrand_terms(self, t, gs) -> dict[str, list[list[Term]]]:
+        """Entries of the four integrands, each integrand being the sum of
+        its squared entries: |laplacian u|^2 ("lap"), |grad u|^2 ("grad"),
+        |u|^2 ("u") and the remainder core, the squared gradient of the
+        shift-1 field ("rem")."""
+        return {"lap": self._lap_terms(t, gs),
+                "grad": self._frame_terms(t, gs, 0),
+                "u": self._u_terms(t, gs),
+                "rem": self._frame_terms(t, gs, 1)}
+
+    # -- pointwise evaluators on a (t, theta) grid -------------------------
+
+    def u_frame(self, t, ang):
+        """(U, V) at every (t, theta) pair of the grid."""
+        t = np.asarray(t, dtype=float)
+        return _on_grid(self._u_terms(t, self.profile.derivs(t, (0, 1))), t,
+                        _Zonal(self.dim, self.nu).samples(ang))
+
+    def _frame_gradient(self, t, ang, gs, shift: int):
+        """Frame entries of the gradient tensor at every (t, theta) pair."""
+        return _on_grid(self._frame_terms(t, gs, shift), t,
+                        _Zonal(self.dim, self.nu).samples(ang))
 
     # -- Cartesian evaluators (for pointwise sanity checks) ---------------
 
@@ -265,7 +292,7 @@ class AnalyticFieldBundle:
         r, theta, sigma, e_t, _ = self._frames(x)
         t = math.log(r)
         uu, vv = self.u_frame(np.array([t]), np.array([theta]))
-        return float(uu[0]) * sigma + float(vv[0]) * e_t
+        return float(uu[0, 0]) * sigma + float(vv[0, 0]) * e_t
 
     def jac_cart(self, x: np.ndarray) -> np.ndarray:
         r, theta, sigma, e_t, e_p = self._frames(x)
@@ -273,7 +300,7 @@ class AnalyticFieldBundle:
         tt = np.array([t])
         e = self._frame_gradient(tt, np.array([theta]),
                                  self.radial_derivs(tt), 0)
-        vals = [float(v[0]) for v in e]
+        vals = [float(v[0, 0]) for v in e]
         j = (vals[0] * np.outer(sigma, sigma) + vals[1] * np.outer(sigma, e_t)
              + vals[2] * np.outer(e_t, sigma) + vals[3] * np.outer(e_t, e_t))
         if self.dim == 3:
@@ -287,31 +314,36 @@ def analytic_field(params: Params, nu: int, profile: Profile,
 
 
 # ---------------------------------------------------------------------------
-# weighted integrals by direct tensor quadrature
+# weighted integrals by tensor quadrature, summed as Gram contractions
 # ---------------------------------------------------------------------------
 
 def _integrate(bundle: AnalyticFieldBundle, nodes_per_unit: int,
                angular_points: int | None):
-    """One resolution pass; returns the four weighted integrals."""
-    p = bundle.params
-    gamma = float(p.gamma)
+    """One resolution pass; returns the four weighted integrals (lap,
+    grad, u, rem).  Each is the tensor-product quadrature sum, taken as
+    radial sums contracted with the angular Gram matrix (module
+    docstring)."""
+    gamma = float(bundle.params.gamma)
     n_dim = bundle.dim
     tn, tw = _gl_nodes(bundle.profile.n, nodes_per_unit)
     ang, aw = _angular_rule(n_dim, bundle.nu, angular_points)
-    tt = tn[:, None]
-    aa = ang[None, :]
-    volume = np.exp(n_dim * tn)[:, None] * (tw[:, None] * aw[None, :])
-    gs = bundle.radial_derivs(tt)
-
-    def wint(values: np.ndarray, weight_power: float) -> float:
-        weight = np.exp(weight_power * tn)[:, None]
-        return float(np.sum(values * weight * volume))
-
-    i_lap = wint(bundle.lap_sq(tt, aa, gs), 2 * gamma)
-    i_grad = wint(bundle.grad_sq(tt, aa, gs, 0), 2 * gamma - 2)
-    i_u = wint(bundle.u_sq(tt, aa, gs), 2 * gamma - 4)
-    i_rem = wint(bundle.grad_sq(tt, aa, gs, 1), 2 * gamma - 2)
-    return i_lap, i_grad, i_u, i_rem
+    angular = _Zonal(n_dim, bundle.nu).samples(ang)
+    row = {key: i for i, key in enumerate(angular)}
+    basis = np.array(list(angular.values()))
+    gram = (basis * aw) @ basis.T
+    terms = bundle.integrand_terms(tn, bundle.radial_derivs(tn))
+    out = []
+    for name, offset in _WEIGHT_OFFSET.items():
+        weight = np.exp((2 * gamma + offset + n_dim) * tn) * tw
+        total = 0.0
+        for entry in terms[name]:
+            if entry:
+                radial = np.array([r for r, _ in entry])
+                idx = [row[key] for _, key in entry]
+                total += float(np.sum(gram[np.ix_(idx, idx)]
+                                      * ((radial * weight) @ radial.T)))
+        out.append(total)
+    return tuple(out)
 
 
 def weighted_integrals(bundle: AnalyticFieldBundle,

@@ -28,7 +28,8 @@ The closed-form derivative tables hold orders 0..4 and are built only up
 to the highest order an evaluation asks for: the GL norms of shift s read
 orders s..s+3, and the FFT window samples the single order s.  A Fourier
 moment of order k needs h^(k) continuous, so a form that would read a
-higher order (cos4 is only C^3) is rejected before any quadrature.
+higher order (cos4 is only C^3) is rejected before any quadrature, and
+the basis stops at that order (cos4 at shift 1 keeps orders 1..3).
 """
 
 from __future__ import annotations
@@ -203,14 +204,22 @@ class Profile:
 
     def form_basis(self, derivative_shift: int = 0, nodes_per_unit: int = 16
                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(derivative norms, Fourier moments) of orders 0..MAX_TAU_DEGREE
-        for h^(derivative_shift), computed on first use and then reused."""
+        """(derivative norms, Fourier moments) of orders 0..top for
+        h^(derivative_shift), computed on first use and then reused.
+
+        top is MAX_TAU_DEGREE, or less where h^(derivative_shift + top)
+        would pass the profile's highest continuous order: a higher
+        moment does not converge, and `quadratic_form` rejects every form
+        that would read it.
+        """
         key = (derivative_shift, nodes_per_unit)
         if key not in self._bases:
+            top = min(MAX_TAU_DEGREE,
+                      _CONTINUOUS_ORDER[self.kind] - derivative_shift)
             self._bases[key] = (
-                tuple(derivative_norms(self, MAX_TAU_DEGREE, derivative_shift,
+                tuple(derivative_norms(self, top, derivative_shift,
                                        nodes_per_unit)),
-                tuple(_fourier_moments(self, MAX_TAU_DEGREE, derivative_shift)))
+                tuple(_fourier_moments(self, top, derivative_shift)))
         return self._bases[key]
 
     def base_norm2(self) -> float:
@@ -575,7 +584,7 @@ class AngularGrid:
             w = np.full(points, 2.0 * np.pi / points)
             return cls(2, theta, w)
         if N == 3:
-            c, w = roots_legendre(points)
+            c, w = _legendre_rule(points)
             return cls(3, c, 2.0 * np.pi * w)
         raise ValueError("angular grids exist for N = 2, 3 only")
 

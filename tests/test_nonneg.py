@@ -3,6 +3,10 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from curlsharp import nonneg
 from curlsharp.nonneg import IntervalQ, nonneg_on_interval
 from curlsharp.poly import MultiPoly, parse_poly
 
@@ -108,3 +112,73 @@ def test_interval_validation():
     with pytest.raises(ValueError):
         IntervalQ.closed(1, 0)
     assert str(IntervalQ.at_least(0)) == "[0, oo)"
+
+
+def _value(coeffs, x):
+    return sum(F(c) * x ** k for k, c in enumerate(coeffs))
+
+
+def test_halfline_witness_is_true_value():
+    # the Goursat transform scales the value by (1-y)^n; the witness must
+    # carry p's own value, not the transformed one (-1/1600 here)
+    ok, witness = nonneg_on_interval(parse_poly("(s - 3)^2 - 1/100"),
+                                     IntervalQ.at_least(0))
+    assert not ok and witness.sample == (F(3), F(-1, 100))
+
+
+@pytest.mark.parametrize("text,interval", [
+    ("1 - s^3", IntervalQ.at_least(0)),
+    ("10^30 - s^3", IntervalQ.at_least(0)),  # still positive at s = 10^9
+    ("1 + s^3", IntervalQ.at_most(-2)),
+    ("5 - s^2", IntervalQ.real_line()),
+])
+def test_point_at_infinity_witness_is_real(text, interval):
+    # a negative leading term is detected at the unit problem's y = 1;
+    # the witness is a real point of the interval where p < 0
+    poly = parse_poly(text)
+    ok, witness = nonneg_on_interval(poly, interval)
+    assert not ok
+    x, v = witness.sample
+    assert v < 0 and v == poly.eval({"s": x})
+    assert interval.lo is None or x >= interval.lo
+    assert interval.hi is None or x <= interval.hi
+
+
+def test_constant_witness_lies_in_interval():
+    ok, witness = nonneg_on_interval([-1], IntervalQ.at_most(-2))
+    assert not ok and witness.sample == (F(-2), F(-1))
+
+
+_INTERVALS = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(0, 6)).map(
+        lambda ab: IntervalQ.closed(F(ab[0], 2), F(ab[0] + ab[1], 2))),
+    st.integers(-6, 6).map(lambda a: IntervalQ.at_least(F(a, 3))),
+    st.integers(-6, 6).map(lambda b: IntervalQ.at_most(F(b, 3))),
+    st.just(IntervalQ.real_line()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.fractions(-8, 8, max_denominator=6),
+                       min_size=1, max_size=6),
+       interval=_INTERVALS)
+def test_negative_verdict_sample_is_exact(coeffs, interval):
+    ok, witness = nonneg_on_interval(coeffs, interval)
+    if ok:
+        return
+    x, v = witness.sample
+    assert v < 0 and _value(coeffs, x) == v
+    assert interval.lo is None or x >= interval.lo
+    assert interval.hi is None or x <= interval.hi
+
+
+def test_max_depth_reaches_bernstein(monkeypatch):
+    depths = []
+    real = nonneg._bernstein_decide
+    monkeypatch.setattr(nonneg, "_bernstein_decide",
+                        lambda c, max_depth: depths.append(max_depth)
+                        or real(c, max_depth))
+    p = parse_poly("(s - 1/3)^2")
+    for depth in (3, 25):
+        nonneg_on_interval(p, IntervalQ.closed(0, 1), max_depth=depth)
+    nonneg_on_interval(p, IntervalQ.closed(0, 1))
+    assert depths == [3, 25, 10]

@@ -97,12 +97,27 @@ def test_zonal_eigenvalue(dim, nu):
     assert resid < 5e-5 * max(1.0, anu)
 
 
-def test_harmonic_normalisation_asserted_at_startup():
+def test_harmonic_normalisation_asserted_at_startup(monkeypatch):
     # closed-form norms: pi for cos(nu theta), 4 pi/(2 nu + 1) for Legendre
     bundle = analytic_field(Params(2, F(0)), 2, Profile.make("bump", 1, 64), 2)
     assert bundle.harmonic_norm2_quadrature() == pytest.approx(np.pi)
     bundle = analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1, 64), 3)
     assert bundle.harmonic_norm2_quadrature() == pytest.approx(4 * np.pi / 5)
+    # the closed form checked against is spectral's one table
+    monkeypatch.setattr(spectral.AngularGrid, "harmonic_norm2",
+                        lambda self, nu: 1.0)
+    with pytest.raises(AssertionError, match="normalisation mismatch"):
+        analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1, 64), 3)
+
+
+def test_cot_dy_exists_for_n3_only():
+    theta = np.linspace(0.2, 3.0, 7)
+    with pytest.raises(ValueError):
+        _Zonal(2, 1).cot_dy(theta)
+    zon = _Zonal(3, 2)
+    samples = zon.samples(theta)
+    assert np.allclose(zon.cot_dy(theta),
+                       np.cos(theta) / np.sin(theta) * samples["dy"])
 
 
 def test_zero_and_positive_integrals():
@@ -189,3 +204,40 @@ def test_crosscheck_reuses_harmonic_norm(monkeypatch):
     rep = crosscheck(Params(3, F(0)), 2, Profile.make("bump", 1, 64))
     assert len(calls) == 1
     assert rep.harmonic_norm2 == bundle.harmonic_norm2
+
+
+def _brute_grid_integrals(bundle, nodes_per_unit, angular_points):
+    """The four integrals of one pass, summing the bundle's squared entries
+    point by point over the (t, theta) tensor grid."""
+    gamma = float(bundle.params.gamma)
+    tn, tw = spectral._gl_nodes(bundle.profile.n, nodes_per_unit)
+    ang, aw = oracle._angular_rule(bundle.dim, bundle.nu, angular_points)
+    angular = _Zonal(bundle.dim, bundle.nu).samples(ang)
+    terms = bundle.integrand_terms(tn, bundle.radial_derivs(tn))
+    volume = np.exp(bundle.dim * tn)[:, None] * (tw[:, None] * aw[None, :])
+    out = []
+    for name, power in (("lap", 2 * gamma), ("grad", 2 * gamma - 2),
+                        ("u", 2 * gamma - 4), ("rem", 2 * gamma - 2)):
+        values = np.zeros((len(tn), len(ang)))
+        for entry in terms[name]:
+            e = np.zeros_like(values)
+            for radial, key in entry:
+                e += radial[:, None] * angular[key][None, :]
+            values += e * e
+        out.append(float(np.sum(values * np.exp(power * tn)[:, None] * volume)))
+    return out
+
+
+@pytest.mark.parametrize("gamma", [F(-1), F(1, 2), F(2)])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gram_contraction_matches_brute_grid(dim, gamma):
+    for nu in range(4):
+        bundle = analytic_field(Params(dim, gamma), nu,
+                                Profile.make("bump", 2, 64), dim)
+        ang, _ = oracle._angular_rule(dim, nu)
+        for npu, points in ((16, None), (32, 2 * len(ang))):
+            got = oracle._integrate(bundle, npu, points)
+            want = _brute_grid_integrals(bundle, npu, points)
+            assert len(got) == len(want) == 4
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-13 * abs(b), (nu, npu, a, b)

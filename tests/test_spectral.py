@@ -418,6 +418,18 @@ def test_shared_basis_forms_exact(kind):
     assert set(shared._bases) == {(0, 16), (1, 16)}
 
 
+@pytest.mark.parametrize("kind,shift,length", [
+    ("bump", 0, 4), ("bump", 1, 4), ("cos4", 0, 4), ("cos4", 1, 3)])
+def test_form_basis_stops_at_continuous_order(kind, shift, length):
+    # cos4 is C^3: at shift 1 the basis keeps orders 1..3 and skips the
+    # order-4 norm and the divergent tau^8 moment no form may read
+    prof = Profile.make(kind, 2, 64)
+    norms, moments = prof.form_basis(shift)
+    assert len(norms) == len(moments) == length
+    assert norms == tuple(derivative_norms(prof, 3, shift))[:length]
+    assert moments == tuple(spectral._fourier_moments(prof, 3, shift))[:length]
+
+
 @pytest.mark.parametrize("kind,n", [("bump", 1), ("bump", 4), ("cos4", 2)])
 def test_derivative_norms_match_per_order(kind, n):
     prof = Profile.make(kind, n, 64)
