@@ -43,7 +43,7 @@ print()
 print("Remainder inequality gap >= min(1, c0) * remainder")
 print("=" * 72)
 for (n_dim, gamma, nu) in [(3, F(0), 1), (4, F(2), 2), (2, F(2), 2)]:
-    field = SpectralField(Params(n_dim, gamma), nu, Profile.make("bump", 5, 64))
+    field = SpectralField(Params(n_dim, gamma), nu, Profile.make("bump", 5))
     rep = remainder_check(field)
     print(f"N={n_dim} gamma={str(gamma):>4} mode {nu}: gap={rep.gap:.4e}  "
           f"c0={rep.c0:.3f}  c0*remainder={rep.c0 * rep.remainder:.4e}  "

@@ -23,7 +23,7 @@ print(" N | gamma | nu | n |   rel(lap)  |  rel(grad)  |  rel(rem)  | quotient")
 for n_dim in (2, 3):
     for gamma in (F(-1), F(0), F(1, 2), F(1), F(2)):
         for nu in (0, 1, 2):
-            rep = crosscheck(Params(n_dim, gamma), nu, Profile.make("bump", 2, 64))
+            rep = crosscheck(Params(n_dim, gamma), nu, Profile.make("bump", 2))
             print(f" {n_dim} | {str(gamma):>5} |  {nu} | 2 |  {rep.rel_lap:.2e} "
                   f"|  {rep.rel_grad:.2e} |  {rep.rel_rem:.2e} "
                   f"| {rep.quotient:8.4f}")
@@ -34,7 +34,7 @@ print("at random points; exactly zero in real arithmetic):")
 rng = np.random.default_rng(0)
 for (n_dim, nu, gamma) in [(2, 1, F(0)), (3, 2, F(1, 2))]:
     bundle = analytic_field(Params(n_dim, gamma), nu,
-                            Profile.make("bump", 2, 64), n_dim)
+                            Profile.make("bump", 2), n_dim)
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(-1, 1, n_dim)

@@ -55,6 +55,12 @@ from .poly import MultiPoly, format_poly, parse_poly
 _N_RANGE_DEFAULT = range(2, 13)
 
 
+class DivisionInvariantError(RuntimeError):
+    """A polynomial difference that vanishes at 0 by construction has a
+    nonzero constant term, so it cannot be divided exactly by its
+    variable: the exact kernel broke an identity."""
+
+
 # ---------------------------------------------------------------------------
 # reference polynomials: what each displayed target must equal
 # ---------------------------------------------------------------------------
@@ -126,7 +132,9 @@ def _f0_shift_chain() -> MultiPoly:
     f0s = pf.f0().subs("a", 1 + pf.S)
     diff = f0s - f0s.subs("s", 0)
     coeffs = diff.coeffs_in("s")
-    assert coeffs[0].is_zero()
+    if not coeffs[0].is_zero():
+        raise DivisionInvariantError(
+            f"F0(1+s) - F0(1) has constant term {format_poly(coeffs[0])}")
     t = MultiPoly()
     for j in range(1, len(coeffs)):
         t = t + coeffs[j] * pf.S ** (j - 1)
@@ -883,7 +891,10 @@ def difference_quotient_guard(seed: int = 0, count: int = 10_000,
         # division by tau loses no precision (no cancellation at small tau)
         diff = q1 * p1z - q1.subs("tau", 0) * p1
         dcoeffs = diff.coeffs_in("tau")
-        assert dcoeffs[0].is_zero()
+        if not dcoeffs[0].is_zero():
+            raise DivisionInvariantError(
+                f"difference-quotient numerator at N={p.N} gamma={p.gamma} "
+                f"nu={nu} has constant term {format_poly(dcoeffs[0])}")
         dq = np.polynomial.polynomial.Polynomial(
             [float(c.constant_value()) for c in dcoeffs[1:]])
         pp = np.polynomial.polynomial.Polynomial(_tau_coeffs_float(p1))

@@ -171,8 +171,7 @@ def cmd_quotient(args) -> int:
     p = Params(args.N, exact)
     ns = [int(x) for x in args.ns.split(",")]
     try:
-        res = minimizing_sequence(p, args.nu, ns, kind=args.kind,
-                                  points_per_unit=args.ppu)
+        res = minimizing_sequence(p, args.nu, ns, kind=args.kind)
     except DegenerateModeError as exc:
         _emit(_json({"command": "quotient", "error": str(exc)}), args)
         return EXIT_MATH
@@ -220,7 +219,7 @@ def cmd_oracle(args) -> int:
     if float_path:
         raise UsageError("oracle needs an exact gamma (p/q or integer)")
     p = Params(args.N, exact)
-    profile = Profile.make(args.kind, args.n, args.ppu)
+    profile = Profile.make(args.kind, args.n)
     try:
         rep = crosscheck(p, args.nu, profile)
     except (CrosscheckMismatch, NotConvergedError) as exc:
@@ -261,7 +260,7 @@ def cmd_remainder(args) -> int:
                 continue
             n_dil = int(rng.integers(2, 8))
             kind = "bump" if rng.integers(2) else "cos4"
-            field = SpectralField(p, nu, Profile.make(kind, n_dil, 64))
+            field = SpectralField(p, nu, Profile.make(kind, n_dil))
             rep = remainder_check(field)
             row = rep.as_dict()
             row["regime"] = regime
@@ -318,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--ns", default="10,20,40")
     p.add_argument("--kind", default="bump", choices=["bump", "cos4"])
-    p.add_argument("--ppu", type=int, default=64)
     add_common(p)
     p.set_defaults(func=cmd_quotient)
 
@@ -336,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, default=1)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--kind", default="bump", choices=["bump", "cos4"])
-    p.add_argument("--ppu", type=int, default=64)
     add_common(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -37,8 +37,10 @@ class IntervalQ:
     hi_closed: bool = True
 
     def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+        if self.lo is not None and self.hi is not None and (
+                self.lo > self.hi or (self.lo == self.hi and not (
+                    self.lo_closed and self.hi_closed))):
+            raise ValueError(f"empty interval {self}")
 
     @classmethod
     def closed(cls, lo, hi) -> "IntervalQ":
@@ -457,9 +459,30 @@ def _unit_interval_problems(coeffs: list[Fraction], iv: IntervalQ):
     yield from _unit_interval_problems(coeffs, IntervalQ.at_most(0))
 
 
-def _negative_witness(c: list[Fraction], x: Fraction,
+def _off_open_end(c: list[Fraction], x: Fraction, iv: IntervalQ) -> Fraction:
+    """x, or a point strictly inside iv where p < 0 when x is an open end.
+
+    p(x) < 0 and p is continuous, so halving the step from x into the
+    interval ends at a point where p is still negative.
+    """
+    if x == iv.lo and not iv.lo_closed:
+        sign = 1
+    elif x == iv.hi and not iv.hi_closed:
+        sign = -1
+    else:
+        return x
+    bounded = iv.lo is not None and iv.hi is not None
+    step = (iv.hi - iv.lo) / 2 if bounded else Fraction(1)
+    while _eval(c, x + sign * step) >= 0:
+        step /= 2
+    return x + sign * step
+
+
+def _negative_witness(c: list[Fraction], x: Fraction, iv: IntervalQ,
                       sign_roots: int | None = None) -> NonnegWitness:
-    """Disproof at x, carrying the exact value of p itself there."""
+    """Disproof at x (moved off an open end of iv), carrying the exact
+    value of p itself there."""
+    x = _off_open_end(c, x, iv)
     return NonnegWitness("negative-value", sample=(x, _eval(c, x)),
                          interior_sign_roots=sign_roots)
 
@@ -477,7 +500,9 @@ def nonneg_on_interval(
     halvings) answers the easy cases quickly and carries an
     all-nonnegative-coefficients witness; the Sturm fallback makes the
     decision complete.  The result is exact, and a negative verdict's
-    sample (x, v) has x in the interval and v == p(x).
+    sample (x, v) has x in the interval, never on an open end, and
+    v == p(x).  Open and closed ends give the same verdict: p is
+    continuous, so p < 0 at an end means p < 0 just inside it.
     """
     if isinstance(poly, MultiPoly):
         used = poly.variables_used()
@@ -492,11 +517,11 @@ def nonneg_on_interval(
     if not coeffs:
         return True, NonnegWitness("zero-poly")
     if len(coeffs) == 1:
-        ok = coeffs[0] >= 0
         x = next((e for e in (interval.lo, interval.hi) if e is not None),
                  Fraction(0))
-        return ok, NonnegWitness(
-            "bernstein" if ok else "negative-value", sample=(x, coeffs[0]))
+        if coeffs[0] < 0:
+            return False, _negative_witness(coeffs, x, interval)
+        return True, NonnegWitness("bernstein", sample=(x, coeffs[0]))
 
     best: NonnegWitness | None = None
     for unit_coeffs, back in _unit_interval_problems(coeffs, interval):
@@ -505,18 +530,19 @@ def nonneg_on_interval(
             continue
         if len(unit_coeffs) == 1:
             if unit_coeffs[0] < 0:
-                return False, _negative_witness(coeffs, back(Fraction(0)))
+                return False, _negative_witness(coeffs, back(Fraction(0)),
+                                                interval)
             continue
         verdict, info = _bernstein_decide(unit_coeffs, max_depth)
         if verdict is True:
             cand = NonnegWitness("bernstein", depth=info)
         elif verdict is False:
-            return False, _negative_witness(coeffs, back(info[0]))
+            return False, _negative_witness(coeffs, back(info[0]), interval)
         else:
             ok, w = _sturm_decide(unit_coeffs)
             if not ok:
                 return False, _negative_witness(coeffs, back(w.sample[0]),
-                                                w.interior_sign_roots)
+                                                interval, w.interior_sign_roots)
             cand = w
         if best is None or (cand.method == "sturm") or cand.depth > best.depth:
             best = cand

@@ -205,18 +205,6 @@ class MultiPoly:
         out = self.subs_many(values)
         return out.constant_value()
 
-    def eval_float(self, values: Mapping[str, float]) -> float:
-        """Float evaluation (for scans/plots only)."""
-        total = 0.0
-        vals = [float(values.get(v, 0.0)) for v in VARS]
-        for exp, c in self.terms.items():
-            t = float(c)
-            for i, e in enumerate(exp):
-                if e:
-                    t *= vals[i] ** e
-            total += t
-        return total
-
     # ---- structure ----
 
     def coeffs_in(self, var: str) -> list["MultiPoly"]:

@@ -14,15 +14,21 @@ Two independent backends are evaluated and compared: derivative-side
 composite Gauss-Legendre quadrature (integration by parts realisation)
 and a Fourier-side sum over |h^(tau)|^2.  The Fourier discretisation is
 exact up to aliasing: the integrand's inverse transform is supported in
-[-2n, 2n], inside the sampling window's Poisson-summation margin.
+[-2n, 2n], inside the Poisson-summation margin of the window
+[-(n + 2), n + 2].  The window is sampled at 512 points per base unit of
+the profile (dt = n / 512 or finer), not per unit of t: h(t/n) gets
+smoother as n grows, so 2048-4096 samples serve every n, and the
+high-order moments keep their accuracy at large n (each order within
+4e-14 of GL for the bump and 2e-9 for cos4, for every n up to 128).
 
 A form of degree <= 3 in tau is a dot product of its tau-coefficients
 with the profile's derivative norms and Fourier moments of orders 0..3.
 Those two vectors are computed once per (profile, derivative shift) and
 kept on the Profile instance, so one basis serves every form on it: the
 Q and P forms of a quotient, and the three forms of a remainder check or
-an oracle cross-check (two bases).  The (Q, P) pair of a channel comes
-from `polyfamily.channel_polys`.
+an oracle cross-check (two bases).  Each order of a basis is checked on
+its own, GL norm against FFT moment, to ORDER_REL_TOL relative.  The
+(Q, P) pair of a channel comes from `polyfamily.channel_polys`.
 
 The closed-form derivative tables hold orders 0..4 and are built only up
 to the highest order an evaluation asks for: the GL norms of shift s read
@@ -153,33 +159,35 @@ COS4_NORM2 = 35.0 / 64.0
 # highest tau power a form polynomial may carry
 MAX_TAU_DEGREE = 3
 
+# FFT samples per base unit of the profile (unit of t/n); see _fft_grid
+_FFT_SAMPLES_PER_BASE_UNIT = 512
+
+# largest relative gap allowed between one order's GL norm and FFT moment
+ORDER_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Profile:
     """Dilated compactly supported smooth profile h(t/n) on [-n, n].
 
-    `points_per_unit` is validated but feeds no computation: the GL rule
-    and the FFT grid set their own resolutions.
+    `kind` names the base profile h on (-1, 1) and `n` is the dilation.
+    The backends set their own resolutions: the GL rule counts nodes per
+    unit of t, the FFT window samples per base unit (see `_fft_grid`).
     """
 
     kind: str
     n: int
-    points_per_unit: int
     # (derivative shift, nodes per unit) -> (norms, moments); see form_basis
     _bases: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     @classmethod
-    def make(cls, kind: str = "bump", n: int = 1,
-             points_per_unit: int = 64) -> "Profile":
+    def make(cls, kind: str = "bump", n: int = 1) -> "Profile":
         if kind not in _KINDS:
             raise ValueError(f"unknown profile kind {kind!r}; use {list(_KINDS)}")
         if n < 1:
             raise ValueError("dilation n must be >= 1")
-        if points_per_unit < 16:
-            raise ValueError(
-                "points_per_unit < 16 under-resolves the 4th derivatives")
-        return cls(kind, n, points_per_unit)
+        return cls(kind, n)
 
     def deriv(self, t, k: int) -> np.ndarray:
         """k-th derivative (0 <= k <= MAX_DERIV_ORDER) of the dilated profile
@@ -210,16 +218,26 @@ class Profile:
         top is MAX_TAU_DEGREE, or less where h^(derivative_shift + top)
         would pass the profile's highest continuous order: a higher
         moment does not converge, and `quadratic_form` rejects every form
-        that would read it.
+        that would read it.  Each order is an independent two-backend
+        check: raises BackendDisagreementError, and caches nothing, when
+        any order's GL norm and FFT moment differ by more than
+        ORDER_REL_TOL relative.
         """
         key = (derivative_shift, nodes_per_unit)
         if key not in self._bases:
             top = min(MAX_TAU_DEGREE,
                       _CONTINUOUS_ORDER[self.kind] - derivative_shift)
-            self._bases[key] = (
-                tuple(derivative_norms(self, top, derivative_shift,
-                                       nodes_per_unit)),
-                tuple(_fourier_moments(self, top, derivative_shift)))
+            norms = tuple(derivative_norms(self, top, derivative_shift,
+                                           nodes_per_unit))
+            moments = tuple(_fourier_moments(self, top, derivative_shift))
+            for k, (g, f) in enumerate(zip(norms, moments)):
+                rel = abs(g - f) / max(abs(g), abs(f), 1e-300)
+                if rel > ORDER_REL_TOL:
+                    raise BackendDisagreementError(
+                        f"backend_disagreement: {self.kind} n={self.n} order "
+                        f"{derivative_shift + k}: GL norm {g} vs FFT moment "
+                        f"{f} (rel {rel:.2e})")
+            self._bases[key] = (norms, moments)
         return self._bases[key]
 
     def base_norm2(self) -> float:
@@ -228,11 +246,6 @@ class Profile:
     def norm2(self) -> float:
         """integral of h(t/n)^2 dt = n * (base norm)."""
         return self.n * self.base_norm2()
-
-
-def make_profile(kind: str = "bump", n: int = 1,
-                 points_per_unit: int = 64) -> Profile:
-    return Profile.make(kind, n, points_per_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +294,32 @@ def derivative_norms(profile: Profile, max_order: int,
             for vals in profile.derivs(nodes, orders)]
 
 
+def _fft_grid(n: int) -> tuple[int, int]:
+    """(L, m): the FFT window [-L, L] and its sample count for dilation n.
+
+    L = n + 2, and m is the power of two that gives at least
+    _FFT_SAMPLES_PER_BASE_UNIT samples per base unit (dt <= n / 512), so
+    2048 <= m <= 4096 whatever n is.
+    """
+    L = n + 2
+    m = 1 << (-(-2 * L * _FFT_SAMPLES_PER_BASE_UNIT // n) - 1).bit_length()
+    return L, m
+
+
 def _fourier_moments(profile: Profile, max_order: int,
-                     derivative_shift: int = 0,
-                     points_per_unit: int = 512) -> list[float]:
+                     derivative_shift: int = 0) -> list[float]:
     """[integral tau^(2k) |h^(tau)|^2 dtau] via FFT of the sampled profile.
 
     Window [-L, L] with L = n + 2 makes the tau-grid Riemann sum exact by
-    Poisson summation (the integrand's transform lives in [-2n, 2n]).
+    Poisson summation (the integrand's transform lives in [-2n, 2n]).  The
+    samples are spaced per base unit, dt = n / 512 or finer: h(t/n) gets
+    smoother as n grows, its spectrum shrinks to |tau| ~ 1/n, and the
+    Nyquist frequency pi/dt shrinks with it, so the window length m no
+    longer grows with n.  Sampling per unit of t would take 2^16 points
+    at n = 40, and the extra high-tau bins hold only rounding noise, which
+    the tau^(2k) weight lifts into the high-order moments.
     """
-    L = profile.n + 2
-    m = 1 << int(math.ceil(math.log2(2 * L * points_per_unit)))
+    L, m = _fft_grid(profile.n)
     dt = 2 * L / m
     t = -L + dt * np.arange(m)
     h = profile.deriv(t, derivative_shift)
@@ -344,7 +373,8 @@ def quadratic_form(profile: Profile, poly: MultiPoly,
     ValueError, before any quadrature, when the form reads a derivative
     order the profile does not have continuous (cos4 is only C^3), and
     BackendDisagreementError when the backends differ beyond `tol`
-    relative (a resolution problem, not a rounding one).
+    relative on the form, or beyond ORDER_REL_TOL on any one order of the
+    basis (a resolution problem, not a rounding one).
     """
     coeffs = _tau_coefficients(poly, a_value)
     top = derivative_shift + len(coeffs) - 1
@@ -437,8 +467,7 @@ class MinimizingSequenceResult:
 
 
 def minimizing_sequence(params: Params, nu_star: int, ns,
-                        kind: str = "bump",
-                        points_per_unit: int = 64) -> MinimizingSequenceResult:
+                        kind: str = "bump") -> MinimizingSequenceResult:
     """Quotients of the dilated fields for each n; gaps decay like n^-2.
 
     The quotient of the mode-nu_star field converges to that mode's own
@@ -449,7 +478,7 @@ def minimizing_sequence(params: Params, nu_star: int, ns,
         raise DegenerateModeError("(lam = 0, nu = 1) excluded")
     reports = []
     for n in ns:
-        profile = Profile.make(kind, int(n), points_per_unit)
+        profile = Profile.make(kind, int(n))
         reports.append(rh_quotient(SpectralField(params, nu_star, profile)))
     gaps = np.array([r.gap for r in reports], dtype=float)
     ns_arr = np.array([r.n for r in reports], dtype=float)

@@ -103,7 +103,7 @@ def test_criterion_6_reduction_oracle():
                 for nu in range(0, 4):
                     for n in (1, 2):
                         rep = crosscheck(Params(dim, g), nu,
-                                         Profile.make("bump", n, 64), tol=tol)
+                                         Profile.make("bump", n), tol=tol)
                         assert rep.max_rel <= tol
 
 
@@ -125,7 +125,7 @@ def test_criterion_7_remainder_inequality():
                     continue
                 field = SpectralField(p, nu, Profile.make(
                     "bump" if rng.integers(2) else "cos4",
-                    int(rng.integers(2, 8)), 64))
+                    int(rng.integers(2, 8))))
                 rep = remainder_check(field, tol=1e-8)
                 assert rep.gap >= min(1.0, rep.c0) * rep.remainder \
                     - 1e-8 * rep.scale

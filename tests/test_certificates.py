@@ -1,10 +1,14 @@
 """Certificate corpus: every identity and sign certificate, exact links,
 numeric guards, and failure localisation."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import curlsharp
 from curlsharp import certificates as certs
 from curlsharp import polyfamily as pf
 from curlsharp.constants import Params, alpha
@@ -192,3 +196,47 @@ def test_textual_corpus_roundtrip():
     from curlsharp.poly import format_poly
     for cert in certs.load_corpus():
         assert parse_poly(format_poly(cert.target)) == cert.target
+
+
+def _nonzero_constant_term(real):
+    """coeffs_in that reports a constant term of 1 more than the truth."""
+    def coeffs_in(self, var):
+        coeffs = real(self, var)
+        return [coeffs[0] + 1] + coeffs[1:]
+    return coeffs_in
+
+
+def test_division_invariants_raise(monkeypatch):
+    from curlsharp.poly import MultiPoly
+    monkeypatch.setattr(MultiPoly, "coeffs_in",
+                        _nonzero_constant_term(MultiPoly.coeffs_in))
+    with pytest.raises(certs.DivisionInvariantError, match="F0"):
+        certs._f0_shift_chain()
+    with pytest.raises(certs.DivisionInvariantError, match="nu="):
+        certs.difference_quotient_guard(count=25)
+    assert issubclass(certs.DivisionInvariantError, RuntimeError)
+
+
+def test_division_invariants_raise_under_python_O():
+    code = ("import sys\n"
+            "from curlsharp import certificates as certs\n"
+            "from curlsharp.poly import MultiPoly\n"
+            "if __debug__:\n"
+            "    sys.exit(4)\n"
+            "real = MultiPoly.coeffs_in\n"
+            "MultiPoly.coeffs_in = lambda self, var: (\n"
+            "    lambda c: [c[0] + 1] + c[1:])(real(self, var))\n"
+            "raised = 0\n"
+            "for call in (certs._f0_shift_chain,\n"
+            "             lambda: certs.difference_quotient_guard(count=25)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except certs.DivisionInvariantError:\n"
+            "        raised += 1\n"
+            "sys.exit(0 if raised == 2 else 3)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -112,6 +112,11 @@ def test_interval_validation():
     with pytest.raises(ValueError):
         IntervalQ.closed(1, 0)
     assert str(IntervalQ.at_least(0)) == "[0, oo)"
+    # a point is an interval only when both its ends are closed
+    assert str(IntervalQ.closed(1, 1)) == "[1, 1]"
+    for lo_closed, hi_closed in ((False, True), (True, False), (False, False)):
+        with pytest.raises(ValueError):
+            IntervalQ(F(1), F(1), lo_closed, hi_closed)
 
 
 def _value(coeffs, x):
@@ -149,6 +154,30 @@ def test_constant_witness_lies_in_interval():
     assert not ok and witness.sample == (F(-2), F(-1))
 
 
+@pytest.mark.parametrize("text,interval", [
+    ("s - 1", IntervalQ(F(0), F(1), lo_closed=False)),
+    ("-s", IntervalQ(F(0), F(1), hi_closed=False)),
+    ("s - 1/2", IntervalQ(F(0), F(1), False, False)),
+    ("-s", IntervalQ(F(0), F(1), False, False)),
+    ("s", IntervalQ(F(-1), None, lo_closed=False)),
+    ("s", IntervalQ(None, F(-1), hi_closed=False)),
+    ("-1", IntervalQ(F(0), F(1), lo_closed=False)),
+    ("-1", IntervalQ(None, F(-2), hi_closed=False)),
+])
+def test_open_end_witness_lies_inside(text, interval):
+    # a witness that lands on an excluded end moves strictly inside,
+    # where p is still negative; the verdict is the closed interval's
+    poly = parse_poly(text)
+    ok, witness = nonneg_on_interval(poly, interval)
+    assert not ok
+    x, v = witness.sample
+    assert v < 0 and v == poly.eval({"s": x})
+    assert interval.lo is None or x > interval.lo
+    assert interval.hi is None or x < interval.hi
+    closed = IntervalQ(interval.lo, interval.hi)
+    assert nonneg_on_interval(poly, closed)[0] is False
+
+
 _INTERVALS = st.one_of(
     st.tuples(st.integers(-6, 6), st.integers(0, 6)).map(
         lambda ab: IntervalQ.closed(F(ab[0], 2), F(ab[0] + ab[1], 2))),
@@ -169,6 +198,29 @@ def test_negative_verdict_sample_is_exact(coeffs, interval):
     assert v < 0 and _value(coeffs, x) == v
     assert interval.lo is None or x >= interval.lo
     assert interval.hi is None or x <= interval.hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.fractions(-8, 8, max_denominator=6),
+                       min_size=1, max_size=6),
+       interval=_INTERVALS, lo_closed=st.booleans(), hi_closed=st.booleans())
+def test_open_ends_move_only_negative_witnesses(coeffs, interval, lo_closed,
+                                                hi_closed):
+    if interval.lo is not None and interval.lo == interval.hi:
+        lo_closed = hi_closed = True
+    opened = IntervalQ(interval.lo, interval.hi, lo_closed, hi_closed)
+    ok, witness = nonneg_on_interval(coeffs, opened)
+    closed_ok, closed_witness = nonneg_on_interval(coeffs, interval)
+    assert ok == closed_ok
+    if ok:
+        assert witness == closed_witness
+        return
+    x, v = witness.sample
+    assert v < 0 and _value(coeffs, x) == v
+    assert interval.lo is None or x > interval.lo or (
+        lo_closed and x == interval.lo)
+    assert interval.hi is None or x < interval.hi or (
+        hi_closed and x == interval.hi)
 
 
 def test_max_depth_reaches_bernstein(monkeypatch):

@@ -29,15 +29,13 @@ BUMP_AT_HALF = [0.26359713811572677, -0.46861713442795870,
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        Profile.make("bump", 1, 8)
+        Profile.make("sinc", 1)
     with pytest.raises(ValueError):
-        Profile.make("sinc", 1, 64)
-    with pytest.raises(ValueError):
-        Profile.make("bump", 0, 64)
+        Profile.make("bump", 0)
     # derivative orders outside the closed-form tables: -1 used to wrap
     # round to the fourth derivative and 5 to raise a bare IndexError
     for kind in ("bump", "cos4"):
-        prof = Profile.make(kind, 2, 64)
+        prof = Profile.make(kind, 2)
         for bad in (-1, 5):
             with pytest.raises(ValueError):
                 prof.deriv(np.array([0.5]), bad)
@@ -53,7 +51,7 @@ def test_order_limited_derivs_match_full_table(kind):
     # rows of the full five-row table, bit for bit, inside and outside the
     # support [-n, n]
     n = 3
-    prof = Profile.make(kind, n, 64)
+    prof = Profile.make(kind, n)
     t = np.linspace(-4.0, 4.0, 801)
     top = spectral.MAX_DERIV_ORDER
     full = spectral._KINDS[kind](t / n, top)
@@ -91,7 +89,7 @@ def test_gl_nodes_match_loop(n):
 
 
 def test_bump_point_values():
-    prof = Profile.make("bump", 1, 64)
+    prof = Profile.make("bump", 1)
     assert abs(prof.deriv(np.array([0.0]), 0)[0] - math.exp(-1)) < 1e-15
     assert prof.deriv(np.array([0.0]), 1)[0] == 0.0  # even profile
     for k, want in enumerate(BUMP_AT_HALF):
@@ -101,10 +99,10 @@ def test_bump_point_values():
 
 
 def test_norms_match_reference():
-    prof = Profile.make("bump", 1, 64)
+    prof = Profile.make("bump", 1)
     got = derivative_norms(prof, 0)[0]
     assert abs(got - BUMP_NORM2) < 1e-10 * BUMP_NORM2
-    c4 = Profile.make("cos4", 3, 64)
+    c4 = Profile.make("cos4", 3)
     got = derivative_norms(c4, 0)[0]
     assert abs(got - 3 * COS4_NORM2) < 1e-12 * 3 * COS4_NORM2
     assert abs(prof.norm2() - BUMP_NORM2) < 1e-15
@@ -113,7 +111,7 @@ def test_norms_match_reference():
 @pytest.mark.parametrize("kind", ["bump", "cos4"])
 def test_derivatives_match_finite_differences(kind):
     # second-order convergence of central differences onto the closed forms
-    prof = Profile.make(kind, 2, 64)
+    prof = Profile.make(kind, 2)
 
     def sup_error(points):
         t = np.linspace(-1.9, 1.9, points)
@@ -136,7 +134,7 @@ def test_derivatives_match_finite_differences(kind):
 @pytest.mark.parametrize("kind,n", [("bump", 1), ("bump", 3), ("cos4", 1),
                                     ("cos4", 4)])
 def test_backend_agreement(kind, n):
-    prof = Profile.make(kind, n, 64)
+    prof = Profile.make(kind, n)
     p = Params(3, F(0))
     fam = pf.build_family(p)
     for poly, a_val in [(fam.P0, None), (fam.Q0, None),
@@ -147,7 +145,7 @@ def test_backend_agreement(kind, n):
 
 def test_form_identity_polynomial():
     # poly = 1 gives the norm; poly = tau gives the first-derivative norm
-    prof = Profile.make("bump", 2, 64)
+    prof = Profile.make("bump", 2)
     one = quadratic_form(prof, pf.TAU ** 0)
     assert abs(one.value - prof.norm2()) < 1e-10
     tau_form = quadratic_form(prof, pf.TAU)
@@ -158,7 +156,7 @@ def test_form_identity_polynomial():
 def test_p0_form_decomposes():
     # P0 form = (lam^2 + N - 1) norm + first-derivative norm, independently
     p = Params(3, F(0))
-    prof = Profile.make("bump", 1, 64)
+    prof = Profile.make("bump", 1)
     fv = quadratic_form(prof, pf.build_family(p).P0)
     norms = derivative_norms(prof, 1)
     manual = (float(p.lam) ** 2 + 2) * norms[0] + norms[1]
@@ -168,7 +166,7 @@ def test_p0_form_decomposes():
 def test_quotient_scaling_invariance():
     # the quotient is 0-homogeneous in the profile; forms scale by c^2
     p = Params(4, F(1, 2))
-    prof = Profile.make("bump", 3, 64)
+    prof = Profile.make("bump", 3)
     rep = rh_quotient(SpectralField(p, 1, prof))
     fam = pf.build_family(p)
     from curlsharp.constants import alpha
@@ -184,20 +182,20 @@ def test_radial_quotient_above_constant():
     for (n_dim, g) in [(3, F(0)), (2, F(-1)), (5, F(2))]:
         p = Params(n_dim, g)
         for n in (1, 3):
-            rep = rh_quotient(SpectralField(p, 0, Profile.make("bump", n, 64)))
+            rep = rh_quotient(SpectralField(p, 0, Profile.make("bump", n)))
             assert rep.quotient >= float(rellich_hardy_C(p, 0)) - 1e-6
 
 
 def test_quotient_decreases_with_dilation():
     p = Params(3, F(0))
-    q1 = rh_quotient(SpectralField(p, 0, Profile.make("bump", 1, 64))).quotient
-    q2 = rh_quotient(SpectralField(p, 0, Profile.make("bump", 2, 64))).quotient
+    q1 = rh_quotient(SpectralField(p, 0, Profile.make("bump", 1))).quotient
+    q2 = rh_quotient(SpectralField(p, 0, Profile.make("bump", 2))).quotient
     assert q2 <= q1 + 1e-9
 
 
 def test_spherical_quotient_converges():
     p = Params(3, F(0))
-    rep = rh_quotient(SpectralField(p, 1, Profile.make("bump", 40, 64)))
+    rep = rh_quotient(SpectralField(p, 1, Profile.make("bump", 40)))
     assert abs(rep.quotient - rep.target) < 0.01 * rep.target
     assert rep.target == pytest.approx(147 / 44)
 
@@ -205,7 +203,7 @@ def test_spherical_quotient_converges():
 def test_degenerate_mode_raises():
     p = Params(2, F(1))
     with pytest.raises(DegenerateModeError):
-        rh_quotient(SpectralField(p, 1, Profile.make("bump", 2, 64)))
+        rh_quotient(SpectralField(p, 1, Profile.make("bump", 2)))
     with pytest.raises(DegenerateModeError):
         minimizing_sequence(p, 1, (5, 10))
 
@@ -240,7 +238,7 @@ def test_quotients_dominate_global_minimum_random():
             continue
         n = int(rng.integers(1, 21))
         kind = "bump" if rng.integers(2) else "cos4"
-        rep = rh_quotient(SpectralField(p, nu, Profile.make(kind, n, 64)))
+        rep = rh_quotient(SpectralField(p, nu, Profile.make(kind, n)))
         c_min = float(rellich_hardy_C_min(p).value)
         assert rep.quotient >= c_min - 1e-6, (n_dim, g, nu, n, kind)
         checked += 1
@@ -266,12 +264,12 @@ def test_brute_min_detects_mismatch():
 def test_remainder_examples():
     # radial channel carries constant 1, not just min(1, c0)
     p = Params(3, F(0))
-    rep = remainder_check(SpectralField(p, 0, Profile.make("bump", 5, 64)))
+    rep = remainder_check(SpectralField(p, 0, Profile.make("bump", 5)))
     assert rep.passed and rep.gap >= 1.0 * rep.remainder - 1e-8 * rep.scale
-    rep = remainder_check(SpectralField(p, 1, Profile.make("bump", 5, 64)))
+    rep = remainder_check(SpectralField(p, 1, Profile.make("bump", 5)))
     assert rep.passed and rep.c0 == 1.0
     p = Params(2, F(2))
-    rep = remainder_check(SpectralField(p, 2, Profile.make("bump", 5, 64)))
+    rep = remainder_check(SpectralField(p, 2, Profile.make("bump", 5)))
     assert rep.passed and rep.c0 == pytest.approx(1 / 3)
 
 
@@ -292,7 +290,7 @@ def test_remainder_random_suite():
                 continue
             field = SpectralField(p, nu, Profile.make(
                 "bump" if rng.integers(2) else "cos4",
-                int(rng.integers(2, 8)), 64))
+                int(rng.integers(2, 8))))
             assert remainder_check(field).passed
             done += 1
 
@@ -300,7 +298,7 @@ def test_remainder_random_suite():
 def test_decompose_pure_mode():
     p = Params(3, F(3, 2))  # lam = -1
     lam = float(p.lam)
-    prof = Profile.make("bump", 2, 64)
+    prof = Profile.make("bump", 2)
     from scipy.special import eval_legendre
 
     def potential(t, c):
@@ -321,7 +319,7 @@ def test_decompose_pure_mode():
 def test_decompose_radial():
     p = Params(3, F(3, 2))
     lam = float(p.lam)
-    prof = Profile.make("bump", 2, 64)
+    prof = Profile.make("bump", 2)
 
     def potential(t, c):
         return np.exp((lam + 1) * t) * prof.deriv(t, 0) * np.ones_like(c)
@@ -399,19 +397,19 @@ def test_shared_basis_forms_exact(kind):
     p = Params(3, F(1, 2))
     q0, p0 = pf.channel_polys(p, 0)
     q1, p1 = pf.channel_polys(p, 2)
-    shared = Profile.make(kind, 3, 64)
+    shared = Profile.make(kind, 3)
     for shift in (0, 1):
         for poly in (q0, p0, q1, p1):
             if kind == "cos4" and shift == 1 and poly is q1:
                 # cubic in tau on h' reads cos4's fourth derivative, which
                 # jumps at the support ends: rejected before any quadrature
-                fresh = Profile.make(kind, 3, 64)
+                fresh = Profile.make(kind, 3)
                 with pytest.raises(ValueError):
                     quadratic_form(fresh, poly, derivative_shift=shift)
                 assert fresh._bases == {}
                 continue
             fv = quadratic_form(shared, poly, derivative_shift=shift)
-            fresh = quadratic_form(Profile.make(kind, 3, 64), poly,
+            fresh = quadratic_form(Profile.make(kind, 3), poly,
                                    derivative_shift=shift)
             assert fv == fresh
             assert (fv.value, fv.fourier) == _reference_form(shared, poly, shift)
@@ -423,16 +421,81 @@ def test_shared_basis_forms_exact(kind):
 def test_form_basis_stops_at_continuous_order(kind, shift, length):
     # cos4 is C^3: at shift 1 the basis keeps orders 1..3 and skips the
     # order-4 norm and the divergent tau^8 moment no form may read
-    prof = Profile.make(kind, 2, 64)
+    prof = Profile.make(kind, 2)
     norms, moments = prof.form_basis(shift)
     assert len(norms) == len(moments) == length
     assert norms == tuple(derivative_norms(prof, 3, shift))[:length]
     assert moments == tuple(spectral._fourier_moments(prof, 3, shift))[:length]
 
 
+@pytest.mark.parametrize("kind,bound", [("bump", 1e-12), ("cos4", 1e-8)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 40, 80])
+def test_backends_agree_per_order(kind, bound, n):
+    # each order on its own, GL norm vs FFT moment, at every dilation of
+    # a minimizing sequence; cos4's C^3 tail limits its FFT moments
+    for shift in (0, 1):
+        top = min(3, spectral._CONTINUOUS_ORDER[kind] - shift)
+        prof = Profile.make(kind, n)
+        norms = derivative_norms(prof, top, shift)
+        moments = spectral._fourier_moments(prof, top, shift)
+        for k, (g, f) in enumerate(zip(norms, moments)):
+            assert abs(g - f) <= bound * g, (kind, n, shift, k, g, f)
+
+
+def test_fft_length_bounded_for_every_dilation(monkeypatch):
+    # samples are counted per base unit of the profile, so the window
+    # length does not grow with n
+    for n in range(1, 129):
+        L, m = spectral._fft_grid(n)
+        assert L == n + 2 and 2048 <= m <= 4096 and m & (m - 1) == 0
+        # at least 512 samples per base unit of h(t/n)
+        assert 2 * L / m <= n / 512
+    lengths = []
+    real_rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a: (lengths.append(len(a)),
+                                                   real_rfft(a))[1])
+    for n in (1, 2, 40, 128):
+        spectral._fourier_moments(Profile.make("bump", n), 0)
+        assert lengths[-1] == spectral._fft_grid(n)[1] <= 4096
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_form_basis_gate_is_per_order(monkeypatch, order):
+    # one perturbed moment fails the basis, even where the forms built on
+    # it would still pass their own tolerance; nothing is cached
+    real = spectral._fourier_moments
+
+    def perturbed(profile, max_order, derivative_shift=0):
+        out = real(profile, max_order, derivative_shift)
+        out[order] *= 1 + 1e-7
+        return out
+
+    monkeypatch.setattr(spectral, "_fourier_moments", perturbed)
+    prof = Profile.make("bump", 3)
+    with pytest.raises(spectral.BackendDisagreementError, match=f"order {order}"):
+        prof.form_basis(0)
+    assert prof._bases == {}
+    with pytest.raises(spectral.BackendDisagreementError):
+        quadratic_form(prof, pf.TAU ** 0)
+    # below the gate, the same perturbation passes
+    monkeypatch.setattr(spectral, "ORDER_REL_TOL", 1e-6)
+    assert len(prof.form_basis(0)[1]) == 4
+
+
+def test_per_unit_of_t_sizing_trips_the_gate(monkeypatch):
+    # 512 samples per unit of t (2^16 at n = 40) let high-tau rounding
+    # noise into the bump's tau^6 moment: the per-order gate rejects it
+    prof = Profile.make("bump", 40)
+    assert prof.form_basis(0)
+    monkeypatch.setattr(spectral, "_FFT_SAMPLES_PER_BASE_UNIT", 512 * 40)
+    assert spectral._fft_grid(40)[1] == 1 << 16
+    with pytest.raises(spectral.BackendDisagreementError):
+        Profile.make("bump", 40).form_basis(0)
+
+
 @pytest.mark.parametrize("kind,n", [("bump", 1), ("bump", 4), ("cos4", 2)])
 def test_derivative_norms_match_per_order(kind, n):
-    prof = Profile.make(kind, n, 64)
+    prof = Profile.make(kind, n)
     nodes, weights = spectral._gl_nodes(n)
     for shift in (0, 1):
         want = []
@@ -447,7 +510,7 @@ def test_form_positivity_invariant(monkeypatch):
     q_poly, p_poly = pf.channel_polys(p, 2)
     monkeypatch.setattr(pf, "channel_polys", lambda params, nu: (-q_poly, p_poly))
     with pytest.raises(NonPositiveFormError):
-        rh_quotient(SpectralField(p, 2, Profile.make("bump", 2, 64)))
+        rh_quotient(SpectralField(p, 2, Profile.make("bump", 2)))
     assert curlsharp.NonPositiveFormError is NonPositiveFormError
     assert issubclass(NonPositiveFormError, RuntimeError)
 
