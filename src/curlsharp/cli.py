@@ -15,7 +15,17 @@ integer; a decimal value is routed to the float path and flagged with a
 "float_path" warning field in the output.
 
 Exit codes: 0 success, 1 mathematical failure (certificate violation,
-invariant breach, unconverged quadrature), 2 usage error.
+invariant breach, unconverged quadrature), 2 usage error.  Every
+malformed value is a usage error, rejected before any work with a
+message on stderr and nothing on stdout: a dimension below 2, a negative
+mode, seed, count or nu-max, a dilation below 1, a gamma that does not
+parse or is not finite, an --ns that is not a list of integers, a
+--gamma-grid that is not finite lo:hi:step with a nonzero step toward
+hi, a bad --N-range.
+
+Each subcommand is declared once in COMMANDS; `main` builds the parser
+of the invoked subcommand only, and the full parser when argv names no
+known subcommand (`-h`, a missing or an unknown one).
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -50,10 +61,12 @@ def _parse_gamma(text: str) -> tuple[Fraction | None, float, bool]:
             g = Fraction(text)
             return g, float(g), False
         val = float(text)
-        return None, val, True
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise UsageError(f"cannot parse gamma {text!r}; use p/q, an integer, "
                          "or a decimal") from None
+    if not math.isfinite(val):
+        raise UsageError(f"gamma {text!r} is not a finite number")
+    return None, val, True
 
 
 def _emit(doc, args) -> None:
@@ -169,9 +182,8 @@ def cmd_quotient(args) -> int:
     if float_path:
         raise UsageError("quotient needs an exact gamma (p/q or integer)")
     p = Params(args.N, exact)
-    ns = [int(x) for x in args.ns.split(",")]
     try:
-        res = minimizing_sequence(p, args.nu, ns, kind=args.kind)
+        res = minimizing_sequence(p, args.nu, args.ns, kind=args.kind)
     except DegenerateModeError as exc:
         _emit(_json({"command": "quotient", "error": str(exc)}), args)
         return EXIT_MATH
@@ -188,10 +200,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    lo, hi, step = (float(x) for x in args.gamma_grid.split(":"))
-    count = int(round((hi - lo) / step)) + 1
-    gammas = [lo + k * step for k in range(count)]
-    rows = sweep_mod.sweep_gamma(args.N, gammas)
+    rows = sweep_mod.sweep_gamma(args.N, args.gamma_grid)
     if args.format == "json":
         payload = {
             "command": "sweep", "N": args.N,
@@ -283,72 +292,136 @@ def cmd_remainder(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="curlsharp",
-        description="Sharp constants and certificates for curl-free "
-                    "Hardy/Rellich-type inequalities.")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return convert
 
-    def add_common(p):
-        p.add_argument("--output", help="write the document to this path "
-                       "(relative paths resolve under $CURLSHARP_OUTDIR)")
 
-    p = sub.add_parser("constants", help="closed-form sharp constants")
-    p.add_argument("--N", type=int, required=True)
+def _dilations(text: str) -> list[int]:
+    """argparse type: comma-separated dilations, each an integer >= 1."""
+    try:
+        ns = [int(x) for x in text.split(",")]
+    except ValueError:
+        ns = []
+    if not ns or min(ns) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {text!r}")
+    return ns
+
+
+def _gamma_grid(text: str) -> list[float]:
+    """argparse type: "lo:hi:step" -> [lo, lo + step, ..., hi]."""
+    try:
+        lo, hi, step = (float(x) for x in text.split(":"))
+        count = int(round((hi - lo) / step)) + 1
+    except (ValueError, ZeroDivisionError, OverflowError):
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi:step with finite lo and hi and a nonzero step "
+            f"from lo toward hi, got {text!r}")
+    return [lo + k * step for k in range(count)]
+
+
+def _add_constants(p) -> None:
+    p.add_argument("--N", type=_int_at_least(2), required=True)
     p.add_argument("--gamma", required=True)
-    p.add_argument("--nu-max", type=int, default=8, dest="nu_max")
-    add_common(p)
-    p.set_defaults(func=cmd_constants)
+    p.add_argument("--nu-max", type=_int_at_least(0), default=8,
+                   dest="nu_max")
 
-    p = sub.add_parser("certify", help="run the exact certificate suite")
+
+def _add_certify(p) -> None:
     p.add_argument("--regime", default="all",
                    choices=["all"] + sorted(certs.REGIMES))
     p.add_argument("--N-range", default="2..10", dest="n_range",
                    help="integer dimension range lo..hi for the exact "
                         "constant-link grid")
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=cmd_certify)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
-    p = sub.add_parser("quotient", help="minimizing-sequence table")
-    p.add_argument("--N", type=int, required=True)
+
+def _add_quotient(p) -> None:
+    p.add_argument("--N", type=_int_at_least(2), required=True)
     p.add_argument("--gamma", required=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--ns", default="10,20,40")
+    p.add_argument("--nu", type=_int_at_least(0), required=True)
+    p.add_argument("--ns", type=_dilations, default="10,20,40")
     p.add_argument("--kind", default="bump", choices=["bump", "cos4"])
-    add_common(p)
-    p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("sweep", help="gamma sweep at fixed N (float path)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--gamma-grid", default="-3:3:0.125", dest="gamma_grid",
-                   help="lo:hi:step")
+
+def _add_sweep(p) -> None:
+    p.add_argument("--N", type=_int_at_least(2), required=True)
+    p.add_argument("--gamma-grid", type=_gamma_grid, default="-3:3:0.125",
+                   dest="gamma_grid", help="lo:hi:step")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("oracle", help="full-dimensional cross-check (N=2,3)")
+
+def _add_oracle(p) -> None:
     p.add_argument("--N", type=int, required=True, choices=[2, 3])
     p.add_argument("--gamma", required=True)
-    p.add_argument("--nu", type=int, default=1)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--nu", type=_int_at_least(0), default=1)
+    p.add_argument("--n", type=_int_at_least(1), default=2)
     p.add_argument("--kind", default="bump", choices=["bump", "cos4"])
-    add_common(p)
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("remainder", help="seeded random remainder checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20,
+
+def _add_remainder(p) -> None:
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--count", type=_int_at_least(0), default=20,
                    help="fields per regime")
-    add_common(p)
-    p.set_defaults(func=cmd_remainder)
 
+
+# (name, help, argument adder, handler), in the order `-h` lists them
+COMMANDS = (
+    ("constants", "closed-form sharp constants", _add_constants,
+     cmd_constants),
+    ("certify", "run the exact certificate suite", _add_certify, cmd_certify),
+    ("quotient", "minimizing-sequence table", _add_quotient, cmd_quotient),
+    ("sweep", "gamma sweep at fixed N (float path)", _add_sweep, cmd_sweep),
+    ("oracle", "full-dimensional cross-check (N=2,3)", _add_oracle,
+     cmd_oracle),
+    ("remainder", "seeded random remainder checks", _add_remainder,
+     cmd_remainder),
+)
+_COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with `command` alone.
+
+    A parser narrowed to one subcommand parses that subcommand's argv to
+    the same Namespace, and prints the same help, usage and errors, as
+    the full one: its usage line still lists every subcommand.
+    """
+    ap = argparse.ArgumentParser(
+        prog="curlsharp",
+        description="Sharp constants and certificates for curl-free "
+                    "Hardy/Rellich-type inequalities.")
+    # argparse names a metavar in its errors, so only the narrowed parser,
+    # which cannot raise "invalid choice" or "required", sets one
+    metavar = None if command is None else "{%s}" % ",".join(_COMMAND_NAMES)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments, handler in COMMANDS:
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.add_argument("--output", help="write the document to this path "
+                       "(relative paths resolve under $CURLSHARP_OUTDIR)")
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -50,7 +50,7 @@ from scipy.special import roots_legendre
 
 from .constants import Params, rellich_hardy_C, rellich_hardy_C_min
 from .certificates import c0_for
-from .poly import MultiPoly
+from .poly import VARS, MultiPoly
 from . import polyfamily as pf
 
 
@@ -158,6 +158,8 @@ COS4_NORM2 = 35.0 / 64.0
 
 # highest tau power a form polynomial may carry
 MAX_TAU_DEGREE = 3
+# position of tau in a MultiPoly exponent vector
+_TAU = VARS.index("tau")
 
 # FFT samples per base unit of the profile (unit of t/n); see _fft_grid
 _FFT_SAMPLES_PER_BASE_UNIT = 512
@@ -346,16 +348,25 @@ class FormValue:
 
 
 def _tau_coefficients(poly: MultiPoly, a_value: Fraction | None) -> list[float]:
+    """[c_0, ..., c_d] as floats, with poly = sum c_k tau^k and d <= 3.
+
+    Read straight off the exponent dict (a zero poly gives [0.0]); raises
+    ValueError when a variable other than tau is left after substituting
+    a = a_value, or when the degree in tau exceeds MAX_TAU_DEGREE.
+    """
     if a_value is not None:
         poly = poly.subs("a", Fraction(a_value))
-    used = poly.variables_used()
-    if any(v != "tau" for v in used):
-        raise ValueError(f"form polynomial still has free variables {used}")
-    coeffs = [c.constant_value() for c in poly.coeffs_in("tau")]
+    terms = poly.terms
+    if any(sum(exp) != exp[_TAU] for exp in terms):
+        raise ValueError(f"form polynomial still has free variables "
+                         f"{poly.variables_used()}")
+    coeffs = [0.0] * (max((exp[_TAU] for exp in terms), default=0) + 1)
     if len(coeffs) > MAX_TAU_DEGREE + 1:
         raise ValueError(
             f"form polynomial must have degree <= {MAX_TAU_DEGREE} in tau")
-    return [float(c) for c in coeffs]
+    for exp, c in terms.items():
+        coeffs[exp[_TAU]] = float(c)
+    return coeffs
 
 
 def quadratic_form(profile: Profile, poly: MultiPoly,
@@ -508,27 +519,39 @@ def brute_min_tau_nu(params: Params, tau_min: float = 1e-4,
                      nu_max: int = 40, rel_tol: float = 1e-10) -> BruteMinResult:
     """Scan Q/P over tau in {0} plus a log grid, nu <= nu_max.
 
+    Every mode is evaluated in one pass: the (Q, P) tau-coefficients of
+    nu = 0..nu_max, zero-padded to degree MAX_TAU_DEGREE, run through
+    one Horner recurrence on a (mode, tau) array, in the operation order
+    of numpy's `polyval`, so each value is bit-identical to a per-mode
+    `polyval`.  At lam = 0 the (nu = 1, tau = 0) entry is
+    masked (P1(0, alpha_1) = 0 exactly: the 0/0 point).  The minimum is
+    the first in mode-major order.
+
     Asserts the global minimum sits at tau = 0 and matches the certified
     C minimum to `rel_tol` relative; a violation raises
     ArgminNotAtZeroError (it would contradict the difference-quotient
     bounds, so it is treated as a hard failure, not a result).
     """
+    if nu_max < 0:
+        raise ValueError(f"nu_max must be >= 0, got {nu_max}")
     taus = np.concatenate([[0.0], np.exp(np.linspace(
         np.log(tau_min), np.log(tau_max), tau_points))])
-    best = (math.inf, 0.0, -1)
+    # coeffs[side, nu, k]: tau^k coefficient of Q (side 0) or P (side 1)
+    coeffs = np.zeros((2, nu_max + 1, MAX_TAU_DEGREE + 1))
     for nu in range(nu_max + 1):
-        q_poly, p_poly = pf.channel_polys(params, nu)
-        qc = np.array(_tau_coefficients(q_poly, None))
-        pc = np.array(_tau_coefficients(p_poly, None))
-        tt = taus
-        if params.degenerate and nu == 1:
-            tt = taus[1:]  # P1(0, alpha_1) = 0 exactly: skip the 0/0 point
-        qv = np.polynomial.polynomial.polyval(tt, qc)
-        pv = np.polynomial.polynomial.polyval(tt, pc)
-        vals = qv / pv
-        k = int(np.argmin(vals))
-        if vals[k] < best[0]:
-            best = (float(vals[k]), float(tt[k]), nu)
+        for side, poly in enumerate(pf.channel_polys(params, nu)):
+            c = _tau_coefficients(poly, None)
+            coeffs[side, nu, :len(c)] = c
+    vals = coeffs[..., -1, None] + taus * 0
+    for k in range(MAX_TAU_DEGREE - 1, -1, -1):
+        vals = coeffs[..., k, None] + vals * taus
+    valid = np.ones(vals.shape[1:], dtype=bool)
+    if params.degenerate and nu_max >= 1:
+        valid[1, 0] = False
+    ratio = np.divide(vals[0], vals[1], out=np.full(valid.shape, math.inf),
+                      where=valid)
+    nu, k = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
+    best = (float(ratio[nu, k]), float(taus[k]), int(nu))
     c_min = float(rellich_hardy_C_min(params).value)
     rel = abs(best[0] - c_min) / max(abs(c_min), 1e-300)
     if best[1] != 0.0:

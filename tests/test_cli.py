@@ -1,11 +1,14 @@
 """CLI: values, exit codes, determinism, schema validity."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from curlsharp.cli import main
+from curlsharp.cli import COMMANDS, build_parser, main
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "curlsharp"
@@ -132,3 +135,105 @@ def test_output_file_and_outdir(tmp_path, monkeypatch, capsys):
     doc = json.loads((tmp_path / "c.json").read_text())
     assert doc["C_min"] == "3"
     capsys.readouterr()
+
+
+# one malformed value per case; each used to escape main as a traceback
+MALFORMED = [
+    ("sweep", "--N", "3", "--gamma-grid=1:0:0"),
+    ("sweep", "--N", "3", "--gamma-grid=abc"),
+    ("quotient", "--N", "3", "--gamma", "0", "--nu", "0", "--ns", "10,x"),
+    ("quotient", "--N", "3", "--gamma", "0", "--nu", "0", "--ns", ""),
+    ("quotient", "--N", "3", "--gamma", "0", "--nu", "0", "--ns", "0"),
+    ("quotient", "--N", "3", "--gamma", "0", "--nu", "-1"),
+    ("oracle", "--N", "2", "--gamma", "0", "--n", "0"),
+    ("constants", "--N", "1", "--gamma", "0"),
+    ("sweep", "--N", "1"),
+    ("sweep", "--N", "3", "--gamma-grid=nan:1:1"),
+    ("sweep", "--N", "3", "--gamma-grid=0:inf:1"),
+    ("sweep", "--N", "3", "--gamma-grid=1:0:1"),
+    ("constants", "--N", "3", "--gamma", "inf"),
+    ("constants", "--N", "3", "--gamma", "1e400"),
+    ("constants", "--N", "3", "--gamma", "0", "--nu-max", "-1"),
+    ("quotient", "--N", "1", "--gamma", "0", "--nu", "0"),
+    ("oracle", "--N", "2", "--gamma", "0", "--nu", "-1"),
+    ("remainder", "--seed", "-1"),
+    ("remainder", "--count", "-1"),
+    ("certify", "--regime", "n2", "--seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_value_exits_2(argv, capsys):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error" in err
+
+
+# a representative argv per subcommand, options in a mixed order
+PARITY_ARGV = {
+    "constants": ["constants", "--gamma=1/2", "--N", "5", "--nu-max", "3"],
+    "certify": ["certify", "--seed", "4", "--regime", "n2",
+                "--N-range", "3..5"],
+    "quotient": ["quotient", "--N", "3", "--gamma", "-1", "--nu", "2",
+                 "--ns", "5,10", "--kind", "cos4", "--output", "q.json"],
+    "sweep": ["sweep", "--format", "json", "--N", "4",
+              "--gamma-grid=-1:1:0.25"],
+    "oracle": ["oracle", "--N", "3", "--gamma", "0", "--nu", "2", "--n", "1"],
+    "remainder": ["remainder", "--count", "2", "--seed", "9"],
+}
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in COMMANDS])
+def test_narrowed_parser_parity(name, capsys):
+    argv = PARITY_ARGV[name]
+    assert (build_parser(name).parse_args(argv)
+            == build_parser().parse_args(argv))
+    helps = []
+    for parser in (build_parser(name), build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([name, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out.startswith(
+        f"usage: curlsharp {name} ")
+
+
+FULL_USAGE = ("usage: curlsharp [-h] "
+              "{constants,certify,quotient,sweep,oracle,remainder} ...\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], [], ["nonsense"],
+    # rejected by the top-level parser after the subcommand parsed
+    ["quotient", "--N", "3", "--gamma", "0", "--nu", "0", "--bogus"],
+], ids=["help", "none", "nonsense", "unrecognized"])
+def test_top_level_paths_unchanged(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "120")  # FULL_USAGE on one line
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert (expected.out if argv == ["-h"] else expected.err).startswith(
+        FULL_USAGE)
+    assert main(argv) == (0 if exc.value.code == 0 else 2)
+    assert capsys.readouterr() == expected
+
+
+def test_bad_gamma_prints_full_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "120")
+    assert main(["quotient", "--N", "3", "--gamma", "x", "--nu", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: cannot parse gamma 'x'; use "
+                                   "p/q, an integer, or a decimal\n"
+                                   + FULL_USAGE)
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    argv = ["quotient", "--N", "3", "--gamma", "0", "--nu", "0", "--ns", "5,10"]
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "curlsharp.cli", *argv],
+                          cwd=root, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stderr == ""

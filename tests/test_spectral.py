@@ -8,11 +8,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import roots_legendre
 
 import curlsharp
 from curlsharp import polyfamily as pf
 from curlsharp import spectral
+from curlsharp.poly import MultiPoly, parse_poly
 from curlsharp.constants import (Params, alpha, rellich_hardy_C,
                                  rellich_hardy_C_min)
 from curlsharp.spectral import (AngularGrid, ArgminNotAtZeroError,
@@ -259,6 +261,105 @@ def test_brute_min_locations():
 def test_brute_min_detects_mismatch():
     with pytest.raises(ArgminNotAtZeroError):
         brute_min_tau_nu(Params(3, F(0)), rel_tol=-1.0)  # any rel error trips
+
+
+def _brute_min_loop(params, tau_min=1e-4, tau_max=1e4, tau_points=400,
+                    nu_max=40, rel_tol=1e-10):
+    """The per-mode scan that the one-pass brute_min_tau_nu replaced."""
+    taus = np.concatenate([[0.0], np.exp(np.linspace(
+        np.log(tau_min), np.log(tau_max), tau_points))])
+    best = (math.inf, 0.0, -1)
+    for nu in range(nu_max + 1):
+        q_poly, p_poly = pf.channel_polys(params, nu)
+        qc = np.array([float(c.constant_value()) for c in q_poly.coeffs_in("tau")])
+        pc = np.array([float(c.constant_value()) for c in p_poly.coeffs_in("tau")])
+        tt = taus
+        if params.degenerate and nu == 1:
+            tt = taus[1:]
+        vals = (np.polynomial.polynomial.polyval(tt, qc)
+                / np.polynomial.polynomial.polyval(tt, pc))
+        k = int(np.argmin(vals))
+        if vals[k] < best[0]:
+            best = (float(vals[k]), float(tt[k]), nu)
+    c_min = float(rellich_hardy_C_min(params).value)
+    rel = abs(best[0] - c_min) / max(abs(c_min), 1e-300)
+    if best[1] != 0.0:
+        raise ArgminNotAtZeroError(
+            f"argmin_not_at_zero: tau = {best[1]} at nu = {best[2]}")
+    if rel > rel_tol:
+        raise ArgminNotAtZeroError(
+            f"scan minimum {best[0]} differs from certified {c_min} (rel {rel:.2e})")
+    return spectral.BruteMinResult(best[0], best[1], best[2], c_min, rel)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ArgminNotAtZeroError as exc:
+        return str(exc)
+
+
+# the 20 (N, gamma) pairs of the numerics benchmark, plus lam = 0 at N = 2
+BRUTE_PARAMS = [(n, F(g)) for n in range(2, 7)
+                for g in ("-1", "0", "1/2", "5/4")] + [(2, F(1))]
+
+
+@pytest.mark.parametrize("n_dim,gamma", BRUTE_PARAMS)
+@pytest.mark.parametrize("kwargs", [{}, {"nu_max": 0}, {"nu_max": 1},
+                                    {"nu_max": 5, "tau_points": 17}],
+                         ids=["default", "nu_max0", "nu_max1", "short"])
+def test_brute_min_matches_per_mode_loop(n_dim, gamma, kwargs):
+    p = Params(n_dim, gamma)
+    expected = _outcome(_brute_min_loop, p, **kwargs)
+    if not kwargs:
+        assert isinstance(expected, spectral.BruteMinResult)
+    assert _outcome(brute_min_tau_nu, p, **kwargs) == expected
+
+
+def test_brute_min_rejects_negative_nu_max():
+    with pytest.raises(ValueError, match="nu_max"):
+        brute_min_tau_nu(Params(3, F(0)), nu_max=-1)
+
+
+def _tau_coefficients_reference(poly, a_value):
+    if a_value is not None:
+        poly = poly.subs("a", a_value)
+    return [float(c.constant_value()) for c in poly.coeffs_in("tau")]
+
+
+_fractions = st.fractions(-50, 50, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.dictionaries(
+           st.tuples(st.integers(0, spectral.MAX_TAU_DEGREE), st.integers(0, 2)),
+           _fractions, max_size=8),
+       a_value=_fractions)
+def test_tau_coefficients_match_coeffs_in(coeffs, a_value):
+    # terms tau^i a^j; with a left free only the j = 0 terms are kept
+    tau_only = MultiPoly({(i, 0, 0, 0, 0, 0, 0): c
+                          for (i, j), c in coeffs.items() if j == 0})
+    assert (spectral._tau_coefficients(tau_only, None)
+            == _tau_coefficients_reference(tau_only, None))
+    with_a = MultiPoly({(i, j, 0, 0, 0, 0, 0): c
+                        for (i, j), c in coeffs.items()})
+    assert (spectral._tau_coefficients(with_a, a_value)
+            == _tau_coefficients_reference(with_a, a_value))
+
+
+def test_tau_coefficients_edge_cases():
+    assert spectral._tau_coefficients(MultiPoly(), None) == [0.0]
+    assert spectral._tau_coefficients(parse_poly("tau^3"), None) == [0.0] * 3 + [1.0]
+    assert spectral._tau_coefficients(parse_poly("a * tau - 1"), F(1, 2)) == [-1.0, 0.5]
+    with pytest.raises(ValueError, match=r"^form polynomial still has free "
+                       r"variables \('tau', 'lam'\)$"):
+        spectral._tau_coefficients(parse_poly("tau + lam"), None)
+    # the free-variable check comes before the degree check
+    with pytest.raises(ValueError, match=r"free variables \('tau', 'a'\)$"):
+        spectral._tau_coefficients(parse_poly("a^2 + tau^4"), None)
+    with pytest.raises(ValueError, match=r"^form polynomial must have degree "
+                       r"<= 3 in tau$"):
+        spectral._tau_coefficients(parse_poly("tau^4 + a"), F(2))
 
 
 def test_remainder_examples():
