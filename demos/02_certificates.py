@@ -31,7 +31,8 @@ print(f"{passed}/{total} certificates verified in {time.time() - t0:.2f}s "
 
 print()
 print("Exact link to the closed forms: Q1(0, alpha_nu)/P1(0, alpha_nu) and")
-print("Q0(0)/P0(0) equal the mode constants C(nu) on the full grid ...")
+print("Q0(0)/P0(0) equal the mode constants C(nu), as three polynomial")
+print("identities in (lam, N, nu), wherever the quotient is defined ...")
 fails = quotient_constant_links()
 print("  link failures:", fails or "none")
 

@@ -12,15 +12,21 @@ into manifestly nonnegative pieces.  The checker
   3. validates every factor's nonnegativity rule under the declared
      domain hypotheses (sign check),
 
-all in exact rational arithmetic.  Certificates whose dimension variable
-N is free are additionally re-verified with N substituted by every
-integer in their declared range (2..12 by default).
+all in exact rational arithmetic.  A certificate whose target uses the
+dimension variable N declares the integer N it covers (``nrange``, 2..12
+by default), and that range must lie within its domain: the parser
+rejects an ``nrange`` that reaches below a ``domain: N >=`` bound.  Then
+a passing symbolic check covers every integer N of the range, since
+substituting such an N keeps an identity an identity and keeps shifted
+nonnegative coefficients (and even powers of a free N) nonnegative.  The
+checker instantiates N one integer at a time only after a symbolic check
+has failed, to name the N that breaks.
 
 Certificate file syntax::
 
     name: e12-square-form
     regime: gt1-nge3
-    nrange: 3..12            # integer N instantiation range; 'none' if N fixed
+    nrange: 3..12            # integer N covered, within the domain; 'none' if N fixed
     domain: N >= 3, s >= 0   # variable lower bounds (used by nne / coeffs)
     let mu = 2*lam + N - 2   # named alias polynomial
     assume mu                # hypothesis: alias (or variable) is >= 0
@@ -525,6 +531,10 @@ def parse_certificate(text: str, table=None) -> Certificate:
         n_values = tuple(range(int(lo), int(hi) + 1))
     else:
         n_values = tuple(_N_RANGE_DEFAULT)
+    if n_values and "N" in bounds and n_values[0] < bounds["N"]:
+        raise CertificateError(
+            f"nrange {n_values[0]}..{n_values[-1]} reaches below the domain "
+            f"bound N >= {bounds['N']}")
     return Certificate(
         name=fields["name"],
         regime=fields.get("regime", "base"),
@@ -595,6 +605,9 @@ def _check_factor(f: Factor, cert: Certificate) -> tuple[bool, str]:
 
 
 def check_certificate(cert: Certificate, reference: MultiPoly) -> CertReport:
+    """Check the transcription, the decomposition and every sign, in N
+    symbolically.  The per-N instantiations run only when a symbolic
+    check failed, and add the N at which each check breaks."""
     problems = []
     identity_ok = True
     if reference != cert.target:
@@ -623,8 +636,9 @@ def check_certificate(cert: Certificate, reference: MultiPoly) -> CertReport:
             if not ok:
                 signs_ok = False
                 problems.append(f"term {i}: {msg}")
-    # integer-N instantiations (exact re-verification at each N)
-    for n0 in cert.n_values:
+    # a passing symbolic check covers every N in n_values (module
+    # docstring), so instantiate only to name the N a failure breaks at
+    for n0 in cert.n_values if problems else ():
         subsN = {"N": Fraction(n0)}
         ref_n = reference.subs_many(subsN)
         tgt_n = cert.target.subs_many(subsN)
@@ -793,32 +807,47 @@ def run_suite(regimes: list[str] | None = None) -> SuiteResult:
 # exact links between the quotient framework and the closed-form constants
 # ---------------------------------------------------------------------------
 
-def quotient_constant_links(n_min: int = 2, n_max: int = 10, nu_max: int = 8,
-                            gammas=None) -> list[str]:
-    """Exact identities Q1(0,alpha_nu)/P1(0,alpha_nu) = C(nu) and
-    Q0(0)/P0(0) = C(0) on a (N, gamma, nu) grid, N in n_min..n_max;
-    returns failures."""
-    if gammas is None:
-        gammas = [Fraction(g) for g in (-3, -2, -1)] + \
-            [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1),
-             Fraction(3, 2), Fraction(2), Fraction(3)]
+def _c_gamma_form(branch: str) -> tuple[MultiPoly, MultiPoly]:
+    """(numerator, denominator) of rellich_hardy_C's branch, transcribed
+    with gamma = 2 - N/2 - lam; the nu >= 2 branch reads nu as s."""
+    half_n = pf.N * Fraction(1, 2)
+    g = 2 - half_n - pf.LAM
+    if branch == "radial":
+        return ((g - 1) ** 2 - half_n ** 2) ** 2, (g + half_n - 2) ** 2 + pf.N - 1
+    if branch == "nu=1":
+        return ((g - half_n - 2) ** 2 * ((g + half_n - 1) ** 2 + pf.N - 1),
+                (g + half_n - 3) ** 2 + 3 * (pf.N - 1))
+    anu = pf.alpha_poly(pf.S)
+    quart = ((g - 2) ** 2 - (pf.S + half_n - 1) ** 2) ** 2
+    return (quart * ((g + half_n - 1) ** 2 + anu),
+            quart + 2 * (g - 1) * ((2 * g + pf.N - 5) * anu
+                                   + (pf.N - 1) * (g + half_n - 3) ** 2))
+
+
+def _channel_at_zero(branch: str) -> tuple[MultiPoly, MultiPoly]:
+    """(Q(0), P(0)) of the channel that rellich_hardy_C's branch covers."""
+    if branch == "radial":
+        return pf.q0().subs("tau", 0), pf.p0().subs("tau", 0)
+    slot = pf.N - 1 if branch == "nu=1" else pf.alpha_poly(pf.S)
+    return (pf.q1().subs("tau", 0).subs("a", slot),
+            pf.p1().subs("tau", 0).subs("a", slot))
+
+
+_LINK_BRANCHES = ("radial", "nu=1", "nu>=2")
+
+
+def quotient_constant_links() -> list[str]:
+    """Q0(0)/P0(0) = C(0) and Q1(0, alpha_nu)/P1(0, alpha_nu) = C(nu) as
+    three polynomial identities in (lam, N, s), cross-multiplied:
+    Q(0) * den == P(0) * num for each branch of rellich_hardy_C.  Each
+    covers every N, gamma and nu at which P(0) and den are nonzero (not
+    at lam = 0, nu = 1, where P1(0, alpha_1) = 0); returns failures."""
     failures = []
-    for n in range(n_min, n_max + 1):
-        for g in gammas:
-            p = Params(n, g)
-            fam = pf.build_family(p)
-            q0v = fam.Q0.subs("tau", 0).constant_value()
-            p0v = fam.P0.subs("tau", 0).constant_value()
-            if q0v / p0v != rellich_hardy_C(p, 0):
-                failures.append(f"radial link fails at N={n} gamma={g}")
-            for nu in range(1, nu_max + 1):
-                if p.degenerate and nu == 1:
-                    continue  # P1(0, alpha_1) = 0 exactly there
-                anu = alpha(nu, n)
-                qv = fam.Q1.subs("tau", 0).subs("a", anu).constant_value()
-                pv = fam.P1.subs("tau", 0).subs("a", anu).constant_value()
-                if qv / pv != rellich_hardy_C(p, nu):
-                    failures.append(f"link fails at N={n} gamma={g} nu={nu}")
+    for branch in _LINK_BRANCHES:
+        q, p = _channel_at_zero(branch)
+        num, den = _c_gamma_form(branch)
+        if (p * den).is_zero() or q * den != p * num:
+            failures.append(f"{branch} link fails: Q(0) * den != P(0) * num")
     return failures
 
 

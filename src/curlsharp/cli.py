@@ -21,7 +21,7 @@ message on stderr and nothing on stdout: a dimension below 2, a negative
 mode, seed, count or nu-max, a dilation below 1, a gamma that does not
 parse or is not finite, an --ns that is not a list of integers, a
 --gamma-grid that is not finite lo:hi:step with a nonzero step toward
-hi, a bad --N-range.
+hi.
 
 Each subcommand is declared once in COMMANDS; `main` builds the parser
 of the invoked subcommand only, and the full parser when argv names no
@@ -136,19 +136,11 @@ def cmd_constants(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        lo, _, hi = args.n_range.partition("..")
-        n_lo, n_hi = int(lo), int(hi)
-        if not (2 <= n_lo <= n_hi):
-            raise ValueError
-    except ValueError:
-        raise UsageError(f"bad --N-range {args.n_range!r}; expected lo..hi "
-                         "with 2 <= lo <= hi") from None
     regimes = None if args.regime == "all" else [args.regime]
     suite = certs.run_suite(regimes)
     extra_fail = []
     if args.regime == "all":
-        extra_fail += certs.quotient_constant_links(n_min=n_lo, n_max=n_hi)
+        extra_fail += certs.quotient_constant_links()
         extra_fail += certs.interleaving_spot_checks(seed=args.seed)
         margin, checked, guard_fails = certs.difference_quotient_guard(
             seed=args.seed)
@@ -342,9 +334,6 @@ def _add_constants(p) -> None:
 def _add_certify(p) -> None:
     p.add_argument("--regime", default="all",
                    choices=["all"] + sorted(certs.REGIMES))
-    p.add_argument("--N-range", default="2..10", dest="n_range",
-                   help="integer dimension range lo..hi for the exact "
-                        "constant-link grid")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
 
 

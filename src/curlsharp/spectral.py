@@ -266,8 +266,10 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 _EDGE_LEVELS = 36
 
 
+@lru_cache(maxsize=64)
 def _gl_nodes(n: int, nodes_per_unit: int = 16):
-    """Composite Gauss-Legendre nodes/weights on [-n, n].
+    """Composite Gauss-Legendre nodes/weights on [-n, n], read-only and
+    shared.
 
     One rule per unit interval, with the two outermost unit intervals
     geometrically graded toward the support endpoints: the bump profile's
@@ -282,8 +284,10 @@ def _gl_nodes(n: int, nodes_per_unit: int = 16):
                                  + right + [n])))
     a, b = breaks[:-1], breaks[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return ((mid[:, None] + half[:, None] * x).ravel(),
-            (half[:, None] * w).ravel())
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def derivative_norms(profile: Profile, max_order: int,

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from curlsharp import certificates as certs
-from curlsharp.constants import (Params, rellich_hardy_A, rellich_hardy_A_min,
+from curlsharp import polyfamily as pf
+from curlsharp.constants import (Params, alpha, rellich_hardy_A,
+                                 rellich_hardy_A_min, rellich_hardy_C,
                                  rellich_hardy_C_min)
 from curlsharp.oracle import crosscheck
 from curlsharp.spectral import (Profile, SpectralField, brute_min_tau_nu,
@@ -64,14 +66,22 @@ def test_criterion_2_certificate_suite():
 
 def test_criterion_3_identity_links():
     with _Timer("3 identity links"):
-        failures = certs.quotient_constant_links(n_max=10, nu_max=8,
-                                                 gammas=GAMMA_GRID)
-        assert failures == []
+        assert certs.quotient_constant_links() == []
+        # the grid the identities cover: Q/P at tau = 0 against C, per cell
         for n in range(2, 11):
             for g in GAMMA_GRID:
                 p = Params(n, g)
-                from curlsharp.constants import rellich_hardy_C
-                assert rellich_hardy_C(p, 0) == rellich_hardy_A(p, 1)
+                fam = pf.build_family(p)
+                q0, p0 = (f.subs("tau", 0).constant_value()
+                          for f in (fam.Q0, fam.P0))
+                assert q0 / p0 == rellich_hardy_C(p, 0) \
+                    == rellich_hardy_A(p, 1), (n, g)
+                for nu in range(1, 9):
+                    if p.degenerate and nu == 1:
+                        continue  # P1(0, alpha_1) = 0 exactly there
+                    q1, p1 = (f.subs("tau", 0).subs("a", alpha(nu, n))
+                              .constant_value() for f in (fam.Q1, fam.P1))
+                    assert q1 / p1 == rellich_hardy_C(p, nu), (n, g, nu)
 
 
 def test_criterion_4_brute_force_min_location():

@@ -7,12 +7,13 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 import curlsharp
 from curlsharp import certificates as certs
 from curlsharp import polyfamily as pf
-from curlsharp.constants import Params, alpha
-from curlsharp.poly import parse_poly
+from curlsharp.constants import Params, alpha, rellich_hardy_C
+from curlsharp.poly import VARS, MultiPoly, parse_poly
 
 
 def test_full_suite_passes():
@@ -111,17 +112,88 @@ def test_w_interleaving_numeric():
 
 
 def test_quotient_constant_links_exact():
-    assert certs.quotient_constant_links(n_max=10, nu_max=8) == []
+    assert certs.quotient_constant_links() == []
 
 
-def test_quotient_constant_links_n_range(monkeypatch):
-    seen = []
-    real = pf.build_family
-    monkeypatch.setattr(pf, "build_family",
-                        lambda p: seen.append(p.N) or real(p))
-    assert certs.quotient_constant_links(n_min=4, n_max=6, nu_max=2,
-                                         gammas=[F(0), F(1, 2)]) == []
-    assert seen == [4, 4, 5, 5, 6, 6]
+def _sympy(poly):
+    """A MultiPoly as a sympy expression, term by term."""
+    syms = sympy.symbols(VARS)
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(v ** e for v, e in zip(syms, exp)))
+                       for exp, c in poly.terms.items()))
+
+
+def _sympy_c_gamma_form(branch):
+    """rellich_hardy_C's branch in sympy, gamma = 2 - N/2 - lam."""
+    lam, n, s = sympy.symbols("lam N s")
+    g = 2 - n / 2 - lam
+    if branch == "radial":
+        return ((g - 1) ** 2 - n ** 2 / 4) ** 2, (g + n / 2 - 2) ** 2 + n - 1
+    if branch == "nu=1":
+        return ((g - n / 2 - 2) ** 2 * ((g + n / 2 - 1) ** 2 + n - 1),
+                (g + n / 2 - 3) ** 2 + 3 * (n - 1))
+    anu = s * (s + n - 2)
+    quart = ((g - 2) ** 2 - (s + n / 2 - 1) ** 2) ** 2
+    return (quart * ((g + n / 2 - 1) ** 2 + anu),
+            quart + 2 * (g - 1) * ((2 * g + n - 5) * anu
+                                   + (n - 1) * (g + n / 2 - 3) ** 2))
+
+
+@pytest.mark.parametrize("branch", certs._LINK_BRANCHES)
+def test_link_identities_sympy(branch):
+    # independent re-derivation: Q(0)/P(0) from pf.q0/p0/q1/p1 against the
+    # gamma-form of C, simplified by sympy instead of the MultiPoly kernel
+    tau, a, n, s = sympy.symbols("tau a N s")
+    if branch == "radial":
+        q, p = (_sympy(f()).subs(tau, 0) for f in (pf.q0, pf.p0))
+    else:
+        slot = n - 1 if branch == "nu=1" else s * (s + n - 2)
+        q, p = (_sympy(f()).subs({tau: 0, a: slot}) for f in (pf.q1, pf.p1))
+    num, den = _sympy_c_gamma_form(branch)
+    assert sympy.cancel(q / p - num / den) == 0
+    # and the transcription the checker uses is the same pair
+    got_num, got_den = (_sympy(x) for x in certs._c_gamma_form(branch))
+    assert sympy.expand(got_num - num) == 0
+    assert sympy.expand(got_den - den) == 0
+
+
+def test_link_forms_equal_rellich_hardy_C():
+    forms = {b: certs._c_gamma_form(b) for b in certs._LINK_BRANCHES}
+    for n in range(2, 9):
+        # every lam = 0 point (gamma = 2 - N/2) and a spread of others
+        gammas = {F(4 - n, 2), F(-3), F(-1, 2), F(0), F(1, 3), F(1), F(5, 2)}
+        for g in sorted(gammas):
+            p = Params(n, g)
+            for nu in range(9):
+                branch = certs._LINK_BRANCHES[min(nu, 2)]
+                num, den = forms[branch]
+                point = {"lam": p.lam, "N": F(n), "s": F(nu)}
+                assert num.eval(point) / den.eval(point) \
+                    == rellich_hardy_C(p, nu), (n, g, nu)
+
+
+def _nu2_numerator_plus_s(real):
+    def form(branch):
+        num, den = real(branch)
+        return (num + pf.S if branch == "nu>=2" else num), den
+    return form
+
+
+@pytest.mark.parametrize("target,perturb,fails", [
+    ("q0", lambda f: lambda: f() + pf.LAM, ["radial"]),
+    ("p1", lambda f: lambda: f() + pf.LAM ** 2 * pf.A, ["nu=1", "nu>=2"]),
+    ("q1", lambda f: lambda: f() + pf.A ** 3, ["nu=1", "nu>=2"]),
+    ("_c_gamma_form", _nu2_numerator_plus_s, ["nu>=2"]),
+    # zero num and den would satisfy the cross-multiplied identity vacuously
+    ("_c_gamma_form", lambda f: lambda branch: (MultiPoly(), MultiPoly()),
+     ["radial", "nu=1", "nu>=2"]),
+], ids=["q0", "p1", "q1", "c-numerator", "c-zero"])
+def test_links_report_a_perturbed_closed_form(monkeypatch, target, perturb,
+                                              fails):
+    owner = certs if target.startswith("_") else pf
+    monkeypatch.setattr(owner, target, perturb(getattr(owner, target)))
+    got = certs.quotient_constant_links()
+    assert [f.split(" link")[0] for f in got] == fails
 
 
 def test_interleaving_spot_checks():
@@ -180,6 +252,62 @@ term: dom(s)
 """
     with pytest.raises(certs.CertificateError):
         certs.parse_certificate(text)
+
+
+_N_AT_LEAST_3 = ("name: low\nregime: base\n{}domain: N >= 3\n"
+                 "target: N - 3\nnonneg: coeffs\n")
+
+
+@pytest.mark.parametrize("nrange", ["nrange: 2..12\n", ""],
+                         ids=["explicit", "default"])
+def test_nrange_below_domain_is_rejected(nrange):
+    with pytest.raises(certs.CertificateError, match="below the domain"):
+        certs.parse_certificate(_N_AT_LEAST_3.format(nrange))
+    cert = certs.parse_certificate(_N_AT_LEAST_3.format("nrange: 3..12\n"))
+    assert cert.n_values == tuple(range(3, 13))
+
+
+def _count_n_substitutions(monkeypatch):
+    """Record every substitution of a number for N."""
+    seen = []
+    real = MultiPoly.subs
+
+    def subs(self, var, value):
+        if var == "N" and not isinstance(value, MultiPoly):
+            seen.append(value)
+        return real(self, var, value)
+    monkeypatch.setattr(MultiPoly, "subs", subs)
+    return seen
+
+
+_FAILING_NNE = """
+name: bad-nne
+regime: base
+domain: N >= 2
+nrange: 2..4
+target: N - 3
+term: nne(N - 3)
+"""
+
+
+def test_failing_certificate_names_the_n(monkeypatch):
+    cert = certs.parse_certificate(_FAILING_NNE)
+    seen = _count_n_substitutions(monkeypatch)
+    report = certs.check_certificate(cert, parse_poly("N - 3"))
+    assert report.identity_ok and not report.signs_ok
+    assert report.detail == ("term 0: nne(N - 3) has a negative shifted "
+                             "coefficient; N=2 term 0: nne(N - 3)")
+    assert seen  # the per-N diagnostic ran
+
+
+def test_passing_certificates_make_no_n_substitution(monkeypatch):
+    cases = [(c, certs.REFERENCES[c.name]()) for c in certs.load_corpus()
+             if c.n_values]
+    assert len(cases) >= 40
+    seen = _count_n_substitutions(monkeypatch)
+    for cert, reference in cases:
+        assert certs.check_certificate(cert, reference).ok, cert.name
+    assert seen == []
 
 
 def test_shifted_coeffs_rule():

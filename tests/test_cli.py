@@ -159,6 +159,7 @@ MALFORMED = [
     ("remainder", "--seed", "-1"),
     ("remainder", "--count", "-1"),
     ("certify", "--regime", "n2", "--seed", "-1"),
+    ("certify", "--N-range", "2..10"),  # removed: the links cover every N
 ]
 
 
@@ -172,8 +173,7 @@ def test_malformed_value_exits_2(argv, capsys):
 # a representative argv per subcommand, options in a mixed order
 PARITY_ARGV = {
     "constants": ["constants", "--gamma=1/2", "--N", "5", "--nu-max", "3"],
-    "certify": ["certify", "--seed", "4", "--regime", "n2",
-                "--N-range", "3..5"],
+    "certify": ["certify", "--seed", "4", "--regime", "n2"],
     "quotient": ["quotient", "--N", "3", "--gamma", "-1", "--nu", "2",
                  "--ns", "5,10", "--kind", "cos4", "--output", "q.json"],
     "sweep": ["sweep", "--format", "json", "--N", "4",

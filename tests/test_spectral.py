@@ -90,6 +90,18 @@ def test_gl_nodes_match_loop(n):
         assert np.array_equal(weights, want_weights)
 
 
+def test_gl_nodes_cached_and_read_only():
+    nodes, weights = spectral._gl_nodes(3, 16)
+    assert spectral._gl_nodes(3, 16)[0] is nodes  # one build per key
+    fresh_nodes, fresh_weights = spectral._gl_nodes.__wrapped__(3, 16)
+    assert np.array_equal(nodes, fresh_nodes)
+    assert np.array_equal(weights, fresh_weights)
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        weights *= 2
+
+
 def test_bump_point_values():
     prof = Profile.make("bump", 1)
     assert abs(prof.deriv(np.array([0.0]), 0)[0] - math.exp(-1)) < 1e-15
