@@ -92,8 +92,7 @@ def _json(payload: dict) -> str:
 def cmd_constants(args) -> int:
     exact, gf, float_path = _parse_gamma(args.gamma)
     if float_path:
-        a_min, a_arg = sweep_mod.rellich_hardy_A_min_f(args.N, gf)
-        c_min, c_arg = sweep_mod.rellich_hardy_C_min_f(args.N, gf)
+        row, a, c = sweep_mod.point_f(args.N, gf, args.nu_max)
         payload = {
             "command": "constants",
             "N": args.N,
@@ -101,19 +100,22 @@ def cmd_constants(args) -> int:
             "float_path": True,
             "warning": "decimal gamma evaluated on the float path",
             "H": sweep_mod.hardy_leray_f(args.N, gf),
-            "A": [sweep_mod.rellich_hardy_A_f(args.N, gf, nu)
-                  for nu in range(args.nu_max + 1)],
-            "C": [sweep_mod.rellich_hardy_C_f(args.N, gf, nu)
-                  for nu in range(args.nu_max + 1)],
-            "A_min": a_min, "A_argmin": a_arg,
-            "C_min": c_min, "C_argmin": c_arg,
-            "equal": abs(a_min - c_min) <= 1e-12 * max(abs(a_min), abs(c_min), 1.0),
-            "in_improvement_region": sweep_mod.in_improvement_region_f(args.N, gf),
+            "A": a[:args.nu_max + 1],
+            "C": c[:args.nu_max + 1],
+            "A_min": row.A_min, "A_argmin": row.A_argmin,
+            "C_min": row.C_min, "C_argmin": row.C_argmin,
+            "equal": row.equal,
+            "in_improvement_region": row.in_improvement_region,
         }
         _emit(_json(payload), args)
         return EXIT_OK
     p = Params(args.N, exact)
     rep = improvement_report(p)
+    # the report's mode tables, extended by direct evaluation past its window
+    a = list(rep.A_values) + [rellich_hardy_A(p, nu) for nu
+                              in range(len(rep.A_values), args.nu_max + 1)]
+    c = list(rep.C_values) + [rellich_hardy_C(p, nu) for nu
+                              in range(len(rep.C_values), args.nu_max + 1)]
     payload = {
         "command": "constants",
         "N": p.N,
@@ -121,8 +123,8 @@ def cmd_constants(args) -> int:
         "lam": str(p.lam),
         "float_path": False,
         "H": str(hardy_leray(p)),
-        "A": [str(rellich_hardy_A(p, nu)) for nu in range(args.nu_max + 1)],
-        "C": [str(rellich_hardy_C(p, nu)) for nu in range(args.nu_max + 1)],
+        "A": [str(v) for v in a[:args.nu_max + 1]],
+        "C": [str(v) for v in c[:args.nu_max + 1]],
         "A_min": str(rep.A.value), "A_argmin": rep.A.argmin_nu,
         "C_min": str(rep.C.value), "C_argmin": rep.C.argmin_nu,
         "equal": rep.equal,

@@ -16,13 +16,14 @@ turning index and relies on the monotonicity of the difference numerator
 (certificate a-diff-monotone).  The C-family scan bounds its tail by
 A(nu_max): for nu >= 2, C(nu) >= min(A(nu-1), A(nu+1)) (c-minus-a-prev,
 c-minus-a-next, with P1(0, alpha_nu) > 0 from p1-zero-display and
-p1-alpha2), and A is nondecreasing past its turn.  Both raise
+p1-alpha2), and A is nondecreasing past its turn.  The curl-free
+Rellich-Leray scan bounds its tail by one exact comparison.  All raise
 TailBoundError rather than silently truncating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
@@ -135,20 +136,38 @@ def rellich_leray_curlfree(p: Params, nu_max: int | None = None) -> MinResult:
     """Curl-free Rellich-Leray constant: exact minimum of the two-branch form.
 
     argmin_nu == 0 refers to the radial branch ((gamma-1)^2 - N^2/4)^2.
+
+    Certification: for nu >= 1 the term is quart(nu) * f(alpha_nu) with
+    quart(nu) = ((gamma-2)^2 - (nu + N/2 - 1)^2)^2 and f(alpha) =
+    (b + alpha)/(c + alpha), b = (gamma + N/2 - 1)^2, c = (gamma + N/2 - 3)^2.
+    On alpha > 0, f is positive, monotone and tends to 1, so
+    f(alpha_nu) >= min(1, f(alpha_{nu_max})) for nu >= nu_max >= 1; quart is
+    nondecreasing once nu + N/2 - 1 >= |gamma - 2|.  Given both at nu_max,
+    term(nu) >= quart(nu_max + 1) * min(1, f(alpha_{nu_max})) for every
+    nu > nu_max, and the window holds the minimum once this bound exceeds
+    it.
     """
     g, N = p.gamma, p.N
     if nu_max is None:
         nu_max = _default_nu_max(p)
+    b = (g + Fraction(N, 2) - 1) ** 2
+    c = (g + Fraction(N, 2) - 3) ** 2
 
-    def term(nu: int) -> Fraction:
-        if nu == 0:
-            return ((g - 1) ** 2 - Fraction(N * N, 4)) ** 2
-        quart = ((g - 2) ** 2 - (nu + Fraction(N, 2) - 1) ** 2) ** 2
+    def quart(nu: int) -> Fraction:
+        return ((g - 2) ** 2 - (nu + Fraction(N, 2) - 1) ** 2) ** 2
+
+    def f(nu: int) -> Fraction:
         anu = alpha(nu, N)
-        factor = ((g + Fraction(N, 2) - 1) ** 2 + anu) / ((g + Fraction(N, 2) - 3) ** 2 + anu)
-        return factor * quart
+        return (b + anu) / (c + anu)
 
-    return _scan_with_tail(term, nu_max, label="rellich_leray_curlfree")
+    vals = [((g - 1) ** 2 - Fraction(N * N, 4)) ** 2]
+    vals += [f(nu) * quart(nu) for nu in range(1, nu_max + 1)]
+    value = min(vals)
+    if not (nu_max >= 1 and nu_max + Fraction(N, 2) - 1 >= abs(g - 2)
+            and quart(nu_max + 1) * min(1, f(nu_max)) > value):
+        raise TailBoundError(
+            f"tail_bound_failed: rellich_leray_curlfree window nu <= {nu_max}")
+    return MinResult(value, vals.index(value), nu_max, True)
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +229,35 @@ def rellich_hardy_C(p: Params, nu: int) -> Fraction:
 # minimisation over the mode index
 # ---------------------------------------------------------------------------
 
-def _scan_with_tail(term, nu_max: int, label: str) -> MinResult:
-    """Scan nu in 0..nu_max, then check the tail numerically: the last nine
-    values must be nondecreasing and no value in nu_max < nu <= 8 nu_max may
-    reach the window minimum.  A finite overshoot check, not a proof."""
-    vals = [term(nu) for nu in range(nu_max + 1)]
-    value = min(vals)
-    argmin = vals.index(value)
-    tail_ok = all(vals[k] <= vals[k + 1]
-                  for k in range(max(0, nu_max - 8), nu_max))
-    if tail_ok:
-        for nu in range(nu_max + 1, 8 * nu_max + 1):
-            if term(nu) <= value:
-                tail_ok = False
-                break
-    if not tail_ok:
-        raise TailBoundError(f"tail_bound_failed: {label} window nu <= {nu_max}")
-    return MinResult(value, argmin, nu_max, True)
+class _PointModes:
+    """A(nu) and C(nu) at one Params, each evaluated at most once."""
+
+    __slots__ = ("p", "a", "c")
+
+    def __init__(self, p: Params):
+        self.p = p
+        self.a: dict[int, Fraction] = {}
+        self.c: dict[int, Fraction] = {}
+
+    def A(self, nu: int) -> Fraction:
+        if nu not in self.a:
+            self.a[nu] = rellich_hardy_A(self.p, nu)
+        return self.a[nu]
+
+    def C(self, nu: int) -> Fraction:
+        if nu not in self.c:
+            self.c[nu] = rellich_hardy_C(self.p, nu)
+        return self.c[nu]
+
+
+# The mode values of each improvement_report in progress, by (params,
+# nu_max): the minima it calls read and fill them instead of evaluating the
+# modes again.  The report removes its entry before it returns.
+_reporting: dict[tuple[Params, int], _PointModes] = {}
+
+
+def _modes(p: Params, nu_max: int) -> _PointModes:
+    return _reporting.get((p, nu_max)) or _PointModes(p)
 
 
 @lru_cache(maxsize=4096)
@@ -240,7 +271,8 @@ def rellich_hardy_A_min(p: Params, nu_max: int | None = None) -> MinResult:
     """
     if nu_max is None:
         nu_max = _default_nu_max(p)
-    vals = [rellich_hardy_A(p, nu) for nu in range(nu_max + 1)]
+    m = _modes(p, nu_max)
+    vals = [m.A(nu) for nu in range(nu_max + 1)]
     value = min(vals)
     argmin = vals.index(value)
     turn = next((k for k in range(1, nu_max) if vals[k] <= vals[k + 1]), None)
@@ -264,9 +296,10 @@ def rellich_hardy_C_min(p: Params, nu_max: int | None = None) -> MinResult:
     if nu_max is None:
         nu_max = _default_nu_max(p)
     rellich_hardy_A_min(p, nu_max)  # raises unless A turns inside the window
-    vals = [rellich_hardy_C(p, nu) for nu in range(nu_max + 1)]
+    m = _modes(p, nu_max)
+    vals = [m.C(nu) for nu in range(nu_max + 1)]
     value = min(vals)
-    if not rellich_hardy_A(p, nu_max) > value:
+    if not m.A(nu_max) > value:
         raise TailBoundError(f"tail_bound_failed: C-scan window nu <= {nu_max}")
     return MinResult(value, vals.index(value), nu_max, True)
 
@@ -285,6 +318,9 @@ class ImprovementReport:
     in_region: bool
     sandwich_ok: bool | None  # None when lam == 0 (sandwich not applicable)
     degenerate_mode_nu1: bool
+    # A(nu), nu <= nu_max + 1, and C(nu), nu <= nu_max
+    A_values: tuple[Fraction, ...] = field(repr=False, compare=False)
+    C_values: tuple[Fraction, ...] = field(repr=False, compare=False)
 
 
 def in_improvement_region(p: Params) -> bool:
@@ -296,23 +332,31 @@ def in_improvement_region(p: Params) -> bool:
 def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementReport:
     """Compare the unconstrained and curl-free sharp constants at (N, gamma).
 
-    `equal` and `strict_improvement` are exact; `in_region` is the exact
-    strict-improvement criterion for the C = C(0) regime; `sandwich_ok`
-    checks min(A(nu-1), A(nu+1)) <= C(nu) <= max(A(nu-1), A(nu+1)) for
-    1 <= nu <= nu_max (c-minus-a-prev, c-minus-a-next), evaluating each
-    mode once; None when lam == 0, where the nu = 1 mode degenerates.
+    `A` and `C` are rellich_hardy_A_min(p, nu_max) and
+    rellich_hardy_C_min(p, nu_max).  The report evaluates each mode once,
+    A(nu) for nu <= nu_max + 1 and C(nu) for nu <= nu_max, shares these
+    values with the two minima it calls, and keeps them as `A_values` and
+    `C_values`.  `equal` and `strict_improvement` are exact; `in_region` is
+    the exact strict-improvement criterion for the C = C(0) regime;
+    `sandwich_ok` checks min(A(nu-1), A(nu+1)) <= C(nu) <= max(A(nu-1),
+    A(nu+1)) for 1 <= nu <= nu_max (c-minus-a-prev, c-minus-a-next); None
+    when lam == 0, where the nu = 1 mode degenerates.
     """
     if nu_max is None:
         nu_max = _default_nu_max(p)
-    a_min = rellich_hardy_A_min(p, nu_max)
-    c_min = rellich_hardy_C_min(p, nu_max)
+    key = (p, nu_max)
+    m = _reporting[key] = _PointModes(p)
+    try:
+        a_min = rellich_hardy_A_min(p, nu_max)
+        c_min = rellich_hardy_C_min(p, nu_max)
+    finally:
+        _reporting.pop(key, None)
+    a = [m.A(nu) for nu in range(nu_max + 2)]
+    c = [m.C(nu) for nu in range(nu_max + 1)]
     sandwich: bool | None = None
     if not p.degenerate:
-        a = [rellich_hardy_A(p, nu) for nu in range(nu_max + 2)]
-        sandwich = all(
-            min(a[nu - 1], a[nu + 1]) <= rellich_hardy_C(p, nu)
-            <= max(a[nu - 1], a[nu + 1])
-            for nu in range(1, nu_max + 1))
+        sandwich = all(min(a[nu - 1], a[nu + 1]) <= c[nu] <= max(a[nu - 1], a[nu + 1])
+                       for nu in range(1, nu_max + 1))
     return ImprovementReport(
         params=p,
         A=a_min,
@@ -322,6 +366,8 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
         in_region=in_improvement_region(p),
         sandwich_ok=sandwich,
         degenerate_mode_nu1=p.degenerate,
+        A_values=tuple(a),
+        C_values=tuple(c),
     )
 
 

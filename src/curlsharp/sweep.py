@@ -1,9 +1,12 @@
 """Float64 mirror of the sharp-constant formulas, for parameter sweeps.
 
-Every formula from `constants` is re-stated here in plain floating point
+The formulas from `constants` are re-stated here in plain floating point
 (same branch logic, same scan windows) so gamma grids can be swept
-quickly.  The exact path is authoritative; the mirror is tested against
-it to 1e-12 relative on rational grid points.
+quickly.  `point_f` computes the gamma-only subexpressions of A(nu) and
+C(nu) once per (N, gamma) and fills both families over the scan window;
+each float is bit-identical to evaluating the closed form term by term.
+The exact path is authoritative; the mirror is tested against it to 1e-12
+relative on rational grid points.
 """
 
 from __future__ import annotations
@@ -11,13 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-
-def lam_of(N: int, gamma: float) -> float:
-    return 2.0 - N / 2.0 - gamma
-
-
-def alpha_f(s: float, N: int) -> float:
-    return s * (s + N - 2)
+# relative tolerance under which float minima count as equal; on rational
+# grid points it coincides with exact equality
+EQUAL_REL_TOL = 1e-12
 
 
 def hardy_leray_f(N: int, gamma: float) -> float:
@@ -28,45 +27,29 @@ def hardy_leray_f(N: int, gamma: float) -> float:
     return base + N - 1
 
 
-def rellich_hardy_A_f(N: int, gamma: float, nu: int) -> float:
-    if nu == 0:
-        return (gamma - N / 2.0) ** 2
-    anu = alpha_f(nu, N)
-    return ((gamma - 1.0) ** 2 - (nu + N / 2.0 - 1.0) ** 2) ** 2 \
-        / ((gamma + N / 2.0 - 2.0) ** 2 + anu)
-
-
-def rellich_hardy_C_f(N: int, gamma: float, nu: int) -> float:
-    if nu == 0:
-        return ((gamma - 1.0) ** 2 - N * N / 4.0) ** 2 \
-            / ((gamma + N / 2.0 - 2.0) ** 2 + N - 1)
-    if nu == 1:
-        return (gamma - N / 2.0 - 2.0) ** 2 \
-            * ((gamma + N / 2.0 - 1.0) ** 2 + N - 1) \
-            / ((gamma + N / 2.0 - 3.0) ** 2 + 3.0 * (N - 1))
-    anu = alpha_f(nu, N)
-    quart = ((gamma - 2.0) ** 2 - (nu + N / 2.0 - 1.0) ** 2) ** 2
-    den = quart + 2.0 * (gamma - 1.0) * ((2.0 * gamma + N - 5.0) * anu
-                                         + (N - 1) * (gamma + N / 2.0 - 3.0) ** 2)
-    return quart * ((gamma + N / 2.0 - 1.0) ** 2 + anu) / den
-
-
-def _nu_max(N: int, gamma: float) -> int:
-    return int(math.ceil(abs(gamma))) + N + 16
-
-
-def rellich_hardy_A_min_f(N: int, gamma: float) -> tuple[float, int]:
-    hi = _nu_max(N, gamma)
-    vals = [rellich_hardy_A_f(N, gamma, nu) for nu in range(hi + 1)]
-    v = min(vals)
-    return v, vals.index(v)
-
-
-def rellich_hardy_C_min_f(N: int, gamma: float) -> tuple[float, int]:
-    hi = _nu_max(N, gamma)
-    vals = [rellich_hardy_C_f(N, gamma, nu) for nu in range(hi + 1)]
-    v = min(vals)
-    return v, vals.index(v)
+def _mode_values(N: int, gamma: float, hi: int) -> tuple[list[float], list[float]]:
+    """A(nu) and C(nu) for nu = 0..hi (hi >= 1), float path."""
+    h = N / 2.0
+    gh = gamma + h
+    g1sq = (gamma - 1.0) ** 2
+    g2sq = (gamma - 2.0) ** 2
+    a_den = (gh - 2.0) ** 2           # A: (gamma + N/2 - 2)^2 + alpha_nu
+    c_num = (gh - 1.0) ** 2           # C: (gamma + N/2 - 1)^2 + alpha_nu
+    c_sq3 = (gh - 3.0) ** 2
+    c_lin = 2.0 * gamma + N - 5.0     # C, nu >= 2: quart + c_k (c_lin alpha + c_const)
+    c_const = (N - 1) * c_sq3
+    c_k = 2.0 * (gamma - 1.0)
+    a = [(gamma - h) ** 2]
+    c = [(g1sq - N * N / 4.0) ** 2 / (a_den + N - 1),
+         (gamma - h - 2.0) ** 2 * (c_num + N - 1) / (c_sq3 + 3.0 * (N - 1))]
+    for nu in range(1, hi + 1):
+        anu = nu * (nu + N - 2)
+        w = (nu + h - 1.0) ** 2
+        a.append((g1sq - w) ** 2 / (a_den + anu))
+        if nu >= 2:
+            quart = (g2sq - w) ** 2
+            c.append(quart * (c_num + anu) / (quart + c_k * (c_lin * anu + c_const)))
+    return a, c
 
 
 def in_improvement_region_f(N: int, gamma: float) -> bool:
@@ -85,20 +68,25 @@ class SweepRow:
     in_improvement_region: bool
 
 
-def sweep_gamma(N: int, gammas, rel_tol: float = 1e-12) -> list[SweepRow]:
+def point_f(N: int, gamma: float, hi: int = 0) -> tuple[SweepRow, list[float], list[float]]:
+    """The sweep row at (N, gamma), with the A(nu) and C(nu) it was read
+    from for nu = 0..max(hi, end of the scan window)."""
+    window = int(math.ceil(abs(gamma))) + N + 16   # as constants._default_nu_max
+    a, c = _mode_values(N, gamma, max(hi, window))
+    a_min = min(a[:window + 1])
+    c_min = min(c[:window + 1])
+    row = SweepRow(
+        N=N, gamma=float(gamma), A_min=a_min, A_argmin=a.index(a_min),
+        C_min=c_min, C_argmin=c.index(c_min),
+        equal=abs(c_min - a_min) <= EQUAL_REL_TOL * max(abs(a_min), abs(c_min), 1.0),
+        in_improvement_region=in_improvement_region_f(N, gamma),
+    )
+    return row, a, c
+
+
+def sweep_gamma(N: int, gammas) -> list[SweepRow]:
     """C/A minima over a gamma grid at fixed N (float path).
 
-    `equal` means the float values agree to rel_tol relative, which on
-    rational grid points coincides with exact equality.
+    `equal` means the float minima agree to EQUAL_REL_TOL relative.
     """
-    rows = []
-    for g in gammas:
-        a, na = rellich_hardy_A_min_f(N, g)
-        c, nc = rellich_hardy_C_min_f(N, g)
-        scale = max(abs(a), abs(c), 1.0)
-        rows.append(SweepRow(
-            N=N, gamma=float(g), A_min=a, A_argmin=na, C_min=c, C_argmin=nc,
-            equal=abs(c - a) <= rel_tol * scale,
-            in_improvement_region=in_improvement_region_f(N, g),
-        ))
-    return rows
+    return [point_f(N, g)[0] for g in gammas]

@@ -1,16 +1,19 @@
 """Closed-form sharp constants: frozen values, certified minima, invariants."""
 
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curlsharp
-from curlsharp import constants
-from curlsharp.constants import (ModeInvariantError, Params, TailBoundError,
-                                 alpha, hardy_leray,
+from curlsharp import cli, constants
+from curlsharp.constants import (ModeInvariantError,
+                                 Params, TailBoundError, alpha, hardy_leray,
                                  improvement_report, in_improvement_region,
                                  rellich_hardy_A, rellich_hardy_A_min,
                                  rellich_hardy_C, rellich_hardy_C_min,
@@ -84,6 +87,54 @@ def test_rellich_leray_curlfree():
         assert rellich_leray_curlfree(Params(n, g)).value == brute(Params(n, g))
     # exact zero of the radial branch: (gamma-1)^2 = N^2/4
     assert rellich_leray_curlfree(Params(4, F(3))).value == 0
+
+
+def _rl_curlfree_overshoot(p, nu_max):
+    """The former finite overshoot check: the last nine window values
+    nondecreasing and no term in nu_max < nu <= 8 nu_max reaching the
+    window minimum; returns (value, argmin) or None."""
+    g, n = p.gamma, p.N
+
+    def term(nu):
+        if nu == 0:
+            return ((g - 1) ** 2 - F(n * n, 4)) ** 2
+        anu = alpha(nu, n)
+        return ((g + F(n, 2) - 1) ** 2 + anu) / ((g + F(n, 2) - 3) ** 2 + anu) \
+            * ((g - 2) ** 2 - (nu + F(n, 2) - 1) ** 2) ** 2
+
+    vals = [term(nu) for nu in range(nu_max + 1)]
+    value = min(vals)
+    if any(vals[k] > vals[k + 1] for k in range(max(0, nu_max - 8), nu_max)) \
+            or any(term(nu) <= value for nu in range(nu_max + 1, 8 * nu_max + 1)):
+        return None
+    return value, vals.index(value)
+
+
+def test_rellich_leray_curlfree_tail_bound():
+    # the exact tail bound keeps the values of the former overshoot check,
+    # including the lam = 0 points and |gamma| up to 12
+    for n in (2, 3, 4, 7, 12, 24):
+        for g in sorted({F(-12), F(-7, 3), F(-1), F(-1, 2), F(0), F(1, 2), F(2),
+                         F(5, 2), F(31, 4), F(12), F(4 - n, 2)}):
+            p = Params(n, g)
+            res = rellich_leray_curlfree(p)
+            assert (res.value, res.argmin_nu) \
+                == _rl_curlfree_overshoot(p, res.scanned_up_to)
+            # a window that holds the minimum and has quart increasing past it
+            k = max(1, int(abs(g - 2) - F(n, 2) + 1) + 1)
+            short = rellich_leray_curlfree(p, nu_max=k) if k < res.scanned_up_to else res
+            assert (short.value, short.argmin_nu) == (res.value, res.argmin_nu)
+    # quart still decreasing at nu_max (nu_max + N/2 - 1 < |gamma - 2|): at
+    # (2, -19/2) the product bound alone would hold
+    with pytest.raises(TailBoundError,
+                       match="rellich_leray_curlfree window nu <= 4"):
+        rellich_leray_curlfree(Params(2, F(12)), nu_max=4)
+    with pytest.raises(TailBoundError):
+        rellich_leray_curlfree(Params(2, F(-19, 2)), nu_max=11)
+    # the radial branch alone bounds no tail; here c = 0, so f(alpha_0) is
+    # not even defined
+    with pytest.raises(TailBoundError):
+        rellich_leray_curlfree(Params(4, F(1)), nu_max=0)
 
 
 def test_rellich_hardy_A_values():
@@ -245,6 +296,106 @@ def test_improvement_report_cases():
     assert rep.sandwich_ok
 
 
+def test_improvement_report_short_windows():
+    # the same errors, in the same order, as the public minima
+    with pytest.raises(TailBoundError) as exc:
+        improvement_report(Params(2, F(12)), nu_max=4)
+    assert str(exc.value) == "tail_bound_failed: A-scan window nu <= 4"
+    with pytest.raises(TailBoundError) as exc:
+        improvement_report(Params(3, F(4)), nu_max=3)
+    assert str(exc.value) == "tail_bound_failed: C-scan window nu <= 3"
+    with pytest.raises(TailBoundError, match="C-scan"):
+        rellich_hardy_C_min(Params(3, F(4)), nu_max=3)
+
+
+def test_improvement_report_mode_invariants(monkeypatch):
+    p = Params(3, F(0))
+    real_alpha, real_a = constants.alpha, constants.rellich_hardy_A
+    # perturb the lam-form of A alone: alpha(lam, N) is the only Fraction slot
+    monkeypatch.setattr(constants, "alpha", lambda s, n: real_alpha(s, n)
+                        + (1 if isinstance(s, F) else 0))
+    with pytest.raises(ModeInvariantError, match="A\\(1\\) forms disagree"):
+        improvement_report(p)
+    monkeypatch.setattr(constants, "alpha", real_alpha)
+    # a wrong A(1) in the table trips the C(0) = A(1) check
+    monkeypatch.setattr(constants, "rellich_hardy_A",
+                        lambda p, nu: real_a(p, nu) + (nu == 1))
+    with pytest.raises(ModeInvariantError, match="C\\(0\\) != A\\(1\\)"):
+        improvement_report(p)
+
+
+def test_improvement_report_equals_public_minima():
+    for n in (2, 3, 5, 8, 13, 24):
+        for g in sorted({F(-12), F(-29, 8), F(-1), F(0), F(1, 3), F(3, 4),
+                         F(5, 2), F(23, 4), F(12), F(4 - n, 2)}):
+            p = Params(n, g)
+            rep = improvement_report(p)
+            # the default-window minima are cached apart from the report's
+            a_min, c_min = rellich_hardy_A_min(p), rellich_hardy_C_min(p)
+            assert (rep.A, rep.C) == (a_min, c_min), (n, g)
+            assert rep.equal == (a_min.value == c_min.value)
+            assert rep.strict_improvement == (c_min.value > a_min.value)
+            assert rep.in_region == in_improvement_region(p)
+            nu_max = a_min.scanned_up_to
+            assert rep.A_values == tuple(rellich_hardy_A(p, nu) for nu in range(nu_max + 2))
+            assert rep.C_values == tuple(rellich_hardy_C(p, nu) for nu in range(nu_max + 1))
+            a, c = rep.A_values, rep.C_values
+            assert rep.sandwich_ok == (None if p.degenerate else all(
+                min(a[nu - 1], a[nu + 1]) <= c[nu] <= max(a[nu - 1], a[nu + 1])
+                for nu in range(1, nu_max + 1)))
+
+
+def test_improvement_report_calls_public_minima(monkeypatch):
+    p = Params(7, F(-5, 3))
+    rep = improvement_report(p)
+    nu_max = rep.A.scanned_up_to
+    # the report's minima are the lru_cached public ones
+    assert rellich_hardy_A_min(p, nu_max) is rep.A
+    assert rellich_hardy_C_min(p, nu_max) is rep.C
+    assert not constants._reporting       # no mode table outlives the report
+    # reached by module name, where a caller can wrap them
+    called = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            called[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("rellich_hardy_A_min", "rellich_hardy_C_min"):
+        monkeypatch.setattr(constants, name, counting(name, getattr(constants, name)))
+    improvement_report(Params(7, F(-4, 3)))
+    assert called["rellich_hardy_A_min"] >= 1 and called["rellich_hardy_C_min"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--N", "5", "--gamma=1/3"],
+    ["--N", "4", "--gamma=0"],            # lam = 0
+    ["--N", "3", "--gamma=-7/2", "--nu-max", "40"],   # past the window
+])
+def test_constants_op_evaluates_each_mode_once(monkeypatch, capsys, argv):
+    # cold minima, as at a grid point seen for the first time
+    rellich_hardy_A_min.cache_clear()
+    rellich_hardy_C_min.cache_clear()
+    calls = Counter()
+
+    def counting(kind, fn):
+        def wrapper(p, nu):
+            calls[kind, nu] += 1
+            return fn(p, nu)
+        return wrapper
+
+    for kind, name in (("A", "rellich_hardy_A"), ("C", "rellich_hardy_C")):
+        wrapped = counting(kind, getattr(constants, name))
+        monkeypatch.setattr(constants, name, wrapped)
+        monkeypatch.setattr(cli, name, wrapped)
+    assert cli.main(["constants"] + argv) == 0
+    capsys.readouterr()
+    # C(0) checks itself against A(1); every other mode is evaluated once
+    assert calls.pop(("A", 1)) == 2
+    assert set(calls.values()) == {1}
+
+
 def test_improvement_region_boundary_exact():
     # (6 gamma - (N+4))^2 < 4(N^2 - N + 1), decided exactly: for N = 3 the
     # region is |gamma - 7/6| < sqrt(7)/3, so gamma = 0 is outside and
@@ -258,18 +409,71 @@ def test_float_path_matches_exact():
         for g in GAMMA_GRID:
             p = Params(n, g)
             gf = float(g)
+            row, a, c = sweep.point_f(n, gf)
             for nu in range(0, 6):
                 ex = float(rellich_hardy_A(p, nu))
-                fl = sweep.rellich_hardy_A_f(n, gf, nu)
-                assert abs(ex - fl) <= 1e-12 * max(1.0, abs(ex))
+                assert abs(ex - a[nu]) <= 1e-12 * max(1.0, abs(ex))
                 ex = float(rellich_hardy_C(p, nu))
-                fl = sweep.rellich_hardy_C_f(n, gf, nu)
-                assert abs(ex - fl) <= 1e-12 * max(1.0, abs(ex))
+                assert abs(ex - c[nu]) <= 1e-12 * max(1.0, abs(ex))
             exh = float(hardy_leray(p))
             assert abs(exh - sweep.hardy_leray_f(n, gf)) <= 1e-12 * max(1.0, exh)
-            a_min, _ = sweep.rellich_hardy_A_min_f(n, gf)
-            assert abs(a_min - float(rellich_hardy_A_min(p).value)) \
-                <= 1e-12 * max(1.0, a_min)
+            for got, exact in ((row.A_min, rellich_hardy_A_min(p)),
+                               (row.C_min, rellich_hardy_C_min(p))):
+                assert abs(got - float(exact.value)) <= 1e-12 * max(1.0, got)
+
+
+# The float mode formulas as closed forms per nu: the reference for the
+# per-(N, gamma) tables of sweep.point_f, which must be bit-identical.
+
+def _ref_A_f(N, gamma, nu):
+    if nu == 0:
+        return (gamma - N / 2.0) ** 2
+    anu = nu * (nu + N - 2)
+    return ((gamma - 1.0) ** 2 - (nu + N / 2.0 - 1.0) ** 2) ** 2 \
+        / ((gamma + N / 2.0 - 2.0) ** 2 + anu)
+
+
+def _ref_C_f(N, gamma, nu):
+    if nu == 0:
+        return ((gamma - 1.0) ** 2 - N * N / 4.0) ** 2 \
+            / ((gamma + N / 2.0 - 2.0) ** 2 + N - 1)
+    if nu == 1:
+        return (gamma - N / 2.0 - 2.0) ** 2 \
+            * ((gamma + N / 2.0 - 1.0) ** 2 + N - 1) \
+            / ((gamma + N / 2.0 - 3.0) ** 2 + 3.0 * (N - 1))
+    anu = nu * (nu + N - 2)
+    quart = ((gamma - 2.0) ** 2 - (nu + N / 2.0 - 1.0) ** 2) ** 2
+    den = quart + 2.0 * (gamma - 1.0) * ((2.0 * gamma + N - 5.0) * anu
+                                         + (N - 1) * (gamma + N / 2.0 - 3.0) ** 2)
+    return quart * ((gamma + N / 2.0 - 1.0) ** 2 + anu) / den
+
+
+def _ref_min(vals):
+    v = min(vals)
+    return v, vals.index(v)
+
+
+_SWEEP_GAMMAS = [-12.0 + k * 0.0625 for k in range(385)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 40), data=st.data())
+def test_float_tables_bit_identical_to_closed_forms(n, data):
+    gamma = data.draw(st.one_of(
+        st.sampled_from(_SWEEP_GAMMAS),
+        st.floats(-30.0, 30.0, allow_nan=False),
+        st.just(2.0 - n / 2.0)))                     # lam = 0
+    hi = data.draw(st.sampled_from([0, 0, 70]))       # 70: a CLI --nu-max past the window
+    row, a, c = sweep.point_f(n, gamma, hi)
+    window = math.ceil(abs(gamma)) + n + 16
+    assert len(a) == len(c) == max(hi, window) + 1
+    ref_a = [_ref_A_f(n, gamma, nu) for nu in range(len(a))]
+    ref_c = [_ref_C_f(n, gamma, nu) for nu in range(len(c))]
+    assert repr(a) == repr(ref_a) and repr(c) == repr(ref_c)
+    ref_a, ref_c = ref_a[:window + 1], ref_c[:window + 1]
+    assert sweep.sweep_gamma(n, [gamma]) == [row]
+    assert repr((row.A_min, row.A_argmin)) == repr(_ref_min(ref_a))
+    assert repr((row.C_min, row.C_argmin)) == repr(_ref_min(ref_c))
 
 
 def test_sweep_rows():
