@@ -852,7 +852,15 @@ def quotient_constant_links() -> list[str]:
 
 
 def interleaving_spot_checks(seed: int = 0, count: int = 200) -> list[str]:
-    """(C(nu) - A(nu-1)) (C(nu) - A(nu+1)) <= 0 at random admissible points."""
+    """(C(nu) - A(nu-1)) (C(nu) - A(nu+1)) <= 0 at random admissible points.
+
+    c-minus-a-prev and c-minus-a-next prove this interleaving for every
+    nu >= 1, but for the MultiPoly forms of A and C that their REFERENCES
+    builders and the links transcribe.  The sample instead runs the Python
+    code of rellich_hardy_A and rellich_hardy_C, the integer evaluation
+    that the grid and the CLI use, so it catches a fault in that code (a
+    wrong term or branch) that no certificate reads.
+    """
     import random
 
     from .constants import rellich_hardy_A

@@ -11,6 +11,14 @@ together with the verified minimisation over the mode index nu.  Every
 function takes integer dimension N >= 2 and rational weight exponent
 gamma; the derived exponent is lam = 2 - N/2 - gamma.
 
+A(nu) and C(nu) are evaluated in integer arithmetic.  With gamma = r/q in
+lowest terms and D = 2q, every gamma-only term is an integer times a
+power of 1/D: (gamma - 1) D, (gamma + N/2 - 2) D, lam D, D^2 alpha(lam)
+and (nu + N/2 - 1) D.  Each branch is an integer numerator over an
+integer denominator, built into one Fraction at the end.  The two forms
+of A are compared by exact cross-multiplication, and C(0) against A(1);
+both raise ModeInvariantError, also under python -O.
+
 Minima over nu are certified, not assumed.  The A-family scan looks for a
 turning index and relies on the monotonicity of the difference numerator
 (certificate a-diff-monotone).  The C-family scan bounds its tail by
@@ -81,9 +89,10 @@ def alpha(s: Fraction | int, N: int) -> Fraction:
     return s * (s + N - 2)
 
 
-def _default_nu_max(p: Params) -> int:
-    g = p.gamma
-    return int(ceil(abs(g))) + p.N + 16
+def default_nu_max(N: int, gamma: Fraction | float) -> int:
+    """End of the default mode-scan window at (N, gamma), for the exact and
+    the float path alike: ceil(|gamma|) + N + 16."""
+    return ceil(abs(gamma)) + N + 16
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +158,7 @@ def rellich_leray_curlfree(p: Params, nu_max: int | None = None) -> MinResult:
     """
     g, N = p.gamma, p.N
     if nu_max is None:
-        nu_max = _default_nu_max(p)
+        nu_max = default_nu_max(p.N, p.gamma)
     b = (g + Fraction(N, 2) - 1) ** 2
     c = (g + Fraction(N, 2) - 3) ** 2
 
@@ -174,27 +183,46 @@ def rellich_leray_curlfree(p: Params, nu_max: int | None = None) -> MinResult:
 # Rellich-Hardy mode constants
 # ---------------------------------------------------------------------------
 
+def _alpha_int(s: int, N: int, D: int) -> int:
+    """D^2 alpha(s/D, N) for an integer slot s: s(s + (N - 2) D)."""
+    return s * (s + (N - 2) * D)
+
+
 def rellich_hardy_A(p: Params, nu: int) -> Fraction:
     """Unconstrained Rellich-Hardy mode constant A(nu).
 
     Evaluates both the gamma-form and the lam-form, which must agree
-    (ModeInvariantError otherwise), returning the common value.
+    (ModeInvariantError otherwise), returning the common value.  With
+    gamma = r/q in lowest terms and D = 2q, each form is an integer
+    numerator over an integer denominator; the two are compared by exact
+    cross-multiplication and the value is built as one Fraction.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    g, N, lam = p.gamma, p.N, p.lam
+    g, N = p.gamma, p.N
+    q = g.denominator
+    D = 2 * q
+    G = 2 * g.numerator                   # gamma * D
+    L = (4 - N) * q - G                   # lam * D
     if nu == 0:
-        via_gamma = (g - Fraction(N, 2)) ** 2
-        via_lam = (lam + N - 2) ** 2
+        ng = (G - N * q) ** 2             # (gamma - N/2)^2 D^2
+        nl = (L + (N - 2) * D) ** 2       # (lam + N - 2)^2 D^2
+        dg = dl = 1
     else:
-        anu = alpha(nu, N)
-        via_gamma = ((g - 1) ** 2 - (nu + Fraction(N, 2) - 1) ** 2) ** 2 \
-            / ((g + Fraction(N, 2) - 2) ** 2 + anu)
-        via_lam = (anu - alpha(lam, N)) ** 2 / (anu + lam ** 2)
-    if via_gamma != via_lam:
+        g1 = G - D                        # (gamma - 1) D
+        e = G + (N - 4) * q               # (gamma + N/2 - 2) D
+        w = (2 * nu + N - 2) * q          # (nu + N/2 - 1) D
+        aD2 = nu * (nu + N - 2) * D * D   # alpha_nu D^2
+        ng = (g1 * g1 - w * w) ** 2
+        dg = e * e + aD2
+        nl = (aD2 - _alpha_int(L, N, D)) ** 2
+        dl = aD2 + L * L
+    # both forms are over D^2 times their dg, dl
+    if ng * dl != nl * dg:
         raise ModeInvariantError(
-            f"A({nu}) forms disagree at N={N}, gamma={g}: {via_gamma} != {via_lam}")
-    return via_gamma
+            f"A({nu}) forms disagree at N={N}, gamma={g}: "
+            f"{Fraction(ng, D * D * dg)} != {Fraction(nl, D * D * dl)}")
+    return Fraction(ng, D * D * dg)
 
 
 def rellich_hardy_C(p: Params, nu: int) -> Fraction:
@@ -202,27 +230,36 @@ def rellich_hardy_C(p: Params, nu: int) -> Fraction:
 
     All three branches are finite for every rational gamma, including the
     degenerate lam == 0 case.  C(0) == A(1) exactly (ModeInvariantError
-    otherwise).
+    otherwise).  Evaluated like rellich_hardy_A: integers over D = 2q,
+    gamma = r/q, and one Fraction at the end.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")
     g, N = p.gamma, p.N
+    q = g.denominator
+    D = 2 * q
+    D2 = D * D
+    G = 2 * g.numerator                   # gamma * D
+    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
     if nu == 0:
-        value = ((g - 1) ** 2 - Fraction(N * N, 4)) ** 2 \
-            / ((g + Fraction(N, 2) - 2) ** 2 + N - 1)
+        g1 = G - D                        # (gamma - 1) D
+        value = Fraction((g1 * g1 - (N * q) ** 2) ** 2,
+                         D2 * (e * e + (N - 1) * D2))
         if value != rellich_hardy_A(p, 1):
             raise ModeInvariantError(f"C(0) != A(1) at N={N}, gamma={g}")
         return value
     if nu == 1:
-        return (g - Fraction(N, 2) - 2) ** 2 \
-            * ((g + Fraction(N, 2) - 1) ** 2 + N - 1) \
-            / ((g + Fraction(N, 2) - 3) ** 2 + 3 * (N - 1))
-    anu = alpha(nu, N)
-    quart = ((g - 2) ** 2 - (nu + Fraction(N, 2) - 1) ** 2) ** 2
-    num = quart * ((g + Fraction(N, 2) - 1) ** 2 + anu)
-    den = quart + 2 * (g - 1) * ((2 * g + N - 5) * anu
-                                 + (N - 1) * (g + Fraction(N, 2) - 3) ** 2)
-    return num / den
+        h = G - (N + 4) * q               # (gamma - N/2 - 2) D
+        return Fraction(h * h * ((e + D) ** 2 + (N - 1) * D2),
+                        D2 * ((e - D) ** 2 + 3 * (N - 1) * D2))
+    a = nu * (nu + N - 2)                 # alpha_nu
+    g1 = G - D                            # (gamma - 1) D
+    g2 = G - 2 * D                        # (gamma - 2) D
+    w = (2 * nu + N - 2) * q              # (nu + N/2 - 1) D
+    k = G + (N - 5) * q                   # (2 gamma + N - 5) D / 2
+    quart = (g2 * g2 - w * w) ** 2        # ((gamma-2)^2 - (nu+N/2-1)^2)^2 D^4
+    return Fraction(quart * ((e + D) ** 2 + a * D2),
+                    D2 * (quart + 2 * g1 * D * (2 * k * a * D + (N - 1) * (e - D) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +307,7 @@ def rellich_hardy_A_min(p: Params, nu_max: int | None = None) -> MinResult:
     family increases for every nu >= k and the window bounds the minimum.
     """
     if nu_max is None:
-        nu_max = _default_nu_max(p)
+        nu_max = default_nu_max(p.N, p.gamma)
     m = _modes(p, nu_max)
     vals = [m.A(nu) for nu in range(nu_max + 1)]
     value = min(vals)
@@ -294,7 +331,7 @@ def rellich_hardy_C_min(p: Params, nu_max: int | None = None) -> MinResult:
     the minimum once A(nu_max) exceeds it.
     """
     if nu_max is None:
-        nu_max = _default_nu_max(p)
+        nu_max = default_nu_max(p.N, p.gamma)
     rellich_hardy_A_min(p, nu_max)  # raises unless A turns inside the window
     m = _modes(p, nu_max)
     vals = [m.C(nu) for nu in range(nu_max + 1)]
@@ -343,7 +380,7 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
     when lam == 0, where the nu = 1 mode degenerates.
     """
     if nu_max is None:
-        nu_max = _default_nu_max(p)
+        nu_max = default_nu_max(p.N, p.gamma)
     key = (p, nu_max)
     m = _reporting[key] = _PointModes(p)
     try:

@@ -1,18 +1,19 @@
 """Float64 mirror of the sharp-constant formulas, for parameter sweeps.
 
 The formulas from `constants` are re-stated here in plain floating point
-(same branch logic, same scan windows) so gamma grids can be swept
-quickly.  `point_f` computes the gamma-only subexpressions of A(nu) and
-C(nu) once per (N, gamma) and fills both families over the scan window;
-each float is bit-identical to evaluating the closed form term by term.
-The exact path is authoritative; the mirror is tested against it to 1e-12
-relative on rational grid points.
+(same branch logic, same scan window: `constants.default_nu_max`) so
+gamma grids can be swept quickly.  `point_f` computes the gamma-only
+subexpressions of A(nu) and C(nu) once per (N, gamma) and fills both
+families over the scan window; each float is bit-identical to evaluating
+the closed form term by term.  The exact path is authoritative; the
+mirror is tested against it to 1e-12 relative on rational grid points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from .constants import default_nu_max
 
 # relative tolerance under which float minima count as equal; on rational
 # grid points it coincides with exact equality
@@ -71,7 +72,7 @@ class SweepRow:
 def point_f(N: int, gamma: float, hi: int = 0) -> tuple[SweepRow, list[float], list[float]]:
     """The sweep row at (N, gamma), with the A(nu) and C(nu) it was read
     from for nu = 0..max(hi, end of the scan window)."""
-    window = int(math.ceil(abs(gamma))) + N + 16   # as constants._default_nu_max
+    window = default_nu_max(N, gamma)
     a, c = _mode_values(N, gamma, max(hi, window))
     a_min = min(a[:window + 1])
     c_min = min(c[:window + 1])

@@ -235,13 +235,67 @@ def test_two_a_forms_agree_on_random_points():
         rellich_hardy_A(Params(n, g), nu)
 
 
+# The exact mode constants as Fraction closed forms, term by term: the
+# reference for the integer evaluation of rellich_hardy_A/C.
+
+def _ref_A_forms(p, nu):
+    """(gamma-form, lam-form) of A(nu)."""
+    g, n, lam = p.gamma, p.N, p.lam
+    if nu == 0:
+        return (g - F(n, 2)) ** 2, (lam + n - 2) ** 2
+    anu = alpha(nu, n)
+    return (((g - 1) ** 2 - (nu + F(n, 2) - 1) ** 2) ** 2
+            / ((g + F(n, 2) - 2) ** 2 + anu),
+            (anu - alpha(lam, n)) ** 2 / (anu + lam ** 2))
+
+
+def _ref_C(p, nu):
+    g, n = p.gamma, p.N
+    if nu == 0:
+        return ((g - 1) ** 2 - F(n * n, 4)) ** 2 / ((g + F(n, 2) - 2) ** 2 + n - 1)
+    if nu == 1:
+        return (g - F(n, 2) - 2) ** 2 * ((g + F(n, 2) - 1) ** 2 + n - 1) \
+            / ((g + F(n, 2) - 3) ** 2 + 3 * (n - 1))
+    anu = alpha(nu, n)
+    quart = ((g - 2) ** 2 - (nu + F(n, 2) - 1) ** 2) ** 2
+    den = quart + 2 * (g - 1) * ((2 * g + n - 5) * anu
+                                 + (n - 1) * (g + F(n, 2) - 3) ** 2)
+    return quart * ((g + F(n, 2) - 1) ** 2 + anu) / den
+
+
+def _outcome(fn, *args):
+    """The value, or the type of the ZeroDivisionError raised instead."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(n=st.integers(2, 40), nu=st.integers(0, 80), data=st.data())
+def test_integer_modes_equal_fraction_closed_forms(n, nu, data):
+    gamma = data.draw(st.one_of(
+        st.builds(F, st.integers(-400, 400), st.integers(1, 24)),
+        st.floats(-30.0, 30.0, allow_nan=False).map(F),   # q = 2^k
+        st.just(F(4 - n, 2))))                            # lam = 0
+    p = Params(n, gamma)
+    ref_a = _outcome(_ref_A_forms, p, nu)
+    if ref_a is not ZeroDivisionError:
+        via_gamma, via_lam = ref_a
+        assert via_gamma == via_lam
+        ref_a = via_gamma
+    assert _outcome(rellich_hardy_A, p, nu) == ref_a
+    assert _outcome(rellich_hardy_C, p, nu) == _outcome(_ref_C, p, nu)
+
+
 def test_mode_invariants_raise(monkeypatch):
     p = Params(3, F(0))
-    real_alpha = constants.alpha
-    monkeypatch.setattr(constants, "alpha", lambda s, n: 2 * real_alpha(s, n))
+    # D^2 alpha(lam) is the lam-form's own slot: doubling it breaks that form
+    real_alpha = constants._alpha_int
+    monkeypatch.setattr(constants, "_alpha_int", lambda s, n, d: 2 * real_alpha(s, n, d))
     with pytest.raises(ModeInvariantError):
         rellich_hardy_A(p, 2)
-    monkeypatch.setattr(constants, "alpha", real_alpha)
+    monkeypatch.setattr(constants, "_alpha_int", real_alpha)
     monkeypatch.setattr(constants, "rellich_hardy_A", lambda p, nu: F(-1))
     with pytest.raises(ModeInvariantError):
         rellich_hardy_C(p, 0)
@@ -254,8 +308,8 @@ def test_mode_invariants_raise_under_python_O():
             "from curlsharp import constants as c\n"
             "if __debug__:\n"
             "    sys.exit(4)\n"
-            "real_alpha = c.alpha\n"
-            "c.alpha = lambda s, n: 2 * real_alpha(s, n)\n"
+            "real_alpha = c._alpha_int\n"
+            "c._alpha_int = lambda s, n, d: 2 * real_alpha(s, n, d)\n"
             "try:\n"
             "    c.rellich_hardy_A(c.Params(3, Fraction(0)), 2)\n"
             "except c.ModeInvariantError:\n"
@@ -310,13 +364,13 @@ def test_improvement_report_short_windows():
 
 def test_improvement_report_mode_invariants(monkeypatch):
     p = Params(3, F(0))
-    real_alpha, real_a = constants.alpha, constants.rellich_hardy_A
-    # perturb the lam-form of A alone: alpha(lam, N) is the only Fraction slot
-    monkeypatch.setattr(constants, "alpha", lambda s, n: real_alpha(s, n)
-                        + (1 if isinstance(s, F) else 0))
+    real_alpha, real_a = constants._alpha_int, constants.rellich_hardy_A
+    # perturb the lam-form of A alone: D^2 alpha(lam) is its only call of
+    # the slot helper (A(0) does not use it)
+    monkeypatch.setattr(constants, "_alpha_int", lambda s, n, d: real_alpha(s, n, d) + 1)
     with pytest.raises(ModeInvariantError, match="A\\(1\\) forms disagree"):
         improvement_report(p)
-    monkeypatch.setattr(constants, "alpha", real_alpha)
+    monkeypatch.setattr(constants, "_alpha_int", real_alpha)
     # a wrong A(1) in the table trips the C(0) = A(1) check
     monkeypatch.setattr(constants, "rellich_hardy_A",
                         lambda p, nu: real_a(p, nu) + (nu == 1))
