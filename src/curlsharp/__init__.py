@@ -40,7 +40,7 @@ from .constants import (
     rellich_leray_curlfree,
     rellich_leray_unconstrained,
 )
-from .certificates import c0_for, run_suite, verify_qp1_identity
+from .certificates import c0_for, run_suite
 from .nonneg import IntervalQ, nonneg_on_interval
 from .poly import MultiPoly, Rational, parse_poly
 from .polyfamily import FamilyInvariantError, PolyFamily, build_family
@@ -73,7 +73,6 @@ __all__ = [
     "NonPositiveFormError",
     "build_family",
     "run_suite",
-    "verify_qp1_identity",
     "c0_for",
 ]
 

@@ -731,34 +731,6 @@ _S5 = ["a1-a0-identity", "a-diff-identity", "a-diff-monotone",
        "c-lam0-nu", "a-rewrite-nu", "a-rewrite-0"]
 
 
-def verify_qp1_identity() -> CertReport:
-    return _run_names(["qp1-identity"])[0]
-
-
-def verify_q0p0() -> CertReport:
-    return _run_names(["q0p0-identity"])[0]
-
-
-def verify_p1_positivity() -> list[CertReport]:
-    return _run_names(_P1_POS)
-
-
-def certify_regime_le1() -> list[CertReport]:
-    return _run_names(_LE1)
-
-
-def certify_regime_gt1_nge3() -> list[CertReport]:
-    return _run_names(_GT1)
-
-
-def certify_regime_n2() -> list[CertReport]:
-    return _run_names(_N2)
-
-
-def verify_section5_identities() -> list[CertReport]:
-    return _run_names(_S5)
-
-
 def c0_for(p: Params) -> Fraction:
     """Certified remainder-channel constant for the spherical channels."""
     if p.gamma <= 1:
@@ -888,6 +860,31 @@ def _tau_coeffs_float(poly: MultiPoly) -> list[float]:
     return [float(c.constant_value()) for c in poly.coeffs_in("tau")]
 
 
+_GUARD_PER_CASE = 25  # tau samples per (Params, nu) case
+
+
+def _guard_cases(rng, count: int) -> list[tuple[Params, int]]:
+    """The (Params, nu) cases of `difference_quotient_guard`, drawn from
+    the numpy generator `rng` until they hold `count` tau samples: gamma
+    on a quarter grid of [-3, 1] or among six values above 1, N in
+    2..10, nu in 1..8, degenerate draws skipped."""
+    gammas_le1 = [Fraction(k, 4) for k in range(-12, 5)]  # gamma <= 1
+    gammas_gt1 = [Fraction(5, 4), Fraction(3, 2), Fraction(2),
+                  Fraction(5, 2), Fraction(3), Fraction(4)]
+    cases = []
+    while len(cases) * _GUARD_PER_CASE < count:
+        regime = rng.integers(0, 2)
+        n = int(rng.integers(2, 11))
+        g = gammas_gt1[rng.integers(len(gammas_gt1))] if regime else \
+            gammas_le1[rng.integers(len(gammas_le1))]
+        p = Params(n, g)
+        if p.degenerate:
+            continue
+        nu = int(rng.integers(1, 9))
+        cases.append((p, nu))
+    return cases
+
+
 def difference_quotient_guard(seed: int = 0, count: int = 10_000,
                               slack: float = 1e-12):
     """Sample random admissible (tau, nu, gamma, N) and check the
@@ -899,24 +896,10 @@ def difference_quotient_guard(seed: int = 0, count: int = 10_000,
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    gammas_le1 = [Fraction(k, 4) for k in range(-12, 5)]  # gamma <= 1
-    gammas_gt1 = [Fraction(5, 4), Fraction(3, 2), Fraction(2),
-                  Fraction(5, 2), Fraction(3), Fraction(4)]
     failures = []
     min_margin = float("inf")
     checked = 0
-    per_case = 25
-    cases = []
-    while len(cases) * per_case < count:
-        regime = rng.integers(0, 2)
-        n = int(rng.integers(2, 11))
-        g = gammas_gt1[rng.integers(len(gammas_gt1))] if regime else \
-            gammas_le1[rng.integers(len(gammas_le1))]
-        p = Params(n, g)
-        if p.degenerate:
-            continue
-        nu = int(rng.integers(1, 9))
-        cases.append((p, nu))
+    cases = _guard_cases(rng, count)
     q1_sym, p1_sym = pf.q1(), pf.p1()
     for p, nu in cases:
         anu = alpha(nu, p.N)
@@ -936,31 +919,14 @@ def difference_quotient_guard(seed: int = 0, count: int = 10_000,
             [float(c.constant_value()) for c in dcoeffs[1:]])
         pp = np.polynomial.polynomial.Polynomial(_tau_coeffs_float(p1))
         p1z_f = float(p1z.constant_value())
-        taus = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), per_case))
+        taus = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), _GUARD_PER_CASE))
         vals = dq(taus) / (pp(taus) * p1z_f)
         c0 = float(c0_for(p))
         margin = float(np.min(vals - c0))
         min_margin = min(min_margin, margin)
-        checked += per_case
+        checked += _GUARD_PER_CASE
         if margin < -slack:
             failures.append(
                 f"guard fails at N={p.N} gamma={p.gamma} nu={nu}: margin {margin}")
     return min_margin, checked, failures
 
-
-def difference_quotient_infimum(p: Params, nu: int, tau_max: float = 1e4,
-                                points: int = 4000) -> float:
-    """Empirical infimum of the difference quotient of channel nu's
-    (Q, P) pair over a dense tau grid (approaches the channel constant
-    from above at large tau)."""
-    import numpy as np
-
-    q1, p1 = pf.channel_polys(p, nu)
-    p1z = p1.subs("tau", 0)
-    diff = q1 * p1z - q1.subs("tau", 0) * p1
-    dcoeffs = diff.coeffs_in("tau")
-    dq = np.polynomial.polynomial.Polynomial(
-        [float(c.constant_value()) for c in dcoeffs[1:]])
-    pp = np.polynomial.polynomial.Polynomial(_tau_coeffs_float(p1))
-    taus = np.exp(np.linspace(np.log(1e-4), np.log(tau_max), points))
-    return float(np.min(dq(taus) / (pp(taus) * float(p1z.constant_value()))))

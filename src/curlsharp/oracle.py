@@ -50,8 +50,8 @@ import numpy as np
 from scipy.special import eval_legendre
 
 from .constants import Params, alpha, rellich_hardy_C
-from .spectral import (AngularGrid, Profile, _gl_nodes, _legendre_rule,
-                       quadratic_form, NotConvergedError)
+from .spectral import (Profile, _gl_nodes, _legendre_rule, quadratic_form,
+                       NotConvergedError)
 from . import polyfamily as pf
 
 
@@ -119,6 +119,16 @@ def _angular_rule(dim: int, nu: int, points: int | None = None):
     return np.arccos(c), 2.0 * np.pi * w
 
 
+def _harmonic_norm2(dim: int, nu: int) -> float:
+    """Closed-form sigma-integral of Y^2 for the zonal harmonic of
+    `_Zonal`: cos(nu theta) on the circle, P_nu(cos theta) on the
+    2-sphere.  The oracle checks its angular quadrature against this at
+    construction; no integral uses it."""
+    if dim == 2:
+        return 2.0 * np.pi if nu == 0 else np.pi
+    return 4.0 * np.pi / (2 * nu + 1)
+
+
 # A field term r(t) A(theta) is (radial vector, key of A in
 # _Zonal.samples).  An entry (one component of a vector or of the gradient
 # tensor) is a list of terms; an empty list is an entry that vanishes
@@ -170,7 +180,7 @@ class AnalyticFieldBundle:
             raise ValueError("mode must be >= 0")
         # fail fast on a normalisation-convention error
         got = self.harmonic_norm2_quadrature()
-        want = AngularGrid.make(self.dim).harmonic_norm2(self.nu)
+        want = _harmonic_norm2(self.dim, self.nu)
         if abs(got - want) > 1e-10 * want:
             raise AssertionError(
                 f"harmonic normalisation mismatch: {got} vs {want}")

@@ -17,7 +17,7 @@ module.  Values are immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Rational = Fraction
 
@@ -270,22 +270,6 @@ def _as_poly(x) -> MultiPoly:
     raise TypeError(f"cannot interpret {type(x).__name__} as MultiPoly")
 
 
-def variables() -> tuple[MultiPoly, ...]:
-    """The variable polynomials, in declaration order (tau, a, lam, N, s, m, mu)."""
-    return tuple(MultiPoly.var(v) for v in VARS)
-
-
-def from_univariate(var: str, coeffs: Iterable[Scalar]) -> MultiPoly:
-    x = MultiPoly.var(var)
-    out = MultiPoly()
-    p = MultiPoly.const(1)
-    for k, c in enumerate(coeffs):
-        if k:
-            p = p * x
-        out = out + p.scale(_coerce(c))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # canonical text format: sum of terms  c * var^k * ...
 # The parser accepts a superset (parenthesised products/powers, unary minus)
@@ -433,8 +417,3 @@ def _parse_atom(toks: _Tokens) -> MultiPoly:
     if tok in _VAR_INDEX:
         return MultiPoly.var(tok)
     raise PolyParseError(f"unexpected token {tok!r}")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p', '-p', or 'p/q' exactly."""
-    return Fraction(text.strip())

@@ -233,12 +233,6 @@ class PolyFamily:
     W: MultiPoly
     params: Params | None = None
 
-    def p1_at(self, a_value: Fraction) -> MultiPoly:
-        return self.P1.subs("a", a_value)
-
-    def q1_at(self, a_value: Fraction) -> MultiPoly:
-        return self.Q1.subs("a", a_value)
-
 
 @lru_cache(maxsize=None)
 def _check_q1_forms() -> None:

@@ -619,106 +619,3 @@ def remainder_check(field: SpectralField, tol: float = 1e-8,
     bound = c0 * rem.value - tol * scale
     return RemainderReport(field.params, field.mode, field.profile.n,
                            gap, rem.value, c0, bound, scale, gap >= bound)
-
-
-# ---------------------------------------------------------------------------
-# potential decomposition (radial mean + spherical modes)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AngularGrid:
-    """Quadrature on the unit sphere for N = 2 (circle) or N = 3 (zonal)."""
-
-    N: int
-    points: np.ndarray   # theta for N=2, cos(theta) for N=3
-    weights: np.ndarray  # surface-measure weights (sum = |S^(N-1)|)
-
-    @classmethod
-    def make(cls, N: int, points: int = 64) -> "AngularGrid":
-        if N == 2:
-            theta = 2.0 * np.pi * np.arange(points) / points
-            w = np.full(points, 2.0 * np.pi / points)
-            return cls(2, theta, w)
-        if N == 3:
-            c, w = _legendre_rule(points)
-            return cls(3, c, 2.0 * np.pi * w)
-        raise ValueError("angular grids exist for N = 2, 3 only")
-
-    @property
-    def area(self) -> float:
-        return float(np.sum(self.weights))
-
-    def harmonic(self, nu: int) -> np.ndarray:
-        """Zonal harmonic samples: cos(nu theta) (N=2), P_nu(cos) (N=3)."""
-        if self.N == 2:
-            return np.cos(nu * self.points)
-        from scipy.special import eval_legendre
-        return eval_legendre(nu, self.points)
-
-    def harmonic_norm2(self, nu: int) -> float:
-        if self.N == 2:
-            return 2.0 * np.pi if nu == 0 else np.pi
-        return 4.0 * np.pi if nu == 0 else 4.0 * np.pi / (2 * nu + 1)
-
-
-@dataclass(frozen=True)
-class DecomposeResult:
-    t: np.ndarray
-    f_profile: np.ndarray
-    phi_profiles: dict[int, np.ndarray]
-    residual_rel: float
-    mean_refinement_rel: float
-
-
-def _ddt(values: np.ndarray, dt: float) -> np.ndarray:
-    """Sixth-order central differences; compactly supported input, so the
-    zero-padded edges are exact."""
-    padded = np.pad(values, 3)
-    return (-padded[:-6] + 9 * padded[1:-5] - 45 * padded[2:-4]
-            + 45 * padded[4:-2] - 9 * padded[5:-1] + padded[6:]) / (60 * dt)
-
-
-def decompose_potential(params: Params, potential, t: np.ndarray,
-                        angular: AngularGrid | None = None,
-                        lam: Fraction | None = None, nu_max: int = 8,
-                        mean_tol: float = 1e-9) -> DecomposeResult:
-    """Split a scalar potential into the radial-mean channel and zonal
-    spherical-harmonic channels.
-
-    `potential(t, ang)` must be vectorised over a (t, angle) grid; `t` is
-    an increasing uniform grid covering the support.  Returns the radial
-    profile f = r^(-lam) d/dt (mean) and per-mode profiles
-    r^(-lam) <phi - mean, Y_nu> / ||Y_nu||^2.  Raises NotConvergedError
-    when doubling the angular resolution moves the mean (relative L2)
-    by more than `mean_tol`.
-    """
-    if angular is None:
-        angular = AngularGrid.make(params.N)
-    lam = params.lam if lam is None else Fraction(lam)
-    t = np.asarray(t, dtype=float)
-    dt = t[1] - t[0]
-    tt, aa = np.meshgrid(t, angular.points, indexing="ij")
-    values = np.asarray(potential(tt, aa), dtype=float)
-    mean = values @ angular.weights / angular.area
-    fine = AngularGrid.make(params.N, 2 * len(angular.points))
-    tt2, aa2 = np.meshgrid(t, fine.points, indexing="ij")
-    mean2 = np.asarray(potential(tt2, aa2), dtype=float) @ fine.weights / fine.area
-    denom = max(float(np.linalg.norm(values)) / math.sqrt(max(len(angular.points), 1)),
-                1e-300)
-    refinement = float(np.linalg.norm(mean - mean2)) / denom
-    if refinement > mean_tol:
-        raise NotConvergedError(
-            f"mean_not_converged: angular refinement moved the mean by {refinement:.2e}")
-    radial_scale = np.exp(-float(lam) * t)
-    f_profile = radial_scale * _ddt(mean, dt)
-    fluct = values - mean[:, None]
-    phi_profiles = {}
-    recon = np.zeros_like(fluct)
-    for nu in range(1, nu_max + 1):
-        y = angular.harmonic(nu)
-        coeff = (fluct * y[None, :]) @ angular.weights / angular.harmonic_norm2(nu)
-        phi_profiles[nu] = radial_scale * coeff
-        recon += np.outer(coeff, y)
-    resid = float(np.linalg.norm(fluct - recon))
-    resid_rel = resid / max(float(np.linalg.norm(values)), 1e-300)
-    return DecomposeResult(t, f_profile, phi_profiles, resid_rel, refinement)

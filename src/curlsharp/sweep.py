@@ -5,8 +5,9 @@ The formulas from `constants` are re-stated here in plain floating point
 gamma grids can be swept quickly.  `point_f` computes the gamma-only
 subexpressions of A(nu) and C(nu) once per (N, gamma) and fills both
 families over the scan window; each float is bit-identical to evaluating
-the closed form term by term.  The exact path is authoritative; the
-mirror is tested against it to 1e-12 relative on rational grid points.
+the closed form term by term.  The exact path is authoritative; on
+rational grid points the mirror's modes, minima and argmins are tested
+equal to `float()` of the exact ones.
 """
 
 from __future__ import annotations

@@ -148,10 +148,11 @@ def test_criterion_8_difference_quotient_guard():
             seed=0, count=10_000, slack=1e-12)
         assert checked >= 10_000
         assert not failures and margin >= -1e-12
-        # gamma <= 1: the empirical infimum approaches the sharp channel
-        # constant 1 from above within 1e-2 on a dense large-tau grid
+        # gamma <= 1: the difference quotient tends to the sharp channel
+        # constant 1 as tau -> oo, exactly
         for (n, g, nu) in [(3, F(0), 1), (2, F(0), 1), (4, F(1), 2),
                            (5, F(-2), 3)]:
-            inf = certs.difference_quotient_infimum(Params(n, g), nu,
-                                                    tau_max=1e4)
-            assert 1 - 1e-12 <= inf <= 1 + 1e-2, (n, g, nu, inf)
+            q1, p1 = pf.channel_polys(Params(n, g), nu)
+            p1z = p1.subs("tau", 0).constant_value()
+            num = (q1 * p1z - q1.subs("tau", 0) * p1).to_univariate("tau")
+            assert num[3] / (p1.to_univariate("tau")[2] * p1z) == 1, (n, g, nu)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
 
@@ -13,6 +14,7 @@ import curlsharp
 from curlsharp import certificates as certs
 from curlsharp import polyfamily as pf
 from curlsharp.constants import Params, alpha, rellich_hardy_C
+from curlsharp.nonneg import IntervalQ, nonneg_on_interval
 from curlsharp.poly import VARS, MultiPoly, parse_poly
 
 
@@ -38,21 +40,25 @@ def test_every_corpus_file_has_reference():
     assert not unused
 
 
-@pytest.mark.parametrize("op,count", [
-    (certs.verify_p1_positivity, 4),
-    (certs.certify_regime_le1, 18),
-    (certs.certify_regime_gt1_nge3, 23),
-    (certs.certify_regime_n2, 11),
-    (certs.verify_section5_identities, 9),
+@pytest.mark.parametrize("regime,count", [
+    pytest.param("base", 8, id="base-8"),
+    pytest.param("le1", 18, id="certify_regime_le1-18"),
+    pytest.param("gt1-nge3", 23, id="certify_regime_gt1_nge3-23"),
+    pytest.param("n2", 11, id="certify_regime_n2-11"),
+    pytest.param("section5", 9, id="verify_section5_identities-9"),
 ])
-def test_grouped_operations(op, count):
-    reports = op()
+def test_grouped_operations(regime, count):
+    reports = certs.run_suite([regime]).reports
     assert len(reports) == count
     assert all(r.ok for r in reports), [r.name for r in reports if not r.ok]
 
 
+def _base_report(name):
+    return next(r for r in certs.run_suite(["base"]).reports if r.name == name)
+
+
 def test_qp1_identity_symbolic_and_spot():
-    assert certs.verify_qp1_identity().ok
+    assert _base_report("qp1-identity").ok
     # numeric spot check at (tau, a, lam, N) = (1, 2, 1/2, 3)
     point = {"tau": F(1), "a": F(2), "lam": F(1, 2), "N": F(3)}
     p1 = pf.p1()
@@ -68,7 +74,7 @@ def test_qp1_identity_symbolic_and_spot():
 
 
 def test_q0p0_identity_numeric():
-    assert certs.verify_q0p0().ok
+    assert _base_report("q0p0-identity").ok
     # (tau, lam, N) = (2, 1, 3): LHS = 36 = (3-1)(2+1)^2 * 2
     point = {"tau": F(2), "lam": F(1), "N": F(3)}
     p0, q0 = pf.p0(), pf.q0()
@@ -208,12 +214,42 @@ def test_difference_quotient_guard():
     assert margin >= -1e-12
 
 
-def test_difference_quotient_infimum_near_one():
-    # for gamma <= 1 the channel constant 1 is sharp: the infimum over a
-    # dense large-tau grid sits just above 1
-    for (n, g, nu) in [(3, F(0), 1), (2, F(0), 1), (4, F(1), 2)]:
-        inf = certs.difference_quotient_infimum(Params(n, g), nu)
-        assert 1 - 1e-12 <= inf <= 1 + 1e-2, (n, g, nu, inf)
+def _dq_margin(p, nu):
+    """(Q1 P1(0) - Q1(0) P1) / tau - c0 P1 P1(0) for channel nu at p: the
+    guard's difference quotient minus the channel constant, cleared of
+    its positive denominator P1 P1(0)."""
+    q1, p1 = pf.channel_polys(p, nu)
+    p1z = p1.subs("tau", 0)
+    coeffs = (q1 * p1z - q1.subs("tau", 0) * p1).coeffs_in("tau")
+    assert coeffs[0].is_zero()
+    dq = sum((c * pf.TAU ** k for k, c in enumerate(coeffs[1:])), MultiPoly())
+    return dq - certs.c0_for(p) * p1 * p1z
+
+
+def test_guard_verdict_is_exact():
+    # every case the float guard samples at seed 0 satisfies its bound on
+    # the whole half-line, exactly: the reported float margin is rounding
+    cases = certs._guard_cases(np.random.default_rng(0), 10_000)
+    assert (len(cases), len(set(cases))) == (400, 348)
+    for p, nu in set(cases):
+        ok, witness = nonneg_on_interval(_dq_margin(p, nu), IntervalQ.at_least(0),
+                                         var="tau")
+        assert ok, (p, nu, witness)
+
+
+def test_difference_quotient_limit_is_c0():
+    # gamma <= 1: the difference quotient stays >= 1 on [0, oo) and tends
+    # to 1 as tau -> oo, so the channel constant c0 = 1 is sharp
+    for n, g, nu in [(3, F(0), 1), (2, F(0), 1), (4, F(1), 2), (5, F(-2), 3)]:
+        p = Params(n, g)
+        q1, p1 = pf.channel_polys(p, nu)
+        p1z = p1.subs("tau", 0).constant_value()
+        num = (q1 * p1z - q1.subs("tau", 0) * p1).to_univariate("tau")
+        den = p1.to_univariate("tau")
+        assert (len(num), len(den)) == (4, 3), (n, g, nu)
+        assert num[3] / (den[2] * p1z) == certs.c0_for(p) == 1, (n, g, nu)
+        assert nonneg_on_interval(_dq_margin(p, nu), IntervalQ.at_least(0),
+                                  var="tau")[0], (n, g, nu)
 
 
 def test_c0_for():

@@ -465,15 +465,12 @@ def test_float_path_matches_exact():
             gf = float(g)
             row, a, c = sweep.point_f(n, gf)
             for nu in range(0, 6):
-                ex = float(rellich_hardy_A(p, nu))
-                assert abs(ex - a[nu]) <= 1e-12 * max(1.0, abs(ex))
-                ex = float(rellich_hardy_C(p, nu))
-                assert abs(ex - c[nu]) <= 1e-12 * max(1.0, abs(ex))
-            exh = float(hardy_leray(p))
-            assert abs(exh - sweep.hardy_leray_f(n, gf)) <= 1e-12 * max(1.0, exh)
-            for got, exact in ((row.A_min, rellich_hardy_A_min(p)),
-                               (row.C_min, rellich_hardy_C_min(p))):
-                assert abs(got - float(exact.value)) <= 1e-12 * max(1.0, got)
+                assert a[nu] == float(rellich_hardy_A(p, nu)), (n, g, nu)
+                assert c[nu] == float(rellich_hardy_C(p, nu)), (n, g, nu)
+            assert sweep.hardy_leray_f(n, gf) == float(hardy_leray(p)), (n, g)
+            a_min, c_min = rellich_hardy_A_min(p), rellich_hardy_C_min(p)
+            assert (row.A_min, row.A_argmin) == (float(a_min.value), a_min.argmin_nu)
+            assert (row.C_min, row.C_argmin) == (float(c_min.value), c_min.argmin_nu)
 
 
 # The float mode formulas as closed forms per nu: the reference for the

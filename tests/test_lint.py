@@ -1,0 +1,144 @@
+"""Static checks that keep dead code out of the package.
+
+(a) Every module-level import of `src/curlsharp/*.py` is used in its
+module; a name listed in the module's `__all__` counts as used.
+
+(b) Every top-level function or class and every non-dunder method of a
+top-level class is reached by name from `src/`, `bench/` or `demos/`
+outside its own definition, is exported through `curlsharp.__all__`, or
+is on the short allowlist below.  A reference is an identifier in the
+code (a name or an attribute) or a string constant that is a dotted name,
+such as the `"MultiPoly.subs"` specs `bench/tracer.py` patches.
+Docstrings and comments are not references.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "curlsharp"
+SCAN_DIRS = [ROOT / "src", ROOT / "bench", ROOT / "demos"]
+
+# Public API that only the tests reach, each kept for a stated reason.
+ALLOWLIST = {
+    "MultiPoly.eval": "exact point evaluation, the reference that tests "
+                      "check substitution and the float paths against",
+    "Profile.norm2": "L2 norm of a profile, the reference for the frozen "
+                     "closed-form norms BUMP_NORM2 and COS4_NORM2",
+    "IntervalQ.real_line": "the whole-line interval of the nonnegativity "
+                           "API, the counterpart of the half-line default",
+    "AnalyticFieldBundle.potential": "the scalar potential whose gradient "
+                                     "the oracle's field must be",
+    "AnalyticFieldBundle.u_cart": "the field at a point, which the analytic "
+                                  "Jacobian is finite-differenced against",
+    "__getattr__": "module hook that loads `spectral` lazily for "
+                   "`curlsharp.NonPositiveFormError`",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _docstring_nodes(tree: ast.AST) -> set[int]:
+    """ids of the string constants that are docstrings."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                out.add(id(body[0].value))
+    return out
+
+
+def _references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(identifier, line) for every identifier the code uses."""
+    docs = _docstring_nodes(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            text = node.value.replace("[*]", "")
+            if _DOTTED.fullmatch(text):
+                out += [(name, node.lineno) for name in text.split(".")]
+    return out
+
+
+def _all_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _sources() -> dict[Path, ast.Module]:
+    return {path: _parse(path) for d in SCAN_DIRS for path in sorted(d.rglob("*.py"))}
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        exported = _all_names(tree)
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+        used = {name for name, _ in _references(tree)} | exported
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                   if name not in used]
+    assert not unused, unused
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, short name, (first line, last line)) of each
+    top-level function and class and each non-dunder method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        yield node.name, node.name, (first, node.end_lineno)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, defs)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    first = min([item.lineno] + [d.lineno for d in item.decorator_list])
+                    yield (f"{node.name}.{item.name}", item.name,
+                           (first, item.end_lineno))
+
+
+def test_every_definition_is_reached():
+    sources = _sources()
+    exported = _all_names(sources[PACKAGE / "__init__.py"])
+    refs = {path: _references(tree) for path, tree in sources.items()}
+    dead = []
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, name, (first, last) in _definitions(sources[path]):
+            defined.add(qualname)
+            if qualname in ALLOWLIST or name in exported:
+                continue
+            # a use inside the definition's own lines (recursion) is not a caller
+            if any(ref == name and (other != path or not first <= line <= last)
+                   for other, found in refs.items() for ref, line in found):
+                continue
+            dead.append(f"{path.name}:{first} {qualname}")
+    assert not dead, dead
+    assert set(ALLOWLIST) <= defined, set(ALLOWLIST) - defined

@@ -103,9 +103,8 @@ def test_harmonic_normalisation_asserted_at_startup(monkeypatch):
     assert bundle.harmonic_norm2_quadrature() == pytest.approx(np.pi)
     bundle = analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1), 3)
     assert bundle.harmonic_norm2_quadrature() == pytest.approx(4 * np.pi / 5)
-    # the closed form checked against is spectral's one table
-    monkeypatch.setattr(spectral.AngularGrid, "harmonic_norm2",
-                        lambda self, nu: 1.0)
+    # the closed form checked against is the oracle's own table
+    monkeypatch.setattr(oracle, "_harmonic_norm2", lambda dim, nu: 1.0)
     with pytest.raises(AssertionError, match="normalisation mismatch"):
         analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1), 3)
 

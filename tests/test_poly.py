@@ -5,10 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from curlsharp.poly import (MultiPoly, PolyParseError, UnknownVariableError,
-                            format_poly, parse_poly, variables)
+from curlsharp.poly import (VARS, MultiPoly, PolyParseError,
+                            UnknownVariableError, format_poly, parse_poly)
 
-TAU, A, LAM, N, S, M, MU = variables()
+TAU, A, LAM, N, S, M, MU = (MultiPoly.var(v) for v in VARS)
 
 
 def rand_poly(rng, vars_=(TAU, A, LAM), terms=6, deg=3, span=9):

@@ -13,16 +13,16 @@ from scipy.special import roots_legendre
 
 import curlsharp
 from curlsharp import polyfamily as pf
-from curlsharp import spectral
+from curlsharp import oracle, spectral
 from curlsharp.poly import MultiPoly, parse_poly
 from curlsharp.constants import (Params, alpha, rellich_hardy_C,
                                  rellich_hardy_C_min)
-from curlsharp.spectral import (AngularGrid, ArgminNotAtZeroError,
+from curlsharp.spectral import (ArgminNotAtZeroError,
                                 BUMP_NORM2, COS4_NORM2, DegenerateModeError,
                                 NonPositiveFormError, Profile, SpectralField,
-                                brute_min_tau_nu, decompose_potential,
-                                derivative_norms, minimizing_sequence,
-                                quadratic_form, remainder_check, rh_quotient)
+                                brute_min_tau_nu, derivative_norms,
+                                minimizing_sequence, quadratic_form,
+                                remainder_check, rh_quotient)
 
 # frozen from an independent 40-digit quadrature / symbolic differentiation
 BUMP_AT_HALF = [0.26359713811572677, -0.46861713442795870,
@@ -408,61 +408,17 @@ def test_remainder_random_suite():
             done += 1
 
 
-def test_decompose_pure_mode():
-    p = Params(3, F(3, 2))  # lam = -1
-    lam = float(p.lam)
-    prof = Profile.make("bump", 2)
-    from scipy.special import eval_legendre
-
-    def potential(t, c):
-        return np.exp((lam + 1) * t) * prof.deriv(t, 0) * eval_legendre(2, c)
-
-    t = np.linspace(-3, 3, 769)
-    res = decompose_potential(p, potential, t, nu_max=4)
-    expected = np.exp(t) * prof.deriv(t, 0)  # r h, the stated convention
-    err = np.linalg.norm(res.phi_profiles[2] - expected) / np.linalg.norm(expected)
-    assert err < 1e-6
-    assert np.linalg.norm(res.f_profile) < 1e-10
-    for nu, profile in res.phi_profiles.items():
-        if nu != 2:
-            assert np.linalg.norm(profile) < 1e-10
-    assert res.residual_rel < 1e-10
-
-
-def test_decompose_radial():
-    p = Params(3, F(3, 2))
-    lam = float(p.lam)
-    prof = Profile.make("bump", 2)
-
-    def potential(t, c):
-        return np.exp((lam + 1) * t) * prof.deriv(t, 0) * np.ones_like(c)
-
-    t = np.linspace(-3, 3, 769)
-    res = decompose_potential(p, potential, t, nu_max=4)
-    expected = np.exp(t) * ((lam + 1) * prof.deriv(t, 0) + prof.deriv(t, 1))
-    err = np.linalg.norm(res.f_profile - expected) / np.linalg.norm(expected)
-    assert err < 1e-6
-    assert all(np.linalg.norm(v) < 1e-12 for v in res.phi_profiles.values())
-
-
-def test_decompose_zero():
-    p = Params(2, F(0))
-    t = np.linspace(-2, 2, 257)
-    res = decompose_potential(p, lambda tt, aa: np.zeros(np.broadcast(tt, aa).shape),
-                              t, nu_max=3)
-    assert np.allclose(res.f_profile, 0)
-    assert all(np.allclose(v, 0) for v in res.phi_profiles.values())
-
-
 def test_angular_grid_norms():
+    # the oracle's angular rule: total weight is the sphere's area, and
+    # each zonal harmonic's quadrature norm is the closed form
     for n_dim in (2, 3):
-        grid = AngularGrid.make(n_dim, 64)
         area = 2 * np.pi if n_dim == 2 else 4 * np.pi
-        assert grid.area == pytest.approx(area)
         for nu in range(4):
-            y = grid.harmonic(nu)
-            got = float(np.sum(grid.weights * y * y))
-            assert got == pytest.approx(grid.harmonic_norm2(nu), rel=1e-12)
+            ang, w = oracle._angular_rule(n_dim, nu)
+            assert float(np.sum(w)) == pytest.approx(area, rel=1e-12)
+            y = oracle._Zonal(n_dim, nu).y(ang)
+            got = float(np.sum(w * y * y))
+            assert got == pytest.approx(oracle._harmonic_norm2(n_dim, nu), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
