@@ -34,7 +34,7 @@ print("at random points; exactly zero in real arithmetic):")
 rng = np.random.default_rng(0)
 for (n_dim, nu, gamma) in [(2, 1, F(0)), (3, 2, F(1, 2))]:
     bundle = analytic_field(Params(n_dim, gamma), nu,
-                            Profile.make("bump", 2), n_dim)
+                            Profile.make("bump", 2))
     worst = 0.0
     for _ in range(100):
         x = rng.uniform(-1, 1, n_dim)

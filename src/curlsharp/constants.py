@@ -19,12 +19,16 @@ integer denominator, built into one Fraction at the end.  The two forms
 of A are compared by exact cross-multiplication, and C(0) against A(1);
 both raise ModeInvariantError, also under python -O.
 
-Minima over nu are certified, not assumed.  The A-family scan looks for a
-turning index and relies on the monotonicity of the difference numerator
-(certificate a-diff-monotone).  The C-family scan bounds its tail by
-A(nu_max): for nu >= 2, C(nu) >= min(A(nu-1), A(nu+1)) (c-minus-a-prev,
-c-minus-a-next, with P1(0, alpha_nu) > 0 from p1-zero-display and
-p1-alpha2), and A is nondecreasing past its turn.  The curl-free
+Minima over nu are certified, not assumed.  Two window rules, each
+stated once, decide whether the window nu <= nu_max holds the minimum.
+The A rule (`_a_window_min`) looks for a turning index and relies on the
+monotonicity of the difference numerator (certificate a-diff-monotone).
+The C rule (`_c_window_min`) bounds the C tail by A(nu_max): for nu >= 2,
+C(nu) >= min(A(nu-1), A(nu+1)) (c-minus-a-prev, c-minus-a-next, with
+P1(0, alpha_nu) > 0 from p1-zero-display and p1-alpha2), and A is
+nondecreasing past its turn.  Both take the first-index minimum of a mode
+table, so the cached minima, `improvement_report` and the float mirror
+`sweep.point_f` apply them to their own tables.  The curl-free
 Rellich-Leray scan bounds its tail by one exact comparison.  All raise
 TailBoundError rather than silently truncating.
 """
@@ -80,7 +84,6 @@ class MinResult:
     value: Fraction
     argmin_nu: int
     scanned_up_to: int
-    tail_bound_ok: bool
 
 
 def alpha(s: Fraction | int, N: int) -> Fraction:
@@ -133,12 +136,10 @@ def rellich_leray_unconstrained(p: Params) -> MinResult:
     hi = max(4, int(ceil(center)) + 3)
     vals = [_rl_unconstrained_term(p, nu) for nu in range(hi + 1)]
     value = min(vals)
-    argmin = vals.index(value)
     # certified: the term is increasing in nu for nu >= hi
-    tail_ok = (hi + Fraction(N, 2) - 1) ** 2 >= (g - 1) ** 2
-    if not tail_ok:
+    if not (hi + Fraction(N, 2) - 1) ** 2 >= (g - 1) ** 2:
         raise TailBoundError("tail_bound_failed: rellich_leray_unconstrained")
-    return MinResult(value, argmin, hi, tail_ok)
+    return MinResult(value, vals.index(value), hi)
 
 
 def rellich_leray_curlfree(p: Params, nu_max: int | None = None) -> MinResult:
@@ -176,7 +177,7 @@ def rellich_leray_curlfree(p: Params, nu_max: int | None = None) -> MinResult:
             and quart(nu_max + 1) * min(1, f(nu_max)) > value):
         raise TailBoundError(
             f"tail_bound_failed: rellich_leray_curlfree window nu <= {nu_max}")
-    return MinResult(value, vals.index(value), nu_max, True)
+    return MinResult(value, vals.index(value), nu_max)
 
 
 # ---------------------------------------------------------------------------
@@ -266,79 +267,63 @@ def rellich_hardy_C(p: Params, nu: int) -> Fraction:
 # minimisation over the mode index
 # ---------------------------------------------------------------------------
 
-class _PointModes:
-    """A(nu) and C(nu) at one Params, each evaluated at most once."""
-
-    __slots__ = ("p", "a", "c")
-
-    def __init__(self, p: Params):
-        self.p = p
-        self.a: dict[int, Fraction] = {}
-        self.c: dict[int, Fraction] = {}
-
-    def A(self, nu: int) -> Fraction:
-        if nu not in self.a:
-            self.a[nu] = rellich_hardy_A(self.p, nu)
-        return self.a[nu]
-
-    def C(self, nu: int) -> Fraction:
-        if nu not in self.c:
-            self.c[nu] = rellich_hardy_C(self.p, nu)
-        return self.c[nu]
-
-
-# The mode values of each improvement_report in progress, by (params,
-# nu_max): the minima it calls read and fill them instead of evaluating the
-# modes again.  The report removes its entry before it returns.
-_reporting: dict[tuple[Params, int], _PointModes] = {}
-
-
-def _modes(p: Params, nu_max: int) -> _PointModes:
-    return _reporting.get((p, nu_max)) or _PointModes(p)
-
-
-@lru_cache(maxsize=4096)
-def rellich_hardy_A_min(p: Params, nu_max: int | None = None) -> MinResult:
-    """Certified minimum of A(nu) over nu >= 0.
+def _a_window_min(a: list, nu_max: int) -> tuple:
+    """First-index minimum of A(0..nu_max), read from the table `a`.
 
     Certification: the forward difference A(nu+1) - A(nu) has a numerator
     that is monotone increasing in nu (an exact polynomial identity checked
-    by the certificate suite), so once A(k) <= A(k+1) inside the window the
-    family increases for every nu >= k and the window bounds the minimum.
+    by the certificate suite, a-diff-monotone), so once A(k) <= A(k+1)
+    inside the window the family increases for every nu >= k and the
+    window bounds the minimum.  Raises TailBoundError when A does not turn
+    inside the window.
     """
-    if nu_max is None:
-        nu_max = default_nu_max(p.N, p.gamma)
-    m = _modes(p, nu_max)
-    vals = [m.A(nu) for nu in range(nu_max + 1)]
+    vals = a[:nu_max + 1]
     value = min(vals)
     argmin = vals.index(value)
-    turn = next((k for k in range(1, nu_max) if vals[k] <= vals[k + 1]), None)
-    if turn is None:
+    # an argmin strictly inside the window is itself a turn
+    if not (0 < argmin < nu_max
+            or any(vals[k] <= vals[k + 1] for k in range(1, nu_max))):
         raise TailBoundError(f"tail_bound_failed: A-scan window nu <= {nu_max}")
-    return MinResult(value, argmin, nu_max, True)
+    return value, argmin
 
 
-@lru_cache(maxsize=4096)
-def rellich_hardy_C_min(p: Params, nu_max: int | None = None) -> MinResult:
-    """Certified minimum of C(nu) over nu >= 0.
+def _c_window_min(c: list, a_top, nu_max: int) -> tuple:
+    """First-index minimum of C(0..nu_max), read from the table `c`, given
+    a_top = A(nu_max) from a window that passed `_a_window_min`.
 
     Certification: for nu >= 2, C(nu) >= min(A(nu-1), A(nu+1)) at every lam
     (c-minus-a-prev and c-minus-a-next, whose denominators are positive
     because P1(0, alpha_nu) > 0 for alpha_nu >= 2N by p1-zero-display and
-    p1-alpha2).  rellich_hardy_A_min(p, nu_max) certifies that A is
-    nondecreasing from some k <= nu_max - 1 on (a-diff-monotone), so
-    C(nu) >= A(nu_max) for every nu > nu_max.  The window therefore holds
-    the minimum once A(nu_max) exceeds it.
+    p1-alpha2).  A is nondecreasing from its turn k <= nu_max - 1 on, so
+    C(nu) >= A(nu_max) for every nu > nu_max.  Raises TailBoundError unless
+    A(nu_max) exceeds the window's minimum.
     """
+    vals = c[:nu_max + 1]
+    value = min(vals)
+    if not a_top > value:
+        raise TailBoundError(f"tail_bound_failed: C-scan window nu <= {nu_max}")
+    return value, vals.index(value)
+
+
+@lru_cache(maxsize=4096)
+def rellich_hardy_A_min(p: Params, nu_max: int | None = None) -> MinResult:
+    """Certified minimum of A(nu) over nu >= 0 (`_a_window_min`)."""
+    if nu_max is None:
+        nu_max = default_nu_max(p.N, p.gamma)
+    a = [rellich_hardy_A(p, nu) for nu in range(nu_max + 1)]
+    return MinResult(*_a_window_min(a, nu_max), nu_max)
+
+
+@lru_cache(maxsize=4096)
+def rellich_hardy_C_min(p: Params, nu_max: int | None = None) -> MinResult:
+    """Certified minimum of C(nu) over nu >= 0 (`_c_window_min`, after
+    rellich_hardy_A_min(p, nu_max) has certified the turn of A)."""
     if nu_max is None:
         nu_max = default_nu_max(p.N, p.gamma)
     rellich_hardy_A_min(p, nu_max)  # raises unless A turns inside the window
-    m = _modes(p, nu_max)
-    vals = [m.C(nu) for nu in range(nu_max + 1)]
-    value = min(vals)
-    if not m.A(nu_max) > value:
-        raise TailBoundError(f"tail_bound_failed: C-scan window nu <= {nu_max}")
-    return MinResult(value, vals.index(value), nu_max, True)
+    c = [rellich_hardy_C(p, nu) for nu in range(nu_max + 1)]
+    return MinResult(*_c_window_min(c, rellich_hardy_A(p, nu_max), nu_max),
+                     nu_max)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +354,13 @@ def in_improvement_region(p: Params) -> bool:
 def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementReport:
     """Compare the unconstrained and curl-free sharp constants at (N, gamma).
 
-    `A` and `C` are rellich_hardy_A_min(p, nu_max) and
-    rellich_hardy_C_min(p, nu_max).  The report evaluates each mode once,
-    A(nu) for nu <= nu_max + 1 and C(nu) for nu <= nu_max, shares these
-    values with the two minima it calls, and keeps them as `A_values` and
-    `C_values`.  `equal` and `strict_improvement` are exact; `in_region` is
+    The report evaluates each mode once, A(nu) for nu <= nu_max + 1 and
+    C(nu) for nu <= nu_max, and keeps these tables as `A_values` and
+    `C_values`.  `A` and `C` are the window rules `_a_window_min` and
+    `_c_window_min` applied to them, so they equal
+    rellich_hardy_A_min(p, nu_max) and rellich_hardy_C_min(p, nu_max) and
+    raise the same TailBoundError where those do, without filling their
+    caches.  `equal` and `strict_improvement` are exact; `in_region` is
     the exact strict-improvement criterion for the C = C(0) regime;
     `sandwich_ok` checks min(A(nu-1), A(nu+1)) <= C(nu) <= max(A(nu-1),
     A(nu+1)) for 1 <= nu <= nu_max (c-minus-a-prev, c-minus-a-next); None
@@ -381,15 +368,10 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
     """
     if nu_max is None:
         nu_max = default_nu_max(p.N, p.gamma)
-    key = (p, nu_max)
-    m = _reporting[key] = _PointModes(p)
-    try:
-        a_min = rellich_hardy_A_min(p, nu_max)
-        c_min = rellich_hardy_C_min(p, nu_max)
-    finally:
-        _reporting.pop(key, None)
-    a = [m.A(nu) for nu in range(nu_max + 2)]
-    c = [m.C(nu) for nu in range(nu_max + 1)]
+    a = [rellich_hardy_A(p, nu) for nu in range(nu_max + 2)]
+    a_min = MinResult(*_a_window_min(a, nu_max), nu_max)
+    c = [rellich_hardy_C(p, nu) for nu in range(nu_max + 1)]
+    c_min = MinResult(*_c_window_min(c, a[nu_max], nu_max), nu_max)
     sandwich: bool | None = None
     if not p.degenerate:
         sandwich = all(min(a[nu - 1], a[nu + 1]) <= c[nu] <= max(a[nu - 1], a[nu + 1])

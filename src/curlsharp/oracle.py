@@ -139,6 +139,12 @@ Term = tuple[np.ndarray, str]
 # order of WeightedIntegrals
 _WEIGHT_OFFSET = {"lap": 0, "grad": -2, "u": -4, "rem": -2}
 
+# GL nodes per unit of t in the coarse pass of weighted_integrals (the
+# fine pass doubles them), and the largest relative change the doubling
+# may make
+_NODES_PER_UNIT = 16
+CONVERGENCE_REL_TOL = 1e-7
+
 
 def _on_grid(entries: list[list[Term]], t: np.ndarray,
              angular: dict[str, np.ndarray]) -> list[np.ndarray]:
@@ -164,7 +170,6 @@ class AnalyticFieldBundle:
     pointwise checks test the very formulas that are integrated.
     """
 
-    dim: int
     nu: int
     params: Params
     profile: Profile
@@ -174,8 +179,6 @@ class AnalyticFieldBundle:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("full-dimensional oracle exists for N = 2, 3 only")
-        if self.dim != self.params.N:
-            raise ValueError("bundle dimension must match params.N")
         if self.nu < 0:
             raise ValueError("mode must be >= 0")
         # fail fast on a normalisation-convention error
@@ -187,6 +190,10 @@ class AnalyticFieldBundle:
         object.__setattr__(self, "harmonic_norm2", got)
 
     # -- scalar building blocks ------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return self.params.N
 
     def radial_derivs(self, t) -> list[np.ndarray]:
         """g and its first three derivatives at t, from one derivative table."""
@@ -318,9 +325,9 @@ class AnalyticFieldBundle:
         return j
 
 
-def analytic_field(params: Params, nu: int, profile: Profile,
-                   dim: int) -> AnalyticFieldBundle:
-    return AnalyticFieldBundle(dim, nu, params, profile)
+def analytic_field(params: Params, nu: int, profile: Profile) -> AnalyticFieldBundle:
+    """The mode-nu test field in dimension params.N (2 or 3)."""
+    return AnalyticFieldBundle(nu, params, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +363,17 @@ def _integrate(bundle: AnalyticFieldBundle, nodes_per_unit: int,
     return tuple(out)
 
 
-def weighted_integrals(bundle: AnalyticFieldBundle,
-                       nodes_per_unit: int = 16,
-                       angular_points: int | None = None,
-                       tol: float = 1e-7) -> WeightedIntegrals:
-    """Weighted integrals with an a-posteriori resolution-doubling check;
-    raises NotConvergedError when doubling moves any of them beyond `tol`
-    relative."""
-    coarse = _integrate(bundle, nodes_per_unit, angular_points)
-    ang, _ = _angular_rule(bundle.dim, bundle.nu, angular_points)
-    fine = _integrate(bundle, 2 * nodes_per_unit, 2 * len(ang))
+def weighted_integrals(bundle: AnalyticFieldBundle) -> WeightedIntegrals:
+    """Weighted integrals with an a-posteriori resolution-doubling check:
+    a pass at _NODES_PER_UNIT radial nodes and the default angular rule,
+    then one at twice both.  Raises NotConvergedError when doubling moves
+    any integral beyond CONVERGENCE_REL_TOL relative."""
+    coarse = _integrate(bundle, _NODES_PER_UNIT, None)
+    ang, _ = _angular_rule(bundle.dim, bundle.nu)
+    fine = _integrate(bundle, 2 * _NODES_PER_UNIT, 2 * len(ang))
     rels = [abs(a - b) / max(abs(b), 1e-300) for a, b in zip(coarse, fine)]
     err = max(rels)
-    if err > tol:
+    if err > CONVERGENCE_REL_TOL:
         raise NotConvergedError(f"not_converged: doubling changed by {err:.2e}")
     return WeightedIntegrals(*fine, est_error=err)
 
@@ -428,7 +433,7 @@ def crosscheck(params: Params, nu: int, profile: Profile,
     if params.N not in (2, 3):
         raise ValueError("crosscheck needs N in {2, 3}")
     tol = tol if tol is not None else (1e-6 if params.N == 2 else 1e-5)
-    bundle = analytic_field(params, nu, profile, params.N)
+    bundle = analytic_field(params, nu, profile)
     ints = weighted_integrals(bundle)
     q_poly, p_poly = pf.channel_polys(params, nu)
     norm_y2 = bundle.harmonic_norm2

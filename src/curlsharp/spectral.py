@@ -166,6 +166,13 @@ _FFT_SAMPLES_PER_BASE_UNIT = 512
 
 # largest relative gap allowed between one order's GL norm and FFT moment
 ORDER_REL_TOL = 1e-8
+# largest relative gap allowed between a form's two backend values
+FORM_REL_TOL = 1e-8
+# slack of the remainder inequality, relative to the size of its terms
+REMAINDER_TOL = 1e-8
+
+# GL nodes per unit of t for the derivative norms; see _gl_nodes
+_GL_NODES_PER_UNIT = 16
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,7 @@ class Profile:
 
     kind: str
     n: int
-    # (derivative shift, nodes per unit) -> (norms, moments); see form_basis
+    # derivative shift -> (norms, moments); see form_basis
     _bases: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -212,7 +219,7 @@ class Profile:
         table = _KINDS[self.kind](t / self.n, max(orders))
         return [table[k] / self.n ** k for k in orders]
 
-    def form_basis(self, derivative_shift: int = 0, nodes_per_unit: int = 16
+    def form_basis(self, derivative_shift: int = 0
                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(derivative norms, Fourier moments) of orders 0..top for
         h^(derivative_shift), computed on first use and then reused.
@@ -225,12 +232,10 @@ class Profile:
         any order's GL norm and FFT moment differ by more than
         ORDER_REL_TOL relative.
         """
-        key = (derivative_shift, nodes_per_unit)
-        if key not in self._bases:
+        if derivative_shift not in self._bases:
             top = min(MAX_TAU_DEGREE,
                       _CONTINUOUS_ORDER[self.kind] - derivative_shift)
-            norms = tuple(derivative_norms(self, top, derivative_shift,
-                                           nodes_per_unit))
+            norms = tuple(derivative_norms(self, top, derivative_shift))
             moments = tuple(_fourier_moments(self, top, derivative_shift))
             for k, (g, f) in enumerate(zip(norms, moments)):
                 rel = abs(g - f) / max(abs(g), abs(f), 1e-300)
@@ -239,8 +244,8 @@ class Profile:
                         f"backend_disagreement: {self.kind} n={self.n} order "
                         f"{derivative_shift + k}: GL norm {g} vs FFT moment "
                         f"{f} (rel {rel:.2e})")
-            self._bases[key] = (norms, moments)
-        return self._bases[key]
+            self._bases[derivative_shift] = (norms, moments)
+        return self._bases[derivative_shift]
 
     def base_norm2(self) -> float:
         return BUMP_NORM2 if self.kind == "bump" else COS4_NORM2
@@ -267,7 +272,7 @@ _EDGE_LEVELS = 36
 
 
 @lru_cache(maxsize=64)
-def _gl_nodes(n: int, nodes_per_unit: int = 16):
+def _gl_nodes(n: int, nodes_per_unit: int):
     """Composite Gauss-Legendre nodes/weights on [-n, n], read-only and
     shared.
 
@@ -291,10 +296,10 @@ def _gl_nodes(n: int, nodes_per_unit: int = 16):
 
 
 def derivative_norms(profile: Profile, max_order: int,
-                     derivative_shift: int = 0,
-                     nodes_per_unit: int = 16) -> list[float]:
-    """[integral (h^(k+shift))^2 dt for k = 0..max_order] by composite GL."""
-    nodes, weights = _gl_nodes(profile.n, nodes_per_unit)
+                     derivative_shift: int = 0) -> list[float]:
+    """[integral (h^(k+shift))^2 dt for k = 0..max_order] by composite GL
+    with _GL_NODES_PER_UNIT nodes per unit of t."""
+    nodes, weights = _gl_nodes(profile.n, _GL_NODES_PER_UNIT)
     orders = range(derivative_shift, derivative_shift + max_order + 1)
     return [float(np.sum(weights * vals * vals))
             for vals in profile.derivs(nodes, orders)]
@@ -351,15 +356,13 @@ class FormValue:
     rel_diff: float
 
 
-def _tau_coefficients(poly: MultiPoly, a_value: Fraction | None) -> list[float]:
+def _tau_coefficients(poly: MultiPoly) -> list[float]:
     """[c_0, ..., c_d] as floats, with poly = sum c_k tau^k and d <= 3.
 
     Read straight off the exponent dict (a zero poly gives [0.0]); raises
-    ValueError when a variable other than tau is left after substituting
-    a = a_value, or when the degree in tau exceeds MAX_TAU_DEGREE.
+    ValueError when a variable other than tau is left, or when the degree
+    in tau exceeds MAX_TAU_DEGREE.
     """
-    if a_value is not None:
-        poly = poly.subs("a", Fraction(a_value))
     terms = poly.terms
     if any(sum(exp) != exp[_TAU] for exp in terms):
         raise ValueError(f"form polynomial still has free variables "
@@ -374,12 +377,9 @@ def _tau_coefficients(poly: MultiPoly, a_value: Fraction | None) -> list[float]:
 
 
 def quadratic_form(profile: Profile, poly: MultiPoly,
-                   a_value: Fraction | None = None,
-                   derivative_shift: int = 0,
-                   nodes_per_unit: int = 16,
-                   tol: float = 1e-8) -> FormValue:
-    """integral h . poly(-d^2/dt^2, a) h dt for the (possibly shifted)
-    profile, with poly of degree <= 3 in tau.
+                   derivative_shift: int = 0) -> FormValue:
+    """integral h . poly(-d^2/dt^2) h dt for the (possibly shifted)
+    profile, with poly a polynomial in tau alone, of degree <= 3.
 
     Computed twice: tau^k -> integral (h^(k))^2 (integration by parts;
     boundary terms vanish by compact support) and tau^k -> Fourier moment.
@@ -387,11 +387,11 @@ def quadratic_form(profile: Profile, poly: MultiPoly,
     (profile, derivative shift) serves every form on it.  Raises
     ValueError, before any quadrature, when the form reads a derivative
     order the profile does not have continuous (cos4 is only C^3), and
-    BackendDisagreementError when the backends differ beyond `tol`
+    BackendDisagreementError when the backends differ beyond FORM_REL_TOL
     relative on the form, or beyond ORDER_REL_TOL on any one order of the
     basis (a resolution problem, not a rounding one).
     """
-    coeffs = _tau_coefficients(poly, a_value)
+    coeffs = _tau_coefficients(poly)
     top = derivative_shift + len(coeffs) - 1
     if top > _CONTINUOUS_ORDER[profile.kind]:
         raise ValueError(
@@ -399,13 +399,13 @@ def quadratic_form(profile: Profile, poly: MultiPoly,
             f"reads h^({top}), but the {profile.kind} table is continuous "
             f"only up to order {_CONTINUOUS_ORDER[profile.kind]}: its "
             f"Fourier moment of order {top} does not converge")
-    norms, moments = profile.form_basis(derivative_shift, nodes_per_unit)
+    norms, moments = profile.form_basis(derivative_shift)
     value = sum(c * v for c, v in zip(coeffs, norms))
     fourier = sum(c * v for c, v in zip(coeffs, moments))
     scale = max(abs(value), abs(fourier),
                 sum(abs(c) * v for c, v in zip(coeffs, norms)), 1e-300)
     rel = abs(value - fourier) / scale
-    if rel > tol:
+    if rel > FORM_REL_TOL:
         raise BackendDisagreementError(
             f"backend_disagreement: {value} vs {fourier} (rel {rel:.2e})")
     return FormValue(value, fourier, rel)
@@ -455,15 +455,15 @@ class QuotientReport:
         }
 
 
-def rh_quotient(field: SpectralField, nodes_per_unit: int = 16) -> QuotientReport:
+def rh_quotient(field: SpectralField) -> QuotientReport:
     """Laplacian-to-gradient quotient of the field via the reduced forms."""
     if field.degenerate:
         raise DegenerateModeError(
             "mode nu=1 at gamma = 2 - N/2: P1(0, alpha_1) vanishes; "
             "interpret only through the n-dependence")
     q_poly, p_poly = pf.channel_polys(field.params, field.mode)
-    num = quadratic_form(field.profile, q_poly, nodes_per_unit=nodes_per_unit)
-    den = quadratic_form(field.profile, p_poly, nodes_per_unit=nodes_per_unit)
+    num = quadratic_form(field.profile, q_poly)
+    den = quadratic_form(field.profile, p_poly)
     if not (num.value > 0 and den.value > 0):
         raise NonPositiveFormError(
             f"quadratic forms must be positive for a nonzero field: "
@@ -544,7 +544,7 @@ def brute_min_tau_nu(params: Params, tau_min: float = 1e-4,
     coeffs = np.zeros((2, nu_max + 1, MAX_TAU_DEGREE + 1))
     for nu in range(nu_max + 1):
         for side, poly in enumerate(pf.channel_polys(params, nu)):
-            c = _tau_coefficients(poly, None)
+            c = _tau_coefficients(poly)
             coeffs[side, nu, :len(c)] = c
     vals = coeffs[..., -1, None] + taus * 0
     for k in range(MAX_TAU_DEGREE - 1, -1, -1):
@@ -596,9 +596,9 @@ class RemainderReport:
         }
 
 
-def remainder_check(field: SpectralField, tol: float = 1e-8,
-                    nodes_per_unit: int = 16) -> RemainderReport:
-    """Check gap >= min(1, c0) * remainder - tol * scale for the field.
+def remainder_check(field: SpectralField) -> RemainderReport:
+    """Check gap >= min(1, c0) * remainder - REMAINDER_TOL * scale for the
+    field.
 
     gap is the Laplacian form minus the certified global constant times
     the gradient form; the remainder is the gradient-side form applied to
@@ -608,14 +608,13 @@ def remainder_check(field: SpectralField, tol: float = 1e-8,
     if field.degenerate:
         raise DegenerateModeError("(lam = 0, nu = 1) excluded")
     q_poly, p_poly = pf.channel_polys(field.params, field.mode)
-    qf = quadratic_form(field.profile, q_poly, nodes_per_unit=nodes_per_unit)
-    pform = quadratic_form(field.profile, p_poly, nodes_per_unit=nodes_per_unit)
-    rem = quadratic_form(field.profile, p_poly, derivative_shift=1,
-                         nodes_per_unit=nodes_per_unit)
+    qf = quadratic_form(field.profile, q_poly)
+    pform = quadratic_form(field.profile, p_poly)
+    rem = quadratic_form(field.profile, p_poly, derivative_shift=1)
     c_min = float(rellich_hardy_C_min(field.params).value)
     c0 = float(min(Fraction(1), c0_for(field.params)))
     gap = qf.value - c_min * pform.value
     scale = abs(qf.value) + abs(c_min * pform.value) + abs(rem.value)
-    bound = c0 * rem.value - tol * scale
+    bound = c0 * rem.value - REMAINDER_TOL * scale
     return RemainderReport(field.params, field.mode, field.profile.n,
                            gap, rem.value, c0, bound, scale, gap >= bound)

@@ -5,16 +5,19 @@ The formulas from `constants` are re-stated here in plain floating point
 gamma grids can be swept quickly.  `point_f` computes the gamma-only
 subexpressions of A(nu) and C(nu) once per (N, gamma) and fills both
 families over the scan window; each float is bit-identical to evaluating
-the closed form term by term.  The exact path is authoritative; on
-rational grid points the mirror's modes, minima and argmins are tested
-equal to `float()` of the exact ones.
+the closed form term by term.  It reads the minima off these tables with
+the exact path's two window rules (`constants._a_window_min` and
+`_c_window_min`), so it raises TailBoundError where the exact path would.
+The result is a mirror, not a certificate: the rules compare floats.  The
+exact path is authoritative; on rational grid points the mirror's modes,
+minima and argmins are tested equal to `float()` of the exact ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constants import default_nu_max
+from .constants import _a_window_min, _c_window_min, default_nu_max
 
 # relative tolerance under which float minima count as equal; on rational
 # grid points it coincides with exact equality
@@ -72,14 +75,15 @@ class SweepRow:
 
 def point_f(N: int, gamma: float, hi: int = 0) -> tuple[SweepRow, list[float], list[float]]:
     """The sweep row at (N, gamma), with the A(nu) and C(nu) it was read
-    from for nu = 0..max(hi, end of the scan window)."""
+    from for nu = 0..max(hi, end of the scan window).  Raises
+    TailBoundError where the window rules do."""
     window = default_nu_max(N, gamma)
     a, c = _mode_values(N, gamma, max(hi, window))
-    a_min = min(a[:window + 1])
-    c_min = min(c[:window + 1])
+    a_min, a_argmin = _a_window_min(a, window)
+    c_min, c_argmin = _c_window_min(c, a[window], window)
     row = SweepRow(
-        N=N, gamma=float(gamma), A_min=a_min, A_argmin=a.index(a_min),
-        C_min=c_min, C_argmin=c.index(c_min),
+        N=N, gamma=float(gamma), A_min=a_min, A_argmin=a_argmin,
+        C_min=c_min, C_argmin=c_argmin,
         equal=abs(c_min - a_min) <= EQUAL_REL_TOL * max(abs(a_min), abs(c_min), 1.0),
         in_improvement_region=in_improvement_region_f(N, gamma),
     )

@@ -136,7 +136,7 @@ def test_criterion_7_remainder_inequality():
                 field = SpectralField(p, nu, Profile.make(
                     "bump" if rng.integers(2) else "cos4",
                     int(rng.integers(2, 8))))
-                rep = remainder_check(field, tol=1e-8)
+                rep = remainder_check(field)
                 assert rep.gap >= min(1.0, rep.c0) * rep.remainder \
                     - 1e-8 * rep.scale
                 done += 1

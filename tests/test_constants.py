@@ -57,7 +57,6 @@ def test_rellich_leray_unconstrained():
                     for nu in range(51))
         res = rellich_leray_unconstrained(p)
         assert res.value == brute
-        assert res.tail_bound_ok
     assert rellich_leray_unconstrained(Params(3, F(0))).value == F(9, 16)
     assert rellich_leray_unconstrained(Params(4, F(3))).value == 0  # (g-1)^2=(nu+1)^2
     assert rellich_leray_unconstrained(Params(2, F(1))).value == 0
@@ -399,15 +398,9 @@ def test_improvement_report_equals_public_minima():
                 for nu in range(1, nu_max + 1)))
 
 
-def test_improvement_report_calls_public_minima(monkeypatch):
-    p = Params(7, F(-5, 3))
-    rep = improvement_report(p)
-    nu_max = rep.A.scanned_up_to
-    # the report's minima are the lru_cached public ones
-    assert rellich_hardy_A_min(p, nu_max) is rep.A
-    assert rellich_hardy_C_min(p, nu_max) is rep.C
-    assert not constants._reporting       # no mode table outlives the report
-    # reached by module name, where a caller can wrap them
+def test_report_and_minima_share_the_window_rules(monkeypatch):
+    # one statement of each rule: the report, the cached minima and the
+    # float mirror all apply it, by module name, where a caller can wrap it
     called = Counter()
 
     def counting(name, fn):
@@ -416,10 +409,42 @@ def test_improvement_report_calls_public_minima(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("rellich_hardy_A_min", "rellich_hardy_C_min"):
-        monkeypatch.setattr(constants, name, counting(name, getattr(constants, name)))
-    improvement_report(Params(7, F(-4, 3)))
-    assert called["rellich_hardy_A_min"] >= 1 and called["rellich_hardy_C_min"] == 1
+    for name in ("_a_window_min", "_c_window_min"):
+        wrapped = counting(name, getattr(constants, name))
+        monkeypatch.setattr(constants, name, wrapped)
+        monkeypatch.setattr(sweep, name, wrapped)
+    p = Params(7, F(-5, 3))
+    rellich_hardy_A_min.cache_clear()
+    rellich_hardy_C_min.cache_clear()
+    rep = improvement_report(p, nu_max=30)
+    assert called == {"_a_window_min": 1, "_c_window_min": 1}
+    # the report fills no cache of the public minima, and equals them
+    assert rellich_hardy_A_min.cache_info().currsize == 0
+    assert rellich_hardy_C_min.cache_info().currsize == 0
+    assert (rellich_hardy_A_min(p, 30), rellich_hardy_C_min(p, 30)) == (rep.A, rep.C)
+    assert called == {"_a_window_min": 2, "_c_window_min": 2}
+    sweep.point_f(7, -5 / 3)
+    assert called == {"_a_window_min": 3, "_c_window_min": 3}
+
+
+@pytest.mark.parametrize("n,gamma,window,message", [
+    (2, 12, 4, "tail_bound_failed: A-scan window nu <= 4"),   # A turns near nu = 11
+    (3, 4, 3, "tail_bound_failed: C-scan window nu <= 3"),    # A(3) <= min C
+], ids=["a-turn", "c-tail"])
+def test_point_f_raises_where_the_exact_path_does(monkeypatch, capsys, n, gamma,
+                                                  window, message):
+    with pytest.raises(TailBoundError) as exact:
+        improvement_report(Params(n, F(gamma)), nu_max=window)
+    assert str(exact.value) == message
+    monkeypatch.setattr(sweep, "default_nu_max", lambda N, g: window)
+    with pytest.raises(TailBoundError) as mirror:
+        sweep.point_f(n, float(gamma))
+    assert str(mirror.value) == message
+    # a decimal gamma reaches the mirror through the CLI: a math failure,
+    # not an unchecked minimum on stdout
+    assert cli.main(["constants", "--N", str(n), f"--gamma={gamma}.0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,14 @@ is on the short allowlist below.  A reference is an identifier in the
 code (a name or an attribute) or a string constant that is a dotted name,
 such as the `"MultiPoly.subs"` specs `bench/tracer.py` patches.
 Docstrings and comments are not references.
+
+(c) No function in `src/curlsharp` mutates a dict, list or set bound at
+module level: no subscript assignment or `del` on it, and no call of a
+mutating method (`pop`, `append`, `update`, `setdefault`, `add`,
+`extend`, `clear` and the like).  Such a container is state shared by
+every caller in the process; state a call needs belongs to an object the
+caller creates and passes.  A local name that shadows the module-level
+one is not the module's container.
 """
 
 import ast
@@ -142,3 +150,66 @@ def test_every_definition_is_reached():
             dead.append(f"{path.name}:{first} {qualname}")
     assert not dead, dead
     assert set(ALLOWLIST) <= defined, set(ALLOWLIST) - defined
+
+
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+_MUTATORS = {"pop", "popitem", "append", "insert", "update", "setdefault",
+             "add", "discard", "remove", "extend", "clear"}
+
+
+def _is_container(node: ast.AST) -> bool:
+    return (isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                              ast.ListComp, ast.SetComp))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _CONTAINER_CALLS))
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """Names that module-level statements bind to a dict, list or set."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _is_container(node.value):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif (isinstance(node, ast.AnnAssign) and node.value is not None
+              and _is_container(node.value) and isinstance(node.target, ast.Name)):
+            out.add(node.target.id)
+    return out
+
+
+def _local_names(func) -> set[str]:
+    """Parameters and names a function (or a function nested in it) binds,
+    less those it declares global."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared_global = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared_global.update(node.names)
+    return names - declared_global
+
+
+def test_no_function_mutates_module_containers():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        containers = _module_containers(tree)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            shared = containers - _local_names(func)
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Subscript)
+                        and isinstance(node.ctx, (ast.Store, ast.Del))):
+                    target, how = node.value, "item assignment or del"
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in _MUTATORS):
+                    target, how = node.func.value, f".{node.func.attr}()"
+                else:
+                    continue
+                if isinstance(target, ast.Name) and target.id in shared:
+                    found.add(f"{path.name}:{node.lineno} {target.id} {how}")
+    assert not found, sorted(found)

@@ -32,7 +32,7 @@ def _random_points(rng, dim, count=100):
     (3, 0, F(0)), (3, 1, F(2)), (3, 2, F(1, 2)),
 ])
 def test_curl_residual_is_rounding(dim, nu, gamma):
-    bundle = analytic_field(Params(dim, gamma), nu, Profile.make("bump", 2), dim)
+    bundle = analytic_field(Params(dim, gamma), nu, Profile.make("bump", 2))
     rng = np.random.default_rng(2)
     for x in _random_points(rng, dim):
         jac = bundle.jac_cart(x)
@@ -43,7 +43,7 @@ def test_curl_residual_is_rounding(dim, nu, gamma):
 @pytest.mark.parametrize("dim,nu,gamma", [(2, 1, F(0)), (3, 2, F(1, 2)),
                                           (3, 0, F(1))])
 def test_jacobian_matches_finite_differences(dim, nu, gamma):
-    bundle = analytic_field(Params(dim, gamma), nu, Profile.make("bump", 2), dim)
+    bundle = analytic_field(Params(dim, gamma), nu, Profile.make("bump", 2))
     rng = np.random.default_rng(8)
     eps = 1e-6
     for x in _random_points(rng, dim, count=25):
@@ -59,7 +59,7 @@ def test_jacobian_matches_finite_differences(dim, nu, gamma):
 
 def test_gradient_of_potential_is_field():
     # u = grad(potential), checked by finite differences of the potential
-    bundle = analytic_field(Params(3, F(1, 2)), 2, Profile.make("bump", 2), 3)
+    bundle = analytic_field(Params(3, F(1, 2)), 2, Profile.make("bump", 2))
     rng = np.random.default_rng(5)
     eps = 1e-6
     for x in _random_points(rng, 3, count=20):
@@ -99,14 +99,14 @@ def test_zonal_eigenvalue(dim, nu):
 
 def test_harmonic_normalisation_asserted_at_startup(monkeypatch):
     # closed-form norms: pi for cos(nu theta), 4 pi/(2 nu + 1) for Legendre
-    bundle = analytic_field(Params(2, F(0)), 2, Profile.make("bump", 1), 2)
+    bundle = analytic_field(Params(2, F(0)), 2, Profile.make("bump", 1))
     assert bundle.harmonic_norm2_quadrature() == pytest.approx(np.pi)
-    bundle = analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1), 3)
+    bundle = analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1))
     assert bundle.harmonic_norm2_quadrature() == pytest.approx(4 * np.pi / 5)
     # the closed form checked against is the oracle's own table
     monkeypatch.setattr(oracle, "_harmonic_norm2", lambda dim, nu: 1.0)
     with pytest.raises(AssertionError, match="normalisation mismatch"):
-        analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1), 3)
+        analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1))
 
 
 def test_cot_dy_exists_for_n3_only():
@@ -120,7 +120,7 @@ def test_cot_dy_exists_for_n3_only():
 
 
 def test_zero_and_positive_integrals():
-    bundle = analytic_field(Params(2, F(1, 2)), 1, Profile.make("bump", 2), 2)
+    bundle = analytic_field(Params(2, F(1, 2)), 1, Profile.make("bump", 2))
     ints = weighted_integrals(bundle)
     assert ints.I_lap > 0 and ints.I_grad > 0 and ints.I_u > 0 and ints.I_rem > 0
     assert ints.est_error < 1e-7
@@ -128,7 +128,7 @@ def test_zero_and_positive_integrals():
 
 def test_quotient_dominates_constant():
     p = Params(2, F(1, 2))
-    bundle = analytic_field(p, 1, Profile.make("bump", 3), 2)
+    bundle = analytic_field(p, 1, Profile.make("bump", 3))
     ints = weighted_integrals(bundle)
     c_min = float(rellich_hardy_C_min(p).value)
     assert ints.I_lap / ints.I_grad >= c_min - 1e-6
@@ -136,11 +136,9 @@ def test_quotient_dominates_constant():
 
 def test_bundle_validation():
     with pytest.raises(ValueError):
-        analytic_field(Params(4, F(0)), 1, Profile.make("bump", 1), 4)
+        analytic_field(Params(4, F(0)), 1, Profile.make("bump", 1))
     with pytest.raises(ValueError):
-        analytic_field(Params(3, F(0)), 1, Profile.make("bump", 1), 2)
-    with pytest.raises(ValueError):
-        analytic_field(Params(2, F(0)), -1, Profile.make("bump", 1), 2)
+        analytic_field(Params(2, F(0)), -1, Profile.make("bump", 1))
 
 
 @pytest.mark.parametrize("gamma", [F(-1), F(0), F(1, 2), F(1), F(2)])
@@ -180,7 +178,7 @@ def test_weighted_integrals_match_per_term_reference(monkeypatch, dim, nu):
     # one derivative table per radial grid and pass gives the same floats
     # as evaluating profile.deriv separately for every term
     bundle = analytic_field(Params(dim, F(1, 2)), nu,
-                            Profile.make("bump", 2), dim)
+                            Profile.make("bump", 2))
     got = weighted_integrals(bundle)
 
     def per_term(self, t, orders):
@@ -194,7 +192,7 @@ def test_weighted_integrals_match_per_term_reference(monkeypatch, dim, nu):
 
 
 def test_crosscheck_reuses_harmonic_norm(monkeypatch):
-    bundle = analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1), 3)
+    bundle = analytic_field(Params(3, F(0)), 2, Profile.make("bump", 1))
     assert bundle.harmonic_norm2 == bundle.harmonic_norm2_quadrature()
     calls = []
     real = oracle.AnalyticFieldBundle.harmonic_norm2_quadrature
@@ -232,7 +230,7 @@ def _brute_grid_integrals(bundle, nodes_per_unit, angular_points):
 def test_gram_contraction_matches_brute_grid(dim, gamma):
     for nu in range(4):
         bundle = analytic_field(Params(dim, gamma), nu,
-                                Profile.make("bump", 2), dim)
+                                Profile.make("bump", 2))
         ang, _ = oracle._angular_rule(dim, nu)
         for npu, points in ((16, None), (32, 2 * len(ang))):
             got = oracle._integrate(bundle, npu, points)

@@ -151,9 +151,8 @@ def test_backend_agreement(kind, n):
     prof = Profile.make(kind, n)
     p = Params(3, F(0))
     fam = pf.build_family(p)
-    for poly, a_val in [(fam.P0, None), (fam.Q0, None),
-                        (fam.P1, F(2)), (fam.Q1, F(2))]:
-        fv = quadratic_form(prof, poly, a_val)
+    for poly in [fam.P0, fam.Q0, fam.P1.subs("a", F(2)), fam.Q1.subs("a", F(2))]:
+        fv = quadratic_form(prof, poly)
         assert fv.rel_diff < 1e-8
 
 
@@ -333,9 +332,7 @@ def test_brute_min_rejects_negative_nu_max():
         brute_min_tau_nu(Params(3, F(0)), nu_max=-1)
 
 
-def _tau_coefficients_reference(poly, a_value):
-    if a_value is not None:
-        poly = poly.subs("a", a_value)
+def _tau_coefficients_reference(poly):
     return [float(c.constant_value()) for c in poly.coeffs_in("tau")]
 
 
@@ -351,27 +348,28 @@ def test_tau_coefficients_match_coeffs_in(coeffs, a_value):
     # terms tau^i a^j; with a left free only the j = 0 terms are kept
     tau_only = MultiPoly({(i, 0, 0, 0, 0, 0, 0): c
                           for (i, j), c in coeffs.items() if j == 0})
-    assert (spectral._tau_coefficients(tau_only, None)
-            == _tau_coefficients_reference(tau_only, None))
+    assert (spectral._tau_coefficients(tau_only)
+            == _tau_coefficients_reference(tau_only))
     with_a = MultiPoly({(i, j, 0, 0, 0, 0, 0): c
-                        for (i, j), c in coeffs.items()})
-    assert (spectral._tau_coefficients(with_a, a_value)
-            == _tau_coefficients_reference(with_a, a_value))
+                        for (i, j), c in coeffs.items()}).subs("a", a_value)
+    assert (spectral._tau_coefficients(with_a)
+            == _tau_coefficients_reference(with_a))
 
 
 def test_tau_coefficients_edge_cases():
-    assert spectral._tau_coefficients(MultiPoly(), None) == [0.0]
-    assert spectral._tau_coefficients(parse_poly("tau^3"), None) == [0.0] * 3 + [1.0]
-    assert spectral._tau_coefficients(parse_poly("a * tau - 1"), F(1, 2)) == [-1.0, 0.5]
+    assert spectral._tau_coefficients(MultiPoly()) == [0.0]
+    assert spectral._tau_coefficients(parse_poly("tau^3")) == [0.0] * 3 + [1.0]
+    assert spectral._tau_coefficients(
+        parse_poly("a * tau - 1").subs("a", F(1, 2))) == [-1.0, 0.5]
     with pytest.raises(ValueError, match=r"^form polynomial still has free "
                        r"variables \('tau', 'lam'\)$"):
-        spectral._tau_coefficients(parse_poly("tau + lam"), None)
+        spectral._tau_coefficients(parse_poly("tau + lam"))
     # the free-variable check comes before the degree check
     with pytest.raises(ValueError, match=r"free variables \('tau', 'a'\)$"):
-        spectral._tau_coefficients(parse_poly("a^2 + tau^4"), None)
+        spectral._tau_coefficients(parse_poly("a^2 + tau^4"))
     with pytest.raises(ValueError, match=r"^form polynomial must have degree "
                        r"<= 3 in tau$"):
-        spectral._tau_coefficients(parse_poly("tau^4 + a"), F(2))
+        spectral._tau_coefficients(parse_poly("tau^4 + a").subs("a", F(2)))
 
 
 def test_remainder_examples():
@@ -451,7 +449,7 @@ def _reference_form(prof, poly, shift):
     """quadratic_form's two backends, computed per order from profile.deriv
     with no shared basis."""
     coeffs = [float(c.constant_value()) for c in poly.coeffs_in("tau")]
-    nodes, weights = spectral._gl_nodes(prof.n)
+    nodes, weights = spectral._gl_nodes(prof.n, spectral._GL_NODES_PER_UNIT)
     norms = []
     for k in range(len(coeffs)):
         vals = prof.deriv(nodes, k + shift)
@@ -482,7 +480,7 @@ def test_shared_basis_forms_exact(kind):
                                    derivative_shift=shift)
             assert fv == fresh
             assert (fv.value, fv.fourier) == _reference_form(shared, poly, shift)
-    assert set(shared._bases) == {(0, 16), (1, 16)}
+    assert set(shared._bases) == {0, 1}
 
 
 @pytest.mark.parametrize("kind,shift,length", [
@@ -565,7 +563,7 @@ def test_per_unit_of_t_sizing_trips_the_gate(monkeypatch):
 @pytest.mark.parametrize("kind,n", [("bump", 1), ("bump", 4), ("cos4", 2)])
 def test_derivative_norms_match_per_order(kind, n):
     prof = Profile.make(kind, n)
-    nodes, weights = spectral._gl_nodes(n)
+    nodes, weights = spectral._gl_nodes(n, spectral._GL_NODES_PER_UNIT)
     for shift in (0, 1):
         want = []
         for k in range(4):
