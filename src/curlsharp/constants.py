@@ -23,14 +23,17 @@ Minima over nu are certified, not assumed.  Two window rules, each
 stated once, decide whether the window nu <= nu_max holds the minimum.
 The A rule (`_a_window_min`) looks for a turning index and relies on the
 monotonicity of the difference numerator (certificate a-diff-monotone).
-The C rule (`_c_window_min`) bounds the C tail by A(nu_max): for nu >= 2,
-C(nu) >= min(A(nu-1), A(nu+1)) (c-minus-a-prev, c-minus-a-next, with
-P1(0, alpha_nu) > 0 from p1-zero-display and p1-alpha2), and A is
-nondecreasing past its turn.  Both take the first-index minimum of a mode
-table, so the cached minima, `improvement_report` and the float mirror
-`sweep.point_f` apply them to their own tables.  The curl-free
-Rellich-Leray scan bounds its tail by one exact comparison.  All raise
-TailBoundError rather than silently truncating.
+The C rule (`_c_window_min`) bounds the C tail by A(m) at an m past the
+turn: for nu >= 2, C(nu) >= min(A(nu-1), A(nu+1)) (c-minus-a-prev,
+c-minus-a-next, with P1(0, alpha_nu) > 0 from p1-zero-display and
+p1-alpha2), and A is nondecreasing past its turn.  Both read a mode table
+in increasing nu and stop where their rule is decided, typically a few
+modes in, with the same value, first-index argmin and TailBoundError as
+a scan of the whole window.  The cached minima and the float mirror
+`sweep.point_f` hand them tables that evaluate each mode on first read
+(`_ModeTable`); `improvement_report` hands them the full tables it
+prints.  The curl-free Rellich-Leray scan bounds its tail by one exact
+comparison.  All raise TailBoundError rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ class ModeConstant:
 
 @dataclass(frozen=True)
 class MinResult:
+    """Minimum over nu >= 0 and its first index.  `scanned_up_to` is nu_max,
+    the window whose rules certify the minimum, not the number of modes
+    read: the scans stop where the rules are decided."""
+
     value: Fraction
     argmin_nu: int
     scanned_up_to: int
@@ -267,63 +274,87 @@ def rellich_hardy_C(p: Params, nu: int) -> Fraction:
 # minimisation over the mode index
 # ---------------------------------------------------------------------------
 
-def _a_window_min(a: list, nu_max: int) -> tuple:
-    """First-index minimum of A(0..nu_max), read from the table `a`.
+class _ModeTable(dict):
+    """A mode family evaluated on demand: `table[nu]` evaluates mode(nu) on
+    its first read and keeps it."""
+
+    __slots__ = ("mode",)
+
+    def __init__(self, mode):
+        self.mode = mode
+
+    def __missing__(self, nu: int):
+        value = self[nu] = self.mode(nu)
+        return value
+
+
+def _a_window_min(a, nu_max: int) -> tuple:
+    """First-index minimum of A(nu) over nu >= 0, certified by the window
+    nu <= nu_max.  Reads `a[nu]` in increasing nu and stops at the first
+    turn k, the first 1 <= k < nu_max with A(k) <= A(k+1).
 
     Certification: the forward difference A(nu+1) - A(nu) has a numerator
     that is monotone increasing in nu (an exact polynomial identity checked
-    by the certificate suite, a-diff-monotone), so once A(k) <= A(k+1)
-    inside the window the family increases for every nu >= k and the
-    window bounds the minimum.  Raises TailBoundError when A does not turn
-    inside the window.
+    by the certificate suite, a-diff-monotone), so A is nondecreasing from
+    its turn k on, and the minimum and its first index are those of
+    A(0..k).  Raises TailBoundError when A does not turn inside the window.
     """
-    vals = a[:nu_max + 1]
-    value = min(vals)
-    argmin = vals.index(value)
-    # an argmin strictly inside the window is itself a turn
-    if not (0 < argmin < nu_max
-            or any(vals[k] <= vals[k + 1] for k in range(1, nu_max))):
-        raise TailBoundError(f"tail_bound_failed: A-scan window nu <= {nu_max}")
-    return value, argmin
+    value, argmin = a[0], 0
+    for k in range(1, nu_max):
+        ak = a[k]
+        if ak < value:
+            value, argmin = ak, k
+        if ak <= a[k + 1]:
+            return value, argmin
+    raise TailBoundError(f"tail_bound_failed: A-scan window nu <= {nu_max}")
 
 
-def _c_window_min(c: list, a_top, nu_max: int) -> tuple:
-    """First-index minimum of C(0..nu_max), read from the table `c`, given
-    a_top = A(nu_max) from a window that passed `_a_window_min`.
+def _c_window_min(c, a, nu_max: int) -> tuple:
+    """First-index minimum of C(nu) over nu >= 0, certified by the window
+    nu <= nu_max, once `_a_window_min` has found the turn k of A there.
+    Reads `c[nu]` and `a[nu]` in increasing nu and stops at the first
+    1 <= m <= nu_max with min C(0..m) < A(m) <= A(m+1).
 
     Certification: for nu >= 2, C(nu) >= min(A(nu-1), A(nu+1)) at every lam
     (c-minus-a-prev and c-minus-a-next, whose denominators are positive
     because P1(0, alpha_nu) > 0 for alpha_nu >= 2N by p1-zero-display and
-    p1-alpha2).  A is nondecreasing from its turn k <= nu_max - 1 on, so
-    C(nu) >= A(nu_max) for every nu > nu_max.  Raises TailBoundError unless
-    A(nu_max) exceeds the window's minimum.
+    p1-alpha2).  A(m) <= A(m+1) holds from the turn k on and nowhere before
+    it, and A is nondecreasing from m on (a-diff-monotone), so for every
+    nu > m, C(nu) >= A(m) > min C(0..m): the minimum and its first index
+    are those of C(0..m).  Such an m exists in the window exactly when
+    A(nu_max) > min C(0..nu_max); raises TailBoundError otherwise.
     """
-    vals = c[:nu_max + 1]
-    value = min(vals)
-    if not a_top > value:
-        raise TailBoundError(f"tail_bound_failed: C-scan window nu <= {nu_max}")
-    return value, vals.index(value)
+    value, argmin = c[0], 0
+    for m in range(1, nu_max + 1):
+        cm, am = c[m], a[m]
+        if cm < value:
+            value, argmin = cm, m
+        if value < am <= a[m + 1]:
+            return value, argmin
+    raise TailBoundError(f"tail_bound_failed: C-scan window nu <= {nu_max}")
 
 
 @lru_cache(maxsize=4096)
 def rellich_hardy_A_min(p: Params, nu_max: int | None = None) -> MinResult:
-    """Certified minimum of A(nu) over nu >= 0 (`_a_window_min`)."""
+    """Certified minimum of A(nu) over nu >= 0 (`_a_window_min`), reading
+    the modes up to the turn of A."""
     if nu_max is None:
         nu_max = default_nu_max(p.N, p.gamma)
-    a = [rellich_hardy_A(p, nu) for nu in range(nu_max + 1)]
+    a = _ModeTable(lambda nu: rellich_hardy_A(p, nu))
     return MinResult(*_a_window_min(a, nu_max), nu_max)
 
 
 @lru_cache(maxsize=4096)
 def rellich_hardy_C_min(p: Params, nu_max: int | None = None) -> MinResult:
     """Certified minimum of C(nu) over nu >= 0 (`_c_window_min`, after
-    rellich_hardy_A_min(p, nu_max) has certified the turn of A)."""
+    rellich_hardy_A_min(p, nu_max) has certified the turn of A), reading
+    the modes up to where the C rule stops."""
     if nu_max is None:
         nu_max = default_nu_max(p.N, p.gamma)
     rellich_hardy_A_min(p, nu_max)  # raises unless A turns inside the window
-    c = [rellich_hardy_C(p, nu) for nu in range(nu_max + 1)]
-    return MinResult(*_c_window_min(c, rellich_hardy_A(p, nu_max), nu_max),
-                     nu_max)
+    c = _ModeTable(lambda nu: rellich_hardy_C(p, nu))
+    a = _ModeTable(lambda nu: rellich_hardy_A(p, nu))
+    return MinResult(*_c_window_min(c, a, nu_max), nu_max)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +402,7 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
     a = [rellich_hardy_A(p, nu) for nu in range(nu_max + 2)]
     a_min = MinResult(*_a_window_min(a, nu_max), nu_max)
     c = [rellich_hardy_C(p, nu) for nu in range(nu_max + 1)]
-    c_min = MinResult(*_c_window_min(c, a[nu_max], nu_max), nu_max)
+    c_min = MinResult(*_c_window_min(c, a, nu_max), nu_max)
     sandwich: bool | None = None
     if not p.degenerate:
         sandwich = all(min(a[nu - 1], a[nu + 1]) <= c[nu] <= max(a[nu - 1], a[nu + 1])

@@ -237,6 +237,26 @@ def test_guard_verdict_is_exact():
         assert ok, (p, nu, witness)
 
 
+def test_guard_cases_are_instances_of_the_qp_identities():
+    # the float guard re-samples a proven claim: at each of its seed-0
+    # cases, tau times the cleared margin over c0 is the target of its
+    # regime's qp identity at (lam, N, alpha_nu), which the corpus proves
+    # equal to _qp{1,2,3}_difference and to tau times a nonnegative family
+    targets = {c.name: c.target for c in certs.load_corpus()
+               if c.name in ("qp1-identity", "qp2-identity", "qp3-identity")}
+    cases = set(certs._guard_cases(np.random.default_rng(0), 10_000))
+    assert len(cases) == 348
+    for p, nu in cases:
+        if p.gamma <= 1:
+            name = "qp1-identity"
+        else:
+            name = "qp2-identity" if p.N >= 3 else "qp3-identity"
+        got = (pf.TAU * _dq_margin(p, nu)).scale(1 / certs.c0_for(p))
+        want = targets[name].subs_many({"lam": p.lam, "N": F(p.N),
+                                        "a": alpha(nu, p.N)})
+        assert got == want, (p, nu, name)
+
+
 def test_difference_quotient_limit_is_c0():
     # gamma <= 1: the difference quotient stays >= 1 on [0, oo) and tends
     # to 1 as tau -> oo, so the channel constant c0 = 1 is sharp

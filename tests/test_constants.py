@@ -475,6 +475,31 @@ def test_constants_op_evaluates_each_mode_once(monkeypatch, capsys, argv):
     assert set(calls.values()) == {1}
 
 
+def test_cold_minima_read_modes_only_up_to_the_stop(monkeypatch):
+    # at (5, 0) A turns at k = 1 (A(1) <= A(2)); C(0) = A(1), so the C rule
+    # stops at m = 2, the first m >= k with A(m) > min C(0..m).  The window
+    # runs to nu_max = 21, yet no mode past m + 1 is read
+    reads = Counter()
+
+    def recording(kind, fn):
+        def wrapper(p, nu):
+            reads[kind] = max(reads[kind], nu)
+            return fn(p, nu)
+        return wrapper
+
+    for kind, name in (("A", "rellich_hardy_A"), ("C", "rellich_hardy_C")):
+        monkeypatch.setattr(constants, name, recording(kind, getattr(constants, name)))
+    rellich_hardy_A_min.cache_clear()
+    rellich_hardy_C_min.cache_clear()
+    res = rellich_hardy_C_min(Params(5, F(0)))
+    assert res == constants.MinResult(F(441, 68), 0, 21)
+    assert reads == {"A": 3, "C": 2}
+    # the float mirror reads the same modes
+    row, a, c = sweep.point_f(5, 0.0)
+    assert (row.C_min, row.C_argmin) == (441 / 68, 0)
+    assert (len(a), len(c)) == (4, 3)
+
+
 def test_improvement_region_boundary_exact():
     # (6 gamma - (N+4))^2 < 4(N^2 - N + 1), decided exactly: for N = 3 the
     # region is |gamma - 7/6| < sqrt(7)/3, so gamma = 0 is outside and
@@ -488,7 +513,7 @@ def test_float_path_matches_exact():
         for g in GAMMA_GRID:
             p = Params(n, g)
             gf = float(g)
-            row, a, c = sweep.point_f(n, gf)
+            row, a, c = sweep.point_f(n, gf, 5)
             for nu in range(0, 6):
                 assert a[nu] == float(rellich_hardy_A(p, nu)), (n, g, nu)
                 assert c[nu] == float(rellich_hardy_C(p, nu)), (n, g, nu)
@@ -496,6 +521,10 @@ def test_float_path_matches_exact():
             a_min, c_min = rellich_hardy_A_min(p), rellich_hardy_C_min(p)
             assert (row.A_min, row.A_argmin) == (float(a_min.value), a_min.argmin_nu)
             assert (row.C_min, row.C_argmin) == (float(c_min.value), c_min.argmin_nu)
+            # EQUAL_REL_TOL: on rational points float equality is exact equality
+            rep = improvement_report(p)
+            assert row.equal == rep.equal, (n, g)
+            assert row.in_improvement_region == rep.in_region, (n, g)
 
 
 # The float mode formulas as closed forms per nu: the reference for the
@@ -542,10 +571,11 @@ def test_float_tables_bit_identical_to_closed_forms(n, data):
     hi = data.draw(st.sampled_from([0, 0, 70]))       # 70: a CLI --nu-max past the window
     row, a, c = sweep.point_f(n, gamma, hi)
     window = math.ceil(abs(gamma)) + n + 16
-    assert len(a) == len(c) == max(hi, window) + 1
-    ref_a = [_ref_A_f(n, gamma, nu) for nu in range(len(a))]
-    ref_c = [_ref_C_f(n, gamma, nu) for nu in range(len(c))]
-    assert repr(a) == repr(ref_a) and repr(c) == repr(ref_c)
+    assert min(len(a), len(c)) > hi                   # covers nu = 0..hi
+    ref_a = [_ref_A_f(n, gamma, nu) for nu in range(max(len(a), window + 1))]
+    ref_c = [_ref_C_f(n, gamma, nu) for nu in range(max(len(c), window + 1))]
+    assert repr(a) == repr(ref_a[:len(a)]) and repr(c) == repr(ref_c[:len(c)])
+    # the row against the minima of the full-window reference tables
     ref_a, ref_c = ref_a[:window + 1], ref_c[:window + 1]
     assert sweep.sweep_gamma(n, [gamma]) == [row]
     assert repr((row.A_min, row.A_argmin)) == repr(_ref_min(ref_a))

@@ -1,11 +1,12 @@
-"""Exact `constants` output against the benchmark's golden fingerprints.
+"""Grid `constants` and `sweep` output against the benchmark's golden fingerprints.
 
 `bench/golden.json` holds the fingerprint of every op the benchmark can
-draw.  This test runs a fixed sample of the grid workload's `constants`
+draw.  These tests run a fixed sample of the grid workload's `constants`
 ops (every closed-form point, every lam = 0 point and a seeded draw of
-the rest) and requires the same fingerprint, so a byte change in exact
-output fails the test suite and not only a benchmark run.  It reads
-`bench/` and writes nothing there.
+the rest) and every one of its `sweep` ops, and require the same
+fingerprint, so a byte change in exact output or in a golden float fails
+the test suite and not only a benchmark run.  They read `bench/` and
+write nothing there.
 """
 
 import importlib.util
@@ -39,17 +40,29 @@ def _sample(workloads):
     return sorted(fixed) + random.Random(10).sample(rest, SEEDED_POINTS)
 
 
-def test_constants_ops_match_golden():
-    pytest.importorskip("jsonschema")
-    workloads, checks = _load("workloads"), _load("checks")
+def _assert_match_golden(workloads, ops):
+    checks = _load("checks")
     golden = json.loads((BENCH / "golden.json").read_text())["ops"]
     space = {op.key for op in workloads.op_space("grid")}
-    points = _sample(workloads)
-    assert len(points) > SEEDED_POINTS + 30
-    for n, g in points:
-        op = workloads.constants_op(n, g)
+    for op in ops:
         assert op.key in space
         rc, out = workloads.execute(op)
         assert rc == 0, op.key
         digest, floats = checks.fingerprint(checks.parse_output(op, out))
         assert [digest, floats] == golden[op.key], op.key
+
+
+def test_constants_ops_match_golden():
+    pytest.importorskip("jsonschema")
+    workloads = _load("workloads")
+    points = _sample(workloads)
+    assert len(points) > SEEDED_POINTS + 30
+    _assert_match_golden(workloads, [workloads.constants_op(n, g) for n, g in points])
+
+
+def test_sweep_ops_match_golden():
+    pytest.importorskip("jsonschema")
+    workloads = _load("workloads")
+    ops = [workloads.sweep_op(n) for n in workloads.GRID_N]
+    assert len(ops) == 23
+    _assert_match_golden(workloads, ops)

@@ -123,6 +123,25 @@ def test_norms_match_reference():
 
 
 @pytest.mark.parametrize("kind", ["bump", "cos4"])
+def test_frozen_norms_rederived_with_mpmath(kind):
+    # BUMP_NORM2 and COS4_NORM2 = 35/64 from the base profile's own
+    # definition at 30 digits: bump exp(-1/(1-x^2)), cos4 cos^4(pi x/2),
+    # both on (-1, 1)
+    mpmath = pytest.importorskip("mpmath")
+    h = {"bump": lambda x: mpmath.exp(-1 / (1 - x * x)),
+         "cos4": lambda x: mpmath.cos(mpmath.pi * x / 2) ** 4}[kind]
+    prof = Profile.make(kind, 1)
+    frozen = prof.base_norm2()
+    assert frozen == {"bump": BUMP_NORM2, "cos4": COS4_NORM2}[kind]
+    for x in (-0.9, -0.5, 0.0, 0.3, 0.75):
+        want = float(h(mpmath.mpf(x)))
+        assert abs(prof.deriv(np.array([x]), 0)[0] - want) <= 1e-15 * want, x
+    with mpmath.workdps(30):
+        norm2 = mpmath.quad(lambda x: h(x) ** 2, [-1, 0, 1])
+    assert abs(frozen - float(norm2)) <= 1e-15 * float(norm2)
+
+
+@pytest.mark.parametrize("kind", ["bump", "cos4"])
 def test_derivatives_match_finite_differences(kind):
     # second-order convergence of central differences onto the closed forms
     prof = Profile.make(kind, 2)
