@@ -5,14 +5,17 @@ Subcommands:
     constants   closed-form sharp constants and the improvement report
     certify     run the exact certificate suite (exit 1 on any failure)
     quotient    minimizing-sequence table for one (N, gamma, nu)
-    sweep       CSV of A/C minima over a gamma grid at fixed N
+    sweep       CSV or JSON of A/C minima over a gamma grid at fixed N
     oracle      full-dimensional vs reduced-form cross-check (N = 2, 3)
     remainder   seeded random remainder-inequality checks
 
-Output is JSON (or CSV for sweep), deterministic for identical inputs
-including the seed.  gamma accepts an exact rational literal "p/q" or an
-integer; a decimal value is routed to the float path and flagged with a
-"float_path" warning field in the output.
+Output is JSON, or CSV for sweep unless --format json, deterministic
+for identical inputs including the seed.  Every JSON document is byte
+for byte json.dumps(payload, indent=2, sort_keys=True) plus a newline;
+`_json` writes it with one C-encoder call per container of scalars.
+gamma accepts an exact rational literal "p/q" or an integer; a decimal
+value is routed to the float path and flagged with a "float_path"
+warning field in the output.
 
 Exit codes: 0 success, 1 mathematical failure (certificate violation,
 invariant breach, unconverged quadrature), 2 usage error.  Every
@@ -38,6 +41,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .constants import (Params, TailBoundError, hardy_leray, improvement_report,
                         rellich_hardy_A, rellich_hardy_C)
@@ -81,8 +85,56 @@ def _emit(doc, args) -> None:
         sys.stdout.write(doc)
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _encoder(depth: int) -> json.JSONEncoder:
+    """Encodes a container of scalars whose items sit `depth` levels deep
+    as json.dumps(indent=2, sort_keys=True) would, less the line breaks
+    after the opening and before the closing bracket.  With indent=None,
+    CPython runs its C encoder."""
+    return json.JSONEncoder(sort_keys=True,
+                            separators=(",\n" + "  " * depth, ": "))
+
+
+def _encode(obj, depth: int) -> str:
+    """`obj` as json.dumps(obj, indent=2, sort_keys=True) writes it at
+    nesting depth `depth`.  A container of scalars is one encoder call; a
+    container that holds containers is encoded with a null in place of
+    each of them, which is then replaced by the container's own text."""
+    enc = _encoder(depth + 1)
+    if not isinstance(obj, _CONTAINERS):
+        return enc.encode(obj)
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(v, _CONTAINERS) for v in values):
+        text = enc.encode(obj)
+        if len(text) == 2:  # "{}" or "[]"
+            return text
+        body = text[1:-1]
+    else:
+        if isinstance(obj, dict):
+            keys = sorted(obj)  # the encoder's item order
+            values = [obj[k] for k in keys]
+            shell = {k: None if isinstance(v, _CONTAINERS) else v
+                     for k, v in zip(keys, values)}
+        else:
+            shell = [None if isinstance(v, _CONTAINERS) else v for v in values]
+        text = enc.encode(shell)
+        # no encoded scalar holds a raw line break, so only separators split
+        items = text[1:-1].split(enc.item_separator)
+        for i, v in enumerate(values):
+            if isinstance(v, _CONTAINERS):  # replace the item's "null"
+                items[i] = items[i][:-4] + _encode(v, depth + 1)
+        body = enc.item_separator.join(items)
+    pad = "\n" + "  " * depth
+    return text[0] + pad + "  " + body + pad + text[-1]
+
+
+def _json(payload) -> str:
+    """The document json.dumps(payload, indent=2, sort_keys=True) writes,
+    plus a newline."""
+    return _encode(payload, 0) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +250,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {
             "command": "sweep", "N": args.N,
-            "rows": [row.__dict__ for row in rows],
+            "rows": [row._asdict() for row in rows],
         }
         _emit(_json(payload), args)
         return EXIT_OK

@@ -14,11 +14,15 @@ mirror, not a certificate: the rules compare floats.  The exact path is
 authoritative; on rational grid points the mirror's modes, minima and
 argmins are tested equal to `float()` of the exact ones, and its `equal`
 flag to exact equality.
+
+A point's result is a `SweepRow`, a `NamedTuple`: immutable, hashable
+and comparable, built in one tuple allocation.  `sweep_gamma` builds the
+rows only; `point_f` also returns the mode tables the rules read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import _ModeTable, _a_window_min, _c_window_min, default_nu_max
 
@@ -71,8 +75,10 @@ def in_improvement_region_f(N: int, gamma: float) -> bool:
     return (6.0 * gamma - (N + 4.0)) ** 2 < 4.0 * (N * N - N + 1)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """The float minima of A and C at one (N, gamma); `_asdict()` is the
+    JSON row of `sweep --format json`."""
+
     N: int
     gamma: float
     A_min: float
@@ -83,9 +89,8 @@ class SweepRow:
     in_improvement_region: bool
 
 
-def point_f(N: int, gamma: float, hi: int = 0) -> tuple[SweepRow, list[float], list[float]]:
-    """The sweep row at (N, gamma), with the A(nu) and C(nu) it was read
-    from: the modes the window rules read, and at least nu = 0..hi.
+def _point(N: int, gamma: float) -> tuple[SweepRow, _ModeTable, _ModeTable]:
+    """The sweep row at (N, gamma), with the A and C tables it read.
     Raises TailBoundError where the window rules do."""
     window = default_nu_max(N, gamma)
     a_mode, c_mode = _mode_functions(N, gamma)
@@ -98,6 +103,14 @@ def point_f(N: int, gamma: float, hi: int = 0) -> tuple[SweepRow, list[float], l
         equal=abs(c_min - a_min) <= EQUAL_REL_TOL * max(abs(a_min), abs(c_min), 1.0),
         in_improvement_region=in_improvement_region_f(N, gamma),
     )
+    return row, a, c
+
+
+def point_f(N: int, gamma: float, hi: int = 0) -> tuple[SweepRow, list[float], list[float]]:
+    """The sweep row at (N, gamma), with the A(nu) and C(nu) it was read
+    from: the modes the window rules read, and at least nu = 0..hi.
+    Raises TailBoundError where the window rules do."""
+    row, a, c = _point(N, gamma)
     for nu in range(hi + 1):  # cover nu = 0..hi for the caller
         a[nu], c[nu]
     # every read above runs nu = 0, 1, ... in order, so the values are in nu order
@@ -105,8 +118,9 @@ def point_f(N: int, gamma: float, hi: int = 0) -> tuple[SweepRow, list[float], l
 
 
 def sweep_gamma(N: int, gammas) -> list[SweepRow]:
-    """C/A minima over a gamma grid at fixed N (float path).
+    """C/A minima over a gamma grid at fixed N (float path): the rows
+    only, without the mode tables `point_f` returns.
 
     `equal` means the float minima agree to EQUAL_REL_TOL relative.
     """
-    return [point_f(N, g)[0] for g in gammas]
+    return [_point(N, g)[0] for g in gammas]

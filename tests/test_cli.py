@@ -1,14 +1,17 @@
 """CLI: values, exit codes, determinism, schema validity."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curlsharp.cli import COMMANDS, build_parser, main
+from curlsharp.cli import COMMANDS, _json, build_parser, main
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "curlsharp"
@@ -26,6 +29,12 @@ def validate(doc: str):
     jsonschema.validate(json.loads(doc), SCHEMA)
 
 
+def assert_canonical(doc: str):
+    """The document is byte for byte what json.dumps(indent=2,
+    sort_keys=True) writes for its own content, plus a newline."""
+    assert doc == json.dumps(json.loads(doc), indent=2, sort_keys=True) + "\n"
+
+
 def test_constants_3_0(capsys):
     code, out = run(capsys, "constants", "--N", "3", "--gamma", "0")
     assert code == 0
@@ -34,6 +43,7 @@ def test_constants_3_0(capsys):
     assert doc["A_min"] == "25/36" and doc["equal"] is True
     assert doc["H"] == "25/36"
     validate(out)
+    assert_canonical(out)
 
 
 def test_constants_2_1(capsys):
@@ -57,6 +67,7 @@ def test_constants_decimal_goes_float_path(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["float_path"] is True and "warning" in doc
     validate(out)
+    assert_canonical(out)
 
 
 def test_certify_single_regime(capsys):
@@ -65,6 +76,7 @@ def test_certify_single_regime(capsys):
     doc = json.loads(out)
     assert doc["all_ok"] and doc["passed"] == doc["total"]
     validate(out)
+    assert_canonical(out)
 
 
 def test_quotient(capsys):
@@ -76,12 +88,14 @@ def test_quotient(capsys):
     assert gaps[0] > gaps[1] > gaps[2] > 0
     assert 1.8 <= doc["fitted_exponent"] <= 2.2
     validate(out)
+    assert_canonical(out)
 
 
 def test_quotient_degenerate_exit(capsys):
     code, out = run(capsys, "quotient", "--N", "2", "--gamma", "1", "--nu", "1")
     assert code == 1
     assert "error" in json.loads(out)
+    assert_canonical(out)
 
 
 def test_sweep_csv(capsys):
@@ -93,6 +107,13 @@ def test_sweep_csv(capsys):
     assert len(lines) == 6
     row0 = lines[3].split(",")  # gamma = 0.0
     assert row0[0] == "5" and row0[6] == "False" and row0[7] == "True"
+    assert out == (
+        "N,gamma,A_min,A_argmin,C_min,C_argmin,equal,in_improvement_region\n"
+        "5,-1.0,1.1911764705882353,1,1.1911764705882353,0,True,False\n"
+        "5,-0.5,4.0,1,4.0,0,True,False\n"
+        "5,0.0,6.25,0,6.485294117647059,0,False,True\n"
+        "5,0.5,4.0,0,7.2,0,False,True\n"
+        "5,1.0,2.25,0,6.25,0,False,True\n")
 
 
 def test_sweep_json_schema(capsys):
@@ -100,6 +121,8 @@ def test_sweep_json_schema(capsys):
                     "--format", "json")
     assert code == 0
     validate(out)
+    assert_canonical(out)
+    assert len(json.loads(out)["rows"]) == 3
 
 
 def test_oracle(capsys):
@@ -109,6 +132,7 @@ def test_oracle(capsys):
     doc = json.loads(out)
     assert doc["rel_lap"] < 1e-6 and doc["rel_grad"] < 1e-6
     validate(out)
+    assert_canonical(out)
 
 
 def test_remainder_deterministic(capsys):
@@ -119,6 +143,55 @@ def test_remainder_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["all_ok"] and len(doc["rows"]) == 9
     validate(out1)
+    assert_canonical(out1)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e300, -1e300, 5e-324, 2.2250738585072014e-308,
+                     math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "line\nbreak\ttab\r", "\"\\/",
+                     "ν γ λ ∞", "\u2028\u2029", "\U0001d70f", ",\n  null"]))
+
+
+def _trees(depth: int):
+    """JSON trees with str keys, nested at most `depth` containers deep."""
+    if depth == 0:
+        return _SCALARS
+    sub = _trees(depth - 1)
+    return st.one_of(_SCALARS, st.lists(sub, max_size=4),
+                     st.lists(sub, max_size=4).map(tuple),
+                     st.dictionaries(st.text(max_size=6), sub, max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_trees(4))
+def test_json_matches_indented_dumps(tree):
+    assert _json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_without_the_c_accelerator(monkeypatch):
+    # the same encoder class falls back to pure Python, with the same bytes
+    tree = {"rows": [{"x": 1.5, "y": [None, "\u00e9"]}, [], {}], "n": -0.0}
+    expected = _json(tree)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert _json(tree) == expected
+    assert expected == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("tree", [
+    Fraction(1, 3),
+    {"a": 1, "b": Fraction(1, 3)},
+    {"rows": [{"x": 1}, [Fraction(1, 3)]], "z": 0},
+])
+def test_json_rejects_what_dumps_rejects(tree):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(tree, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        _json(tree)
+    assert str(got.value) == str(expected.value)
 
 
 def test_usage_errors():

@@ -18,6 +18,11 @@ mutating method (`pop`, `append`, `update`, `setdefault`, `add`,
 every caller in the process; state a call needs belongs to an object the
 caller creates and passes.  A local name that shadows the module-level
 one is not the module's container.
+
+(d) No call in `src/curlsharp` passes `indent=` to `json.dumps` or
+`json.dump`.  Every JSON document goes through `cli._json`, which writes
+the indented layout on the C encoder; an `indent` argument would start a
+second, pure-Python encoder beside it.
 """
 
 import ast
@@ -213,3 +218,18 @@ def test_no_function_mutates_module_containers():
                 if isinstance(target, ast.Name) and target.id in shared:
                     found.add(f"{path.name}:{node.lineno} {target.id} {how}")
     assert not found, sorted(found)
+
+
+def test_no_indented_json_dumps():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None))
+            if (name in ("dumps", "dump")
+                    and any(kw.arg == "indent" for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -223,6 +223,66 @@ def test_open_ends_move_only_negative_witnesses(coeffs, interval, lo_closed,
         hi_closed and x == interval.hi)
 
 
+def _times(a, b):
+    """Product of two ascending coefficient lists."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _sympy_verdict(coeffs, interval):
+    """p >= 0 on the interval, decided with sympy alone: p is positive at
+    an interior point that is not a root, and no root of odd multiplicity
+    lies inside (an end root does not count)."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                    for c in reversed(coeffs)], x, domain="QQ")
+    lo, hi = interval.lo, interval.hi
+    if p.is_zero:
+        return True
+    if lo is not None and lo == hi:
+        return _value(coeffs, lo) >= 0
+    if lo is not None and hi is not None:
+        points = [lo + (hi - lo) * F(j, 17) for j in range(1, 17)]
+    elif lo is not None or hi is not None:
+        end, step = (lo, 1) if lo is not None else (hi, -1)
+        points = [end + step * j for j in range(1, 17)]
+    else:
+        points = [F(j) for j in range(-8, 8)]
+    # p has at most 15 roots, so one of the 16 points is not a root
+    if next(v for v in (_value(coeffs, t) for t in points) if v != 0) < 0:
+        return False
+    ends = [None if e is None else sympy.Rational(e.numerator, e.denominator)
+            for e in (lo, hi)]
+    for factor, multiplicity in sympy.sqf_list(p)[1]:
+        if multiplicity % 2:
+            inside = factor.count_roots(*ends) - sum(
+                1 for e in ends if e is not None and factor.eval(e) == 0)
+            if inside:
+                return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(roots=st.lists(st.tuples(st.fractions(-3, 3, max_denominator=3),
+                                st.integers(1, 3)), max_size=3),
+       cofactor=st.lists(st.fractions(-8, 8, max_denominator=6),
+                         min_size=1, max_size=3),
+       interval=_INTERVALS)
+def test_verdict_matches_sympy_root_count(roots, cofactor, interval):
+    # p = cofactor * prod (s - r)^m: rational roots of every multiplicity,
+    # often on an interval end
+    coeffs = cofactor
+    for r, m in roots:
+        for _ in range(m):
+            coeffs = _times(coeffs, [-r, F(1)])
+    ok, _ = nonneg_on_interval(coeffs, interval)
+    assert ok == _sympy_verdict(coeffs, interval)
+
+
 def test_max_depth_reaches_bernstein(monkeypatch):
     depths = []
     real = nonneg._bernstein_decide

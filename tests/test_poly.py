@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curlsharp.poly import (VARS, MultiPoly, PolyParseError,
                             UnknownVariableError, format_poly, parse_poly)
@@ -113,6 +114,30 @@ def test_format_parse_roundtrip_random():
     for _ in range(100):
         p = rand_poly(rng, vars_=(TAU, LAM, N), terms=5, deg=3, span=20)
         assert parse_poly(format_poly(p)) == p
+
+
+# sparse polynomials in every variable: up to 4 terms, exponents 0..2
+POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * len(VARS)),
+    st.fractions(-9, 9, max_denominator=7), max_size=4).map(MultiPoly)
+ZERO, ONE = MultiPoly(), MultiPoly.const(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=POLYS, q=POLYS, r=POLYS)
+def test_ring_laws(p, q, r):
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + ZERO == p and p * ONE == p and (p * ZERO).is_zero()
+    assert p - p == ZERO and (p - p).is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=POLYS)
+def test_format_parse_roundtrip_generated(p):
+    assert parse_poly(format_poly(p)) == p
 
 
 def test_parse_rational_literals():
