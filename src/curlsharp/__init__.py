@@ -23,7 +23,6 @@ cli           command-line interface (constants / certify / quotient /
 from fractions import Fraction
 
 from .constants import (
-    ModeConstant,
     MinResult,
     ModeInvariantError,
     Params,
@@ -32,7 +31,6 @@ from .constants import (
     hardy_leray,
     improvement_report,
     in_improvement_region,
-    mode_table,
     rellich_hardy_A,
     rellich_hardy_A_min,
     rellich_hardy_C,
@@ -53,7 +51,6 @@ __all__ = [
     "IntervalQ",
     "nonneg_on_interval",
     "Params",
-    "ModeConstant",
     "MinResult",
     "TailBoundError",
     "ModeInvariantError",
@@ -67,7 +64,6 @@ __all__ = [
     "rellich_hardy_C_min",
     "improvement_report",
     "in_improvement_region",
-    "mode_table",
     "PolyFamily",
     "FamilyInvariantError",
     "NonPositiveFormError",

@@ -6,7 +6,9 @@ displayed polynomial and, when the claim is a sign claim, a decomposition
 into manifestly nonnegative pieces.  The checker
 
   1. rebuilds the polynomial the display is supposed to equal from the
-     defining constructions in `polyfamily` (transcription check),
+     defining constructions in `polyfamily` and, for the identities that
+     involve A(nu), from the mode bodies of `constants` run on symbols
+     (transcription check),
   2. re-sums the decomposition and compares it with the display
      (decomposition identity), and
   3. validates every factor's nonnegativity rule under the declared
@@ -53,8 +55,9 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from . import constants
 from . import polyfamily as pf
-from .constants import Params, alpha, rellich_hardy_C
+from .constants import Params, alpha
 from .nonneg import IntervalQ, nonneg_on_interval
 from .poly import MultiPoly, format_poly, parse_poly
 
@@ -152,19 +155,27 @@ def _f0_shift_gap() -> MultiPoly:
     return f0s.subs("s", 4 - 1 + pf.S) - (3 + pf.S) * _f0_shift_chain()
 
 
-def _alpha_lam() -> MultiPoly:
-    return pf.alpha_poly(pf.LAM)
+_HALF = Fraction(1, 2)
 
 
-def _a_mode(at: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """(numerator, denominator) of the unconstrained mode constant at slot."""
-    return ((pf.alpha_poly(at) - _alpha_lam()) ** 2,
-            pf.alpha_poly(at) + pf.LAM ** 2)
+def _gamma_d(q) -> MultiPoly:
+    """G = gamma D at D = 2q for gamma = 2 - N/2 - lam."""
+    return (4 - pf.N - 2 * pf.LAM) * q
+
+
+def _a_mode(nu) -> tuple[MultiPoly, MultiPoly]:
+    """(numerator, denominator) of rellich_hardy_A's slot form at D = 1."""
+    return constants._a_slot(_gamma_d(_HALF), _HALF, pf.N, nu)
+
+
+def _a_gamma_form(nu) -> MultiPoly:
+    """Numerator of rellich_hardy_A's gamma-form at D = 1."""
+    return constants._a_gamma(_gamma_d(_HALF), _HALF, pf.N, nu)[0]
 
 
 def _a1_a0_lhs() -> MultiPoly:
-    num1, _ = _a_mode(MultiPoly.const(1))
-    return num1 - (pf.LAM + pf.N - 2) ** 2 * (pf.LAM ** 2 + pf.N - 1)
+    num1, den1 = _a_mode(1)
+    return num1 - _a_mode(0)[0] * den1
 
 
 def _a_diff_lhs() -> MultiPoly:
@@ -189,38 +200,19 @@ def _a_diff_numerator_step() -> MultiPoly:
 
 def _c_minus_a(offset: int) -> MultiPoly:
     """Cross-multiplied C(s) - A(s + offset) at slot a = alpha_s."""
-    s = pf.S
-    a_s = pf.alpha_poly(s)
-    q1z = pf.q1().subs("tau", 0).subs("a", a_s)
-    p1z = pf.p1().subs("tau", 0).subs("a", a_s)
-    num, den = _a_mode(s + offset)
+    q1z, p1z = _channel_at_zero("nu>=2")
+    num, den = _a_mode(pf.S + offset)
     return q1z * den - num * p1z
 
 
 def _c1_c0_lhs() -> MultiPoly:
-    lam, n = pf.LAM, pf.N
-    c1_num = (lam + n) ** 2 * ((1 - lam) ** 2 + n - 1)
-    c1_den = (lam + 1) ** 2 + 3 * (n - 1)
-    c0_num = (lam - 1) ** 2 * (lam + n - 1) ** 2
-    c0_den = lam ** 2 + n - 1
+    c1_num, c1_den = _c_branch("nu=1", _HALF)
+    c0_num, c0_den = _c_branch("radial", _HALF)
     return c1_num * c0_den - c0_num * c1_den
 
 
 def _c_lam0_lhs() -> MultiPoly:
     return pf.q1().subs("tau", 0).subs("lam", 0) * (pf.A - 1)
-
-
-def _a_gamma_form_nu() -> MultiPoly:
-    """Numerator of the mode constant written via gamma = 2 - N/2 - lam."""
-    half_n = pf.N * Fraction(1, 2)
-    g = 2 - half_n - pf.LAM
-    return ((g - 1) ** 2 - (pf.S + half_n - 1) ** 2) ** 2
-
-
-def _a_gamma_form_0() -> MultiPoly:
-    half_n = pf.N * Fraction(1, 2)
-    g = 2 - half_n - pf.LAM
-    return (g - half_n) ** 2
 
 
 def _as_at_difference() -> MultiPoly:
@@ -300,8 +292,8 @@ REFERENCES = {
     "c-minus-a-next": lambda: _c_minus_a(+1),
     "c1-c0-identity": _c1_c0_lhs,
     "c-lam0-nu": _c_lam0_lhs,
-    "a-rewrite-nu": _a_gamma_form_nu,
-    "a-rewrite-0": _a_gamma_form_0,
+    "a-rewrite-nu": lambda: _a_gamma_form(pf.S),
+    "a-rewrite-0": lambda: _a_gamma_form(0),
 }
 
 
@@ -779,21 +771,15 @@ def run_suite(regimes: list[str] | None = None) -> SuiteResult:
 # exact links between the quotient framework and the closed-form constants
 # ---------------------------------------------------------------------------
 
-def _c_gamma_form(branch: str) -> tuple[MultiPoly, MultiPoly]:
-    """(numerator, denominator) of rellich_hardy_C's branch, transcribed
-    with gamma = 2 - N/2 - lam; the nu >= 2 branch reads nu as s."""
-    half_n = pf.N * Fraction(1, 2)
-    g = 2 - half_n - pf.LAM
+def _c_branch(branch: str, q) -> tuple[MultiPoly, MultiPoly]:
+    """(numerator, denominator) of a branch of rellich_hardy_C at D = 2q;
+    the nu >= 2 branch reads nu as s."""
+    G = _gamma_d(q)
     if branch == "radial":
-        return ((g - 1) ** 2 - half_n ** 2) ** 2, (g + half_n - 2) ** 2 + pf.N - 1
+        return constants._c_radial(G, q, pf.N)
     if branch == "nu=1":
-        return ((g - half_n - 2) ** 2 * ((g + half_n - 1) ** 2 + pf.N - 1),
-                (g + half_n - 3) ** 2 + 3 * (pf.N - 1))
-    anu = pf.alpha_poly(pf.S)
-    quart = ((g - 2) ** 2 - (pf.S + half_n - 1) ** 2) ** 2
-    return (quart * ((g + half_n - 1) ** 2 + anu),
-            quart + 2 * (g - 1) * ((2 * g + pf.N - 5) * anu
-                                   + (pf.N - 1) * (g + half_n - 3) ** 2))
+        return constants._c_one(G, q, pf.N)
+    return constants._c_nu(G, q, pf.N, pf.S)
 
 
 def _channel_at_zero(branch: str) -> tuple[MultiPoly, MultiPoly]:
@@ -808,18 +794,28 @@ def _channel_at_zero(branch: str) -> tuple[MultiPoly, MultiPoly]:
 _LINK_BRANCHES = ("radial", "nu=1", "nu>=2")
 
 
+def _differ(n1, d1, n2, d2) -> bool:
+    """n1/d1 != n2/d2, cross-multiplied; a zero denominator differs, since
+    a zero pair would satisfy the cross-multiplied identity vacuously."""
+    return d1 * d2 == 0 or n1 * d2 != n2 * d1
+
+
 def quotient_constant_links() -> list[str]:
-    """Q0(0)/P0(0) = C(0) and Q1(0, alpha_nu)/P1(0, alpha_nu) = C(nu) as
-    three polynomial identities in (lam, N, s), cross-multiplied:
-    Q(0) * den == P(0) * num for each branch of rellich_hardy_C.  Each
-    covers every N, gamma and nu at which P(0) and den are nonzero (not
-    at lam = 0, nu = 1, where P1(0, alpha_1) = 0); returns failures."""
+    """Identities on the mode bodies with q free (D = 2m); returns failures.
+    Q0(0)/P0(0) = C(0) and Q1(0, alpha_nu)/P1(0, alpha_nu) = C(nu) in
+    (lam, N, s, m), one per branch of C, hold wherever P(0) and den are
+    nonzero (not at lam = 0, nu = 1).  A's two forms agree at nu = 0 and
+    nu = s, and C(0) = A(1), in free G = mu, q = m and N."""
     failures = []
     for branch in _LINK_BRANCHES:
-        q, p = _channel_at_zero(branch)
-        num, den = _c_gamma_form(branch)
-        if (p * den).is_zero() or q * den != p * num:
+        if _differ(*_channel_at_zero(branch), *_c_branch(branch, pf.M)):
             failures.append(f"{branch} link fails: Q(0) * den != P(0) * num")
+    G, q, n = MultiPoly.var("mu"), pf.M, pf.N
+    for nu, label in ((0, "0"), (pf.S, "s")):
+        if _differ(*constants._a_gamma(G, q, n, nu), *constants._a_slot(G, q, n, nu)):
+            failures.append(f"A({label}) forms fail: gamma-form != slot form")
+    if _differ(*constants._c_radial(G, q, n), *constants._a_gamma(G, q, n, 1)):
+        failures.append("C(0) = A(1) fails: radial branch != gamma-form at nu = 1")
     return failures
 
 
@@ -827,15 +823,12 @@ def interleaving_spot_checks(seed: int = 0, count: int = 200) -> list[str]:
     """(C(nu) - A(nu-1)) (C(nu) - A(nu+1)) <= 0 at random admissible points.
 
     c-minus-a-prev and c-minus-a-next prove this interleaving for every
-    nu >= 1, but for the MultiPoly forms of A and C that their REFERENCES
-    builders and the links transcribe.  The sample instead runs the Python
-    code of rellich_hardy_A and rellich_hardy_C, the integer evaluation
-    that the grid and the CLI use, so it catches a fault in that code (a
-    wrong term or branch) that no certificate reads.
+    nu >= 1, and their references and the links run the same mode bodies
+    as rellich_hardy_A and rellich_hardy_C, so the sample re-checks a
+    proven claim.  It stays while the benchmark tracer patches it by name.
     """
     import random
 
-    from .constants import rellich_hardy_A
     rng = random.Random(seed)
     failures = []
     for _ in range(count):
@@ -845,8 +838,9 @@ def interleaving_spot_checks(seed: int = 0, count: int = 200) -> list[str]:
         if p.degenerate:
             continue
         nu = rng.randint(1, 8)
-        c = rellich_hardy_C(p, nu)
-        prod = (c - rellich_hardy_A(p, nu - 1)) * (c - rellich_hardy_A(p, nu + 1))
+        c = constants.rellich_hardy_C(p, nu)
+        prod = ((c - constants.rellich_hardy_A(p, nu - 1))
+                * (c - constants.rellich_hardy_A(p, nu + 1)))
         if prod > 0:
             failures.append(f"interleaving fails at N={n} gamma={g} nu={nu}")
     return failures

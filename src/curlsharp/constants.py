@@ -11,13 +11,13 @@ together with the verified minimisation over the mode index nu.  Every
 function takes integer dimension N >= 2 and rational weight exponent
 gamma; the derived exponent is lam = 2 - N/2 - gamma.
 
-A(nu) and C(nu) are evaluated in integer arithmetic.  With gamma = r/q in
-lowest terms and D = 2q, every gamma-only term is an integer times a
-power of 1/D: (gamma - 1) D, (gamma + N/2 - 2) D, lam D, D^2 alpha(lam)
-and (nu + N/2 - 1) D.  Each branch is an integer numerator over an
-integer denominator, built into one Fraction at the end.  The two forms
-of A are compared by exact cross-multiplication, and C(0) against A(1);
-both raise ModeInvariantError, also under python -O.
+A(nu) and C(nu) are each stated once.  With gamma = r/q in lowest terms,
+D = 2q and G = gamma D, each form of A and each branch of C is a body over
+(G, q, N, nu) that returns (num, den) using only + - * **.  The public
+functions run it on int and build one Fraction; the certificate layer
+runs it on MultiPoly, so the corpus and the links certify this code.  The
+two forms of A are compared by exact cross-multiplication, and C(0)
+against A(1); both raise ModeInvariantError, also under python -O.
 
 Minima over nu are certified, not assumed.  Two window rules, each
 stated once, decide whether the window nu <= nu_max holds the minimum.
@@ -73,13 +73,6 @@ class Params:
     def degenerate(self) -> bool:
         """lam == 0, i.e. gamma == 2 - N/2: the nu=1 quotient degenerates."""
         return self.lam == 0
-
-
-@dataclass(frozen=True)
-class ModeConstant:
-    nu: int
-    value: Fraction
-    kind: str  # A | C | B_unconstrained | B_curlfree | H
 
 
 @dataclass(frozen=True)
@@ -191,83 +184,105 @@ def rellich_leray_curlfree(p: Params, nu_max: int | None = None) -> MinResult:
 # Rellich-Hardy mode constants
 # ---------------------------------------------------------------------------
 
-def _alpha_int(s: int, N: int, D: int) -> int:
-    """D^2 alpha(s/D, N) for an integer slot s: s(s + (N - 2) D)."""
+def _alpha_int(s, N, D):
+    """D^2 alpha(s/D, N) = s(s + (N - 2) D) for a slot s scaled by D."""
     return s * (s + (N - 2) * D)
 
 
-def rellich_hardy_A(p: Params, nu: int) -> Fraction:
-    """Unconstrained Rellich-Hardy mode constant A(nu).
+def _a_gamma(G, q, N, nu):
+    """A(nu) = ((gamma-1)^2 - (nu+N/2-1)^2)^2 / ((gamma+N/2-2)^2 + alpha_nu),
+    A(0) = (gamma - N/2)^2."""
+    D = 2 * q
+    D2 = D * D
+    if nu == 0:
+        return (G - N * q) ** 2, D2
+    g1 = G - D                            # (gamma - 1) D
+    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
+    w = (2 * nu + N - 2) * q              # (nu + N/2 - 1) D
+    return (g1 * g1 - w * w) ** 2, D2 * (e * e + nu * (nu + N - 2) * D2)
 
-    Evaluates both the gamma-form and the lam-form, which must agree
-    (ModeInvariantError otherwise), returning the common value.  With
-    gamma = r/q in lowest terms and D = 2q, each form is an integer
-    numerator over an integer denominator; the two are compared by exact
-    cross-multiplication and the value is built as one Fraction.
-    """
+
+def _a_slot(G, q, N, nu):
+    """A(nu) = (alpha_nu - alpha(lam))^2 / (alpha_nu + lam^2),
+    A(0) = (lam + N - 2)^2."""
+    D = 2 * q
+    D2 = D * D
+    L = (4 - N) * q - G                   # lam * D
+    if nu == 0:
+        return (L + (N - 2) * D) ** 2, D2
+    aD2 = nu * (nu + N - 2) * D2          # alpha_nu D^2
+    return (aD2 - _alpha_int(L, N, D)) ** 2, D2 * (aD2 + L * L)
+
+
+def _c_radial(G, q, N):
+    """C(0) = ((gamma-1)^2 - N^2/4)^2 / ((gamma+N/2-2)^2 + N - 1)."""
+    D = 2 * q
+    D2 = D * D
+    g1 = G - D                            # (gamma - 1) D
+    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
+    return (g1 * g1 - (N * q) ** 2) ** 2, D2 * (e * e + (N - 1) * D2)
+
+
+def _c_one(G, q, N):
+    """C(1) = (gamma-N/2-2)^2 ((gamma+N/2-1)^2 + N - 1)
+    / ((gamma+N/2-3)^2 + 3(N - 1))."""
+    D = 2 * q
+    D2 = D * D
+    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
+    h = G - (N + 4) * q                   # (gamma - N/2 - 2) D
+    return (h * h * ((e + D) ** 2 + (N - 1) * D2),
+            D2 * ((e - D) ** 2 + 3 * (N - 1) * D2))
+
+
+def _c_nu(G, q, N, nu):
+    """C(nu), nu >= 2, = quart ((gamma+N/2-1)^2 + alpha_nu) / (quart
+    + 2(gamma-1)((2 gamma+N-5) alpha_nu + (N-1)(gamma+N/2-3)^2))."""
+    D = 2 * q
+    D2 = D * D
+    a = nu * (nu + N - 2)                 # alpha_nu
+    g1 = G - D                            # (gamma - 1) D
+    g2 = G - 2 * D                        # (gamma - 2) D
+    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
+    w = (2 * nu + N - 2) * q              # (nu + N/2 - 1) D
+    k = G + (N - 5) * q                   # (2 gamma + N - 5) D / 2
+    quart = (g2 * g2 - w * w) ** 2        # ((gamma-2)^2 - (nu+N/2-1)^2)^2 D^4
+    return (quart * ((e + D) ** 2 + a * D2),
+            D2 * (quart + 2 * g1 * D * (2 * k * a * D + (N - 1) * (e - D) ** 2)))
+
+
+def rellich_hardy_A(p: Params, nu: int) -> Fraction:
+    """Unconstrained Rellich-Hardy mode constant A(nu): the common value
+    of its gamma-form and slot form, which must agree (ModeInvariantError
+    otherwise)."""
     if nu < 0:
         raise ValueError("nu must be >= 0")
     g, N = p.gamma, p.N
-    q = g.denominator
-    D = 2 * q
-    G = 2 * g.numerator                   # gamma * D
-    L = (4 - N) * q - G                   # lam * D
-    if nu == 0:
-        ng = (G - N * q) ** 2             # (gamma - N/2)^2 D^2
-        nl = (L + (N - 2) * D) ** 2       # (lam + N - 2)^2 D^2
-        dg = dl = 1
-    else:
-        g1 = G - D                        # (gamma - 1) D
-        e = G + (N - 4) * q               # (gamma + N/2 - 2) D
-        w = (2 * nu + N - 2) * q          # (nu + N/2 - 1) D
-        aD2 = nu * (nu + N - 2) * D * D   # alpha_nu D^2
-        ng = (g1 * g1 - w * w) ** 2
-        dg = e * e + aD2
-        nl = (aD2 - _alpha_int(L, N, D)) ** 2
-        dl = aD2 + L * L
-    # both forms are over D^2 times their dg, dl
+    q, G = g.denominator, 2 * g.numerator
+    ng, dg = _a_gamma(G, q, N, nu)
+    nl, dl = _a_slot(G, q, N, nu)
     if ng * dl != nl * dg:
         raise ModeInvariantError(
             f"A({nu}) forms disagree at N={N}, gamma={g}: "
-            f"{Fraction(ng, D * D * dg)} != {Fraction(nl, D * D * dl)}")
-    return Fraction(ng, D * D * dg)
+            f"{Fraction(ng, dg)} != {Fraction(nl, dl)}")
+    return Fraction(ng, dg)
 
 
 def rellich_hardy_C(p: Params, nu: int) -> Fraction:
-    """Curl-free Rellich-Hardy mode constant C(nu).
-
-    All three branches are finite for every rational gamma, including the
-    degenerate lam == 0 case.  C(0) == A(1) exactly (ModeInvariantError
-    otherwise).  Evaluated like rellich_hardy_A: integers over D = 2q,
-    gamma = r/q, and one Fraction at the end.
-    """
+    """Curl-free Rellich-Hardy mode constant C(nu).  All three branches
+    are finite for every rational gamma, including the degenerate lam == 0
+    case.  C(0) == A(1) exactly (ModeInvariantError otherwise)."""
     if nu < 0:
         raise ValueError("nu must be >= 0")
     g, N = p.gamma, p.N
-    q = g.denominator
-    D = 2 * q
-    D2 = D * D
-    G = 2 * g.numerator                   # gamma * D
-    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
+    q, G = g.denominator, 2 * g.numerator
     if nu == 0:
-        g1 = G - D                        # (gamma - 1) D
-        value = Fraction((g1 * g1 - (N * q) ** 2) ** 2,
-                         D2 * (e * e + (N - 1) * D2))
+        value = Fraction(*_c_radial(G, q, N))
         if value != rellich_hardy_A(p, 1):
             raise ModeInvariantError(f"C(0) != A(1) at N={N}, gamma={g}")
         return value
     if nu == 1:
-        h = G - (N + 4) * q               # (gamma - N/2 - 2) D
-        return Fraction(h * h * ((e + D) ** 2 + (N - 1) * D2),
-                        D2 * ((e - D) ** 2 + 3 * (N - 1) * D2))
-    a = nu * (nu + N - 2)                 # alpha_nu
-    g1 = G - D                            # (gamma - 1) D
-    g2 = G - 2 * D                        # (gamma - 2) D
-    w = (2 * nu + N - 2) * q              # (nu + N/2 - 1) D
-    k = G + (N - 5) * q                   # (2 gamma + N - 5) D / 2
-    quart = (g2 * g2 - w * w) ** 2        # ((gamma-2)^2 - (nu+N/2-1)^2)^2 D^4
-    return Fraction(quart * ((e + D) ** 2 + a * D2),
-                    D2 * (quart + 2 * g1 * D * (2 * k * a * D + (N - 1) * (e - D) ** 2)))
+        return Fraction(*_c_one(G, q, N))
+    return Fraction(*_c_nu(G, q, N, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +435,3 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
         C_values=tuple(c),
     )
 
-
-def mode_table(p: Params, nu_max: int = 8) -> list[ModeConstant]:
-    """A(nu) and C(nu) for nu = 0..nu_max, as tagged exact values."""
-    out = []
-    for nu in range(nu_max + 1):
-        out.append(ModeConstant(nu, rellich_hardy_A(p, nu), "A"))
-        out.append(ModeConstant(nu, rellich_hardy_C(p, nu), "C"))
-    return out

@@ -1,9 +1,11 @@
 """Certificate corpus: every identity and sign certificate, exact links,
 numeric guards, and failure localisation."""
 
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,6 +14,7 @@ import sympy
 
 import curlsharp
 from curlsharp import certificates as certs
+from curlsharp import constants
 from curlsharp import polyfamily as pf
 from curlsharp.constants import Params, alpha, rellich_hardy_C
 from curlsharp.nonneg import IntervalQ, nonneg_on_interval
@@ -122,7 +125,8 @@ def test_quotient_constant_links_exact():
 
 
 def _sympy(poly):
-    """A MultiPoly as a sympy expression, term by term."""
+    """A MultiPoly (or a rational) as a sympy expression, term by term."""
+    poly = poly if isinstance(poly, MultiPoly) else MultiPoly.const(poly)
     syms = sympy.symbols(VARS)
     return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*(v ** e for v, e in zip(syms, exp)))
@@ -157,14 +161,45 @@ def test_link_identities_sympy(branch):
         q, p = (_sympy(f()).subs({tau: 0, a: slot}) for f in (pf.q1, pf.p1))
     num, den = _sympy_c_gamma_form(branch)
     assert sympy.cancel(q / p - num / den) == 0
-    # and the transcription the checker uses is the same pair
-    got_num, got_den = (_sympy(x) for x in certs._c_gamma_form(branch))
+    # and the body that rellich_hardy_C runs, at D = 1, is the same pair
+    got_num, got_den = (_sympy(x) for x in certs._c_branch(branch, F(1, 2)))
     assert sympy.expand(got_num - num) == 0
     assert sympy.expand(got_den - den) == 0
 
 
+def _sympy_a_forms(nu):
+    """rellich_hardy_A's gamma-form and slot form in sympy, each as
+    (num, den), gamma = 2 - N/2 - lam."""
+    lam, n = sympy.symbols("lam N")
+    g = 2 - n / 2 - lam
+
+    def alpha_(x):
+        return x * (x + n - 2)
+    if nu == 0:
+        return ((g - n / 2) ** 2, 1), ((lam + n - 2) ** 2, 1)
+    return ((((g - 1) ** 2 - (nu + n / 2 - 1) ** 2) ** 2,
+             (g + n / 2 - 2) ** 2 + alpha_(nu)),
+            ((alpha_(nu) - alpha_(lam)) ** 2, alpha_(nu) + lam ** 2))
+
+
+@pytest.mark.parametrize("nu", [0, 1, "s"])
+def test_a_forms_sympy(nu):
+    # independent re-derivation of both forms of A: they are one rational
+    # function, and the bodies rellich_hardy_A runs, at D = 1, are the pairs
+    forms = _sympy_a_forms(sympy.Symbol("s") if nu == "s" else nu)
+    (ng, dg), (nl, dl) = forms
+    assert sympy.cancel(ng / dg - nl / dl) == 0
+    half = F(1, 2)
+    at = pf.S if nu == "s" else nu
+    for body, (num, den) in zip((constants._a_gamma, constants._a_slot), forms):
+        got_num, got_den = (_sympy(x) for x in
+                            body(certs._gamma_d(half), half, pf.N, at))
+        assert sympy.expand(got_num - num) == 0, body.__name__
+        assert sympy.expand(got_den - den) == 0, body.__name__
+
+
 def test_link_forms_equal_rellich_hardy_C():
-    forms = {b: certs._c_gamma_form(b) for b in certs._LINK_BRANCHES}
+    forms = {b: certs._c_branch(b, F(1, 2)) for b in certs._LINK_BRANCHES}
     for n in range(2, 9):
         # every lam = 0 point (gamma = 2 - N/2) and a spread of others
         gammas = {F(4 - n, 2), F(-3), F(-1, 2), F(0), F(1, 3), F(1), F(5, 2)}
@@ -178,28 +213,74 @@ def test_link_forms_equal_rellich_hardy_C():
                     == rellich_hardy_C(p, nu), (n, g, nu)
 
 
-def _nu2_numerator_plus_s(real):
-    def form(branch):
-        num, den = real(branch)
-        return (num + pf.S if branch == "nu>=2" else num), den
-    return form
+def _numerator_plus_nu(real):
+    def body(G, q, N, nu):
+        num, den = real(G, q, N, nu)
+        return num + nu, den
+    return body
+
+
+def _zero_pair(real):
+    return lambda *args: (MultiPoly(), MultiPoly())
+
+
+def _doubled(real):
+    return lambda *args: 2 * real(*args)
+
+
+def _mutant(old, new):
+    """A constants body with the source text `old` replaced by `new`."""
+    def make(real):
+        src = textwrap.dedent(inspect.getsource(real))
+        assert src.count(old) == 1, (real.__name__, old)
+        scope = dict(vars(constants))
+        exec(src.replace(old, new), scope)
+        return scope[real.__name__]
+    return make
+
+
+# equals the true (nu + N/2 - 1) D at q = 1/2 only: a D = 1 check misses it
+_W_TIMES_D = _mutant("w = (2 * nu + N - 2) * q", "w = (2 * nu + N - 2) * q * (2 * q)")
+_C_BODIES = ("_c_radial", "_c_one", "_c_nu")
+
+
+@pytest.mark.parametrize("targets,perturb,fails", [
+    (["q0"], lambda f: lambda: f() + pf.LAM, ["radial link"]),
+    (["p1"], lambda f: lambda: f() + pf.LAM ** 2 * pf.A, ["nu=1 link", "nu>=2 link"]),
+    (["q1"], lambda f: lambda: f() + pf.A ** 3, ["nu=1 link", "nu>=2 link"]),
+    (["_c_nu"], _numerator_plus_nu, ["nu>=2 link"]),
+    # zero num and den would satisfy the cross-multiplied identity vacuously
+    (_C_BODIES, _zero_pair,
+     ["radial link", "nu=1 link", "nu>=2 link", "C(0) = A(1)"]),
+    (["_a_gamma"], _zero_pair, ["A(0) forms", "A(s) forms", "C(0) = A(1)"]),
+    (["_alpha_int"], _doubled, ["A(s) forms"]),
+    (["_c_nu"], _W_TIMES_D, ["nu>=2 link"]),
+    (["_a_gamma"], _W_TIMES_D, ["A(s) forms", "C(0) = A(1)"]),
+], ids=["q0", "p1", "q1", "c-numerator", "c-zero", "a-zero", "alpha-doubled",
+        "c-q-only", "a-q-only"])
+def test_links_report_a_perturbed_closed_form(monkeypatch, targets, perturb,
+                                              fails):
+    for target in targets:
+        owner = constants if target.startswith("_") else pf
+        monkeypatch.setattr(owner, target, perturb(getattr(owner, target)))
+    got = certs.quotient_constant_links()
+    assert [f.split(" fail")[0] for f in got] == fails
+
+
+_A_SLOT_REFS = ["a1-a0-identity", "a-diff-identity", "c-minus-a-prev",
+                "c-minus-a-next"]
 
 
 @pytest.mark.parametrize("target,perturb,fails", [
-    ("q0", lambda f: lambda: f() + pf.LAM, ["radial"]),
-    ("p1", lambda f: lambda: f() + pf.LAM ** 2 * pf.A, ["nu=1", "nu>=2"]),
-    ("q1", lambda f: lambda: f() + pf.A ** 3, ["nu=1", "nu>=2"]),
-    ("_c_gamma_form", _nu2_numerator_plus_s, ["nu>=2"]),
-    # zero num and den would satisfy the cross-multiplied identity vacuously
-    ("_c_gamma_form", lambda f: lambda branch: (MultiPoly(), MultiPoly()),
-     ["radial", "nu=1", "nu>=2"]),
-], ids=["q0", "p1", "q1", "c-numerator", "c-zero"])
-def test_links_report_a_perturbed_closed_form(monkeypatch, target, perturb,
-                                              fails):
-    owner = certs if target.startswith("_") else pf
-    monkeypatch.setattr(owner, target, perturb(getattr(owner, target)))
-    got = certs.quotient_constant_links()
-    assert [f.split(" link")[0] for f in got] == fails
+    ("_a_slot", _numerator_plus_nu, _A_SLOT_REFS),
+    ("_alpha_int", _doubled, _A_SLOT_REFS),
+    ("_a_gamma", _numerator_plus_nu, ["a-rewrite-nu"]),
+    ("_a_gamma", _zero_pair, ["a-rewrite-nu", "a-rewrite-0"]),
+], ids=["slot-numerator", "alpha-doubled", "gamma-numerator", "gamma-zero"])
+def test_section5_reports_a_perturbed_a_form(monkeypatch, target, perturb, fails):
+    monkeypatch.setattr(constants, target, perturb(getattr(constants, target)))
+    got = [r.name for r in certs.run_suite(["section5"]).reports if not r.ok]
+    assert got == fails
 
 
 def test_interleaving_spot_checks():

@@ -587,11 +587,3 @@ def test_sweep_rows():
     assert rows[0].in_improvement_region and not rows[0].equal
     assert abs(rows[0].C_min - 441 / 68) < 1e-12
 
-
-def test_mode_table():
-    from curlsharp.constants import mode_table
-    table = mode_table(Params(3, F(0)), nu_max=2)
-    assert len(table) == 6
-    kinds = {(m.nu, m.kind): m.value for m in table}
-    assert kinds[(1, "A")] == F(25, 36)
-    assert kinds[(1, "C")] == F(147, 44)
