@@ -94,29 +94,12 @@ def _case2_bound_at(svar: MultiPoly) -> MultiPoly:
             + 2 * lam ** 2 * (2 - 4 * lam - 4 * pf.N + pf.N ** 2))
 
 
-def _qp1_difference() -> MultiPoly:
-    p1, q1 = pf.p1(), pf.q1()
-    p1z, q1z = p1.subs("tau", 0), q1.subs("tau", 0)
-    return q1 * p1z - q1z * p1 - pf.TAU * p1 * p1z
-
-
-def _q0p0_difference() -> MultiPoly:
-    p0, q0 = pf.p0(), pf.q0()
-    p0z, q0z = p0.subs("tau", 0), q0.subs("tau", 0)
-    return q0 * p0z - q0z * p0 - pf.TAU * p0 * p0z
-
-
-def _qp2_difference() -> MultiPoly:
-    p1, q1 = pf.p1(), pf.q1()
-    p1z, q1z = p1.subs("tau", 0), q1.subs("tau", 0)
-    return 2 * (q1 * p1z - q1z * p1) - pf.TAU * p1 * p1z
-
-
-def _qp3_difference() -> MultiPoly:
-    p1 = pf.p1().subs("N", 2)
-    q1 = pf.q1().subs("N", 2)
-    p1z, q1z = p1.subs("tau", 0), q1.subs("tau", 0)
-    return 3 * (q1 * p1z - q1z * p1) - pf.TAU * p1 * p1z
+def _qp_difference(k: int, q: MultiPoly, p: MultiPoly) -> MultiPoly:
+    """k (Q P(0) - Q(0) P) - tau P P(0) for a channel pair (Q, P): the
+    numerator of k (Q/P - Q(0)/P(0)) - tau over P P(0), so its sign is
+    that of the difference-quotient bound (Q/P - Q(0)/P(0))/tau >= 1/k."""
+    pz, qz = p.subs("tau", 0), q.subs("tau", 0)
+    return (q * pz - qz * p).scale(k) - pf.TAU * p * pz
 
 
 def _e1_taylor(k: int) -> MultiPoly:
@@ -221,8 +204,8 @@ def _as_at_difference() -> MultiPoly:
 
 REFERENCES = {
     "q1-factored-form": pf.q1,
-    "qp1-identity": _qp1_difference,
-    "q0p0-identity": _q0p0_difference,
+    "qp1-identity": lambda: _qp_difference(1, pf.q1(), pf.p1()),
+    "q0p0-identity": lambda: _qp_difference(1, pf.q0(), pf.p0()),
     "p1-zero-display": lambda: pf.p1().subs("tau", 0),
     "p1-alpha1": lambda: pf.p1().subs("tau", 0).subs("a", pf.N - 1),
     "p1-alpha2": lambda: pf.p1().subs("tau", 0).subs("a", 2 * pf.N),
@@ -249,7 +232,7 @@ REFERENCES = {
     "g0-case2-gap": lambda: (pf.g0().subs("a", pf.N - 1 + pf.S)
                              - pf.S * _case2_bound_at(pf.S)),
     # gamma > 1, N >= 3 regime
-    "qp2-identity": _qp2_difference,
+    "qp2-identity": lambda: _qp_difference(2, pf.q1(), pf.p1()),
     "taylor-p1": lambda: pf.p1().subs("tau", 0).subs("a", pf.N - 1 + pf.S),
     "e1-taylor-c0": lambda: _e1_taylor(0),
     "e1-taylor-c1": lambda: _e1_taylor(1),
@@ -274,7 +257,8 @@ REFERENCES = {
     "e01-appendix-n5": lambda: pf.e01().subs("N", 5),
     # N = 2 regime
     "p1-n2-form": lambda: pf.p1().subs("N", 2),
-    "qp3-identity": _qp3_difference,
+    "qp3-identity": lambda: _qp_difference(
+        3, pf.q1().subs("N", 2), pf.p1().subs("N", 2)),
     "taylor-p1-n2": lambda: _f_taylor(pf.p1().subs("tau", 0).subs("N", 2)),
     "g1-half-n2": lambda: _f_taylor(pf.g1().subs("N", 2)).scale(Fraction(1, 2)),
     "g0-half-n2": lambda: _f_taylor(pf.g0().subs("N", 2)).scale(Fraction(1, 2)),
@@ -855,6 +839,7 @@ def _tau_coeffs_float(poly: MultiPoly) -> list[float]:
 
 
 _GUARD_PER_CASE = 25  # tau samples per (Params, nu) case
+_GUARD_SLACK = 1e-12  # float rounding allowed below the channel constant
 
 
 def _guard_cases(rng, count: int) -> list[tuple[Params, int]]:
@@ -879,11 +864,10 @@ def _guard_cases(rng, count: int) -> list[tuple[Params, int]]:
     return cases
 
 
-def difference_quotient_guard(seed: int = 0, count: int = 10_000,
-                              slack: float = 1e-12):
+def difference_quotient_guard(seed: int = 0, count: int = 10_000):
     """Sample random admissible (tau, nu, gamma, N) and check the
     difference quotient (Q1/P1)(tau) minus its tau=0 value, divided by
-    tau, stays above the certified channel constant minus `slack`.
+    tau, stays above the certified channel constant minus `_GUARD_SLACK`.
 
     Returns (min_margin, n_checked, failures).
     """
@@ -919,7 +903,7 @@ def difference_quotient_guard(seed: int = 0, count: int = 10_000,
         margin = float(np.min(vals - c0))
         min_margin = min(min_margin, margin)
         checked += _GUARD_PER_CASE
-        if margin < -slack:
+        if margin < -_GUARD_SLACK:
             failures.append(
                 f"guard fails at N={p.N} gamma={p.gamma} nu={nu}: margin {margin}")
     return min_margin, checked, failures

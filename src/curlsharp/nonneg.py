@@ -1,28 +1,24 @@
 """Exact nonnegativity decision for univariate rational polynomials.
 
-Two engines, run in order:
+One procedure, on the interval as given.  p is evaluated at each finite
+end.  An infinite end is replaced by a finite stand-in past the Cauchy
+root bound, so no root of p lies beyond it.  Yun square-free
+decomposition strips the factors of even multiplicity; the roots of
+what is left are exactly the points where p changes sign, and a Sturm
+chain counts them inside the interval.  With none, one interior sample
+where p != 0 decides the sign; with some, a Sturm-guided search returns
+a point where p < 0.  Sound and complete for any polynomial with
+finitely many zeros on the interval, i.e. any nonzero polynomial.
 
-1. Bernstein: convert to the Bernstein basis on [0,1] (after an exact
-   affine map for bounded intervals, or the Goursat substitution
-   x = a + y/(1-y) for half-lines).  All Bernstein coefficients
-   nonnegative is a nonnegativity certificate; a negative *value* at a
-   subdivision endpoint is a disproof.  Indefinite coefficient patterns
-   are split by de Casteljau subdivision up to a depth cap.
-
-2. Sturm: complete fallback.  Strip even-multiplicity factors (Yun
-   square-free decomposition), count sign-changing roots in the open
-   interval with a Sturm chain, and decide from endpoint values plus one
-   interior sample.  Sound and complete for any polynomial with finitely
-   many zeros on the interval, i.e. any nonzero polynomial.
-
-The answer is exact either way; the witness records which engine decided.
+Every witness sample (x, v) is a point x of the interval and the exact
+value v == p(x) of the polynomial itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .poly import MultiPoly
 
@@ -68,15 +64,12 @@ class IntervalQ:
 
 @dataclass(frozen=True)
 class NonnegWitness:
-    method: str  # zero-poly | bernstein | sturm | negative-value | inconclusive
-    depth: int = 0
+    method: str  # zero-poly | sturm | negative-value
     sample: tuple[Fraction, Fraction] | None = None  # (point, value)
     interior_sign_roots: int | None = None
 
     def __str__(self) -> str:
         bits = [self.method]
-        if self.method == "bernstein":
-            bits.append(f"depth={self.depth}")
         if self.interior_sign_roots is not None:
             bits.append(f"sign-roots={self.interior_sign_roots}")
         if self.sample is not None:
@@ -115,90 +108,8 @@ def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _trim(out)
 
 
-def _shift_scale(c: list[Fraction], a: Fraction, h: Fraction) -> list[Fraction]:
-    """Coefficients of q(y) = p(a + h*y)."""
-    out: list[Fraction] = []
-    for coeff in reversed(c):
-        # out <- out*(a + h*y) + coeff
-        new = [Fraction(0)] * (len(out) + 1)
-        for k, v in enumerate(out):
-            new[k] += v * a
-            new[k + 1] += v * h
-        new[0] += coeff
-        out = new
-    return _trim(out)
-
-
-def _reverse_into_goursat(c: list[Fraction]) -> list[Fraction]:
-    """Coefficients of q(y) = (1-y)^n p(y/(1-y)) for p of degree n.
-
-    Sign of q on [0,1) matches the sign of p on [0,oo); q(1) is the
-    leading coefficient of p.
-    """
-    n = len(c) - 1
-    out = [Fraction(0)] * (n + 1)
-    for k, ck in enumerate(c):
-        if ck == 0:
-            continue
-        for j in range(n - k + 1):  # y^k (1-y)^(n-k)
-            out[k + j] += ck * comb(n - k, j) * (-1) ** j
-    return _trim(out)
-
-
 # ---------------------------------------------------------------------------
-# Bernstein engine on [0,1]
-# ---------------------------------------------------------------------------
-
-def _to_bernstein(c: list[Fraction]) -> list[Fraction]:
-    n = len(c) - 1
-    return [
-        sum((Fraction(comb(k, i), comb(n, i)) * c[i] for i in range(k + 1)),
-            Fraction(0))
-        for k in range(n + 1)
-    ]
-
-
-def _de_casteljau(b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    n = len(b) - 1
-    left = [b[0]]
-    right = [b[n]]
-    work = list(b)
-    for _ in range(n):
-        work = [(work[i] + work[i + 1]) / 2 for i in range(len(work) - 1)]
-        left.append(work[0])
-        right.append(work[-1])
-    return left, right[::-1]
-
-
-def _bernstein_decide(c: list[Fraction], max_depth: int, node_budget: int = 4096):
-    """(True, depth) / (False, (y, value)) / (None, None) for p >= 0 on [0,1]."""
-    queue = [(_to_bernstein(c), Fraction(0), Fraction(1), 0)]
-    seen = 0
-    deepest = 0
-    while queue:
-        seen += 1
-        if seen > node_budget:
-            return None, None
-        b, lo, hi, depth = queue.pop()
-        deepest = max(deepest, depth)
-        if all(x >= 0 for x in b):
-            continue
-        # end coefficients of a Bernstein segment are exact values of p
-        if b[0] < 0:
-            return False, (lo, b[0])
-        if b[-1] < 0:
-            return False, (hi, b[-1])
-        if depth >= max_depth:
-            return None, None
-        left, right = _de_casteljau(b)
-        mid = (lo + hi) / 2
-        queue.append((left, lo, mid, depth + 1))
-        queue.append((right, mid, hi, depth + 1))
-    return True, deepest
-
-
-# ---------------------------------------------------------------------------
-# Sturm engine
+# square-free decomposition and Sturm chains
 # ---------------------------------------------------------------------------
 
 def _primitive(c: list[Fraction]) -> list[Fraction]:
@@ -384,80 +295,9 @@ def _find_negative_sample(c: list[Fraction], g: list[Fraction],
     raise AssertionError("sign change certified by Sturm but no sample found")
 
 
-def _sturm_decide(c: list[Fraction]):
-    """Exact decision of p >= 0 on [0,1]: (bool, NonnegWitness)."""
-    p0 = _eval(c, Fraction(0))
-    p1 = _eval(c, Fraction(1))
-    if p0 < 0:
-        return False, NonnegWitness("negative-value", sample=(Fraction(0), p0))
-    if p1 < 0:
-        return False, NonnegWitness("negative-value", sample=(Fraction(1), p1))
-    g = _squarefree_odd_part(c)
-    nroots = count_roots_open(g, Fraction(0), Fraction(1)) if len(g) > 1 else 0
-    if nroots == 0:
-        # constant sign on (0,1); read it off at a point where p != 0
-        for k in range(1, 2 * len(c) + 4):
-            x = Fraction(k, 2 * len(c) + 4)
-            v = _eval(c, x)
-            if v != 0:
-                if v > 0:
-                    return True, NonnegWitness(
-                        "sturm", interior_sign_roots=0, sample=(x, v))
-                return False, NonnegWitness("negative-value", sample=(x, v))
-        return True, NonnegWitness("zero-poly")
-    x, v = _find_negative_sample(c, g, Fraction(0), Fraction(1))
-    return False, NonnegWitness(
-        "negative-value", interior_sign_roots=nroots, sample=(x, v))
-
-
 # ---------------------------------------------------------------------------
 # public entry point
 # ---------------------------------------------------------------------------
-
-def _far_negative_point(c: list[Fraction], start: Fraction,
-                        step: int) -> Fraction:
-    """First start + k*step, k = 1, 2, 4, ..., where p < 0.
-
-    Called for the point at infinity of a half-line, where the leading
-    coefficient of p (of the reflected p on a left half-line) is negative,
-    so p tends to -oo in the direction of `step` and the doubling ends.
-    """
-    k = 1
-    while _eval(c, start + k * step) >= 0:
-        k *= 2
-    return start + k * step
-
-
-def _unit_interval_problems(coeffs: list[Fraction], iv: IntervalQ):
-    """Reduce `p >= 0 on iv` to problems on [0,1]; yields (coeffs, back-map).
-
-    The back-map sends a point y of [0,1] where the unit problem is
-    negative to a point x of iv where p is negative (the signs agree).
-    """
-    lo, hi = iv.lo, iv.hi
-    if lo is not None and hi is not None:
-        if lo == hi:
-            yield [_eval(coeffs, lo)], (lambda y, lo=lo: lo)
-            return
-        h = hi - lo
-        yield _shift_scale(coeffs, lo, h), (lambda y, lo=lo, h=h: lo + h * y)
-        return
-    if lo is not None:  # [lo, oo)
-        shifted = _shift_scale(coeffs, lo, Fraction(1))
-        yield _reverse_into_goursat(shifted), (
-            lambda y, lo=lo: lo + y / (1 - y) if y != 1
-            else _far_negative_point(coeffs, lo, 1))
-        return
-    if hi is not None:  # (-oo, hi]: reflect onto [-hi, oo)
-        reflected = [(-1) ** k * ck for k, ck in enumerate(coeffs)]
-        shifted = _shift_scale(reflected, -hi, Fraction(1))
-        yield _reverse_into_goursat(shifted), (
-            lambda y, hi=hi: hi - y / (1 - y) if y != 1
-            else _far_negative_point(coeffs, hi, -1))
-        return
-    yield from _unit_interval_problems(coeffs, IntervalQ.at_least(0))
-    yield from _unit_interval_problems(coeffs, IntervalQ.at_most(0))
-
 
 def _off_open_end(c: list[Fraction], x: Fraction, iv: IntervalQ) -> Fraction:
     """x, or a point strictly inside iv where p < 0 when x is an open end.
@@ -491,18 +331,23 @@ def nonneg_on_interval(
     poly: MultiPoly | list,
     interval: IntervalQ,
     var: str | None = None,
-    max_depth: int = 10,
 ) -> tuple[bool, NonnegWitness]:
     """Decide exactly whether a univariate polynomial is >= 0 on an interval.
 
     Accepts a univariate MultiPoly (variable inferred when unique) or an
-    ascending coefficient list.  Bernstein subdivision (at most `max_depth`
-    halvings) answers the easy cases quickly and carries an
-    all-nonnegative-coefficients witness; the Sturm fallback makes the
-    decision complete.  The result is exact, and a negative verdict's
-    sample (x, v) has x in the interval, never on an open end, and
-    v == p(x).  Open and closed ends give the same verdict: p is
-    continuous, so p < 0 at an end means p < 0 just inside it.
+    ascending coefficient list, and works on the interval as given.  p is
+    evaluated at each finite end.  An infinite end is replaced by a
+    finite stand-in past the Cauchy bound 1 + max|c_i/c_n|, beyond which
+    p has no root and so keeps one sign.  Between the ends, a Sturm chain
+    counts the roots of the odd square-free part of p, which are exactly
+    the points where p changes sign.  With none, one interior sample where
+    p != 0 gives the sign of p on the whole interval; with some, p < 0
+    next to one of them.
+
+    The result is exact.  Every sample (x, v) has x in the interval and
+    v == p(x); a negative verdict's x is never on an open end.  Open and
+    closed ends give the same verdict: p is continuous, so p < 0 at an
+    end means p < 0 just inside it.
     """
     if isinstance(poly, MultiPoly):
         used = poly.variables_used()
@@ -516,34 +361,29 @@ def nonneg_on_interval(
     coeffs = _trim(list(coeffs))
     if not coeffs:
         return True, NonnegWitness("zero-poly")
-    if len(coeffs) == 1:
-        x = next((e for e in (interval.lo, interval.hi) if e is not None),
-                 Fraction(0))
-        if coeffs[0] < 0:
-            return False, _negative_witness(coeffs, x, interval)
-        return True, NonnegWitness("bernstein", sample=(x, coeffs[0]))
-
-    best: NonnegWitness | None = None
-    for unit_coeffs, back in _unit_interval_problems(coeffs, interval):
-        unit_coeffs = _trim(list(unit_coeffs))
-        if not unit_coeffs:
-            continue
-        if len(unit_coeffs) == 1:
-            if unit_coeffs[0] < 0:
-                return False, _negative_witness(coeffs, back(Fraction(0)),
-                                                interval)
-            continue
-        verdict, info = _bernstein_decide(unit_coeffs, max_depth)
-        if verdict is True:
-            cand = NonnegWitness("bernstein", depth=info)
-        elif verdict is False:
-            return False, _negative_witness(coeffs, back(info[0]), interval)
-        else:
-            ok, w = _sturm_decide(unit_coeffs)
-            if not ok:
-                return False, _negative_witness(coeffs, back(w.sample[0]),
-                                                interval, w.interior_sign_roots)
-            cand = w
-        if best is None or (cand.method == "sturm") or cand.depth > best.depth:
-            best = cand
-    return True, (best or NonnegWitness("bernstein"))
+    lo, hi = interval.lo, interval.hi
+    for end in (lo, hi):
+        if end is not None and _eval(coeffs, end) < 0:
+            return False, _negative_witness(coeffs, end, interval)
+    # every root z has |z| < 1 + max|c_i/c_n| (Cauchy); adding |lo| + |hi|
+    # keeps a stand-in past the finite end too
+    cauchy = max((abs(c / coeffs[-1]) for c in coeffs[:-1]), default=Fraction(0))
+    far = 1 + cauchy + sum(abs(e) for e in (lo, hi) if e is not None)
+    a = -far if lo is None else lo
+    b = far if hi is None else hi
+    g = _squarefree_odd_part(coeffs)
+    sign_roots = count_roots_open(g, a, b)
+    if sign_roots:
+        x, _ = _find_negative_sample(coeffs, g, a, b)
+        return False, _negative_witness(coeffs, x, interval, sign_roots)
+    # one sign on (a, b), read where p != 0: p has fewer roots than the
+    # n - 1 samples
+    n = 2 * len(coeffs) + 4
+    for k in range(1, n):
+        x = a + (b - a) * Fraction(k, n)
+        v = _eval(coeffs, x)
+        if v != 0:
+            break
+    if v < 0:
+        return False, _negative_witness(coeffs, x, interval, 0)
+    return True, NonnegWitness("sturm", sample=(x, v), interior_sign_roots=0)

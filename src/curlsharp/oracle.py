@@ -50,8 +50,8 @@ import numpy as np
 from scipy.special import eval_legendre
 
 from .constants import Params, alpha, rellich_hardy_C
-from .spectral import (Profile, _gl_nodes, _legendre_rule, quadratic_form,
-                       NotConvergedError)
+from .spectral import (_GL_NODES_PER_UNIT, Profile, _gl_nodes, _legendre_rule,
+                       quadratic_form, NotConvergedError)
 from . import polyfamily as pf
 
 
@@ -139,10 +139,8 @@ Term = tuple[np.ndarray, str]
 # order of WeightedIntegrals
 _WEIGHT_OFFSET = {"lap": 0, "grad": -2, "u": -4, "rem": -2}
 
-# GL nodes per unit of t in the coarse pass of weighted_integrals (the
-# fine pass doubles them), and the largest relative change the doubling
-# may make
-_NODES_PER_UNIT = 16
+# the largest relative change that doubling the resolution of
+# weighted_integrals may make
 CONVERGENCE_REL_TOL = 1e-7
 
 
@@ -365,12 +363,13 @@ def _integrate(bundle: AnalyticFieldBundle, nodes_per_unit: int,
 
 def weighted_integrals(bundle: AnalyticFieldBundle) -> WeightedIntegrals:
     """Weighted integrals with an a-posteriori resolution-doubling check:
-    a pass at _NODES_PER_UNIT radial nodes and the default angular rule,
-    then one at twice both.  Raises NotConvergedError when doubling moves
-    any integral beyond CONVERGENCE_REL_TOL relative."""
-    coarse = _integrate(bundle, _NODES_PER_UNIT, None)
+    a pass at the GL bases' _GL_NODES_PER_UNIT radial nodes per unit of t
+    and the default angular rule, then one at twice both.  Raises
+    NotConvergedError when doubling moves any integral beyond
+    CONVERGENCE_REL_TOL relative."""
+    coarse = _integrate(bundle, _GL_NODES_PER_UNIT, None)
     ang, _ = _angular_rule(bundle.dim, bundle.nu)
-    fine = _integrate(bundle, 2 * _NODES_PER_UNIT, 2 * len(ang))
+    fine = _integrate(bundle, 2 * _GL_NODES_PER_UNIT, 2 * len(ang))
     rels = [abs(a - b) / max(abs(b), 1e-300) for a, b in zip(coarse, fine)]
     err = max(rels)
     if err > CONVERGENCE_REL_TOL:

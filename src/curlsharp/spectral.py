@@ -171,7 +171,8 @@ FORM_REL_TOL = 1e-8
 # slack of the remainder inequality, relative to the size of its terms
 REMAINDER_TOL = 1e-8
 
-# GL nodes per unit of t for the derivative norms; see _gl_nodes
+# GL nodes per unit of t for the derivative norms and for the coarse pass
+# of oracle.weighted_integrals; see _gl_nodes
 _GL_NODES_PER_UNIT = 16
 
 
@@ -509,6 +510,10 @@ def minimizing_sequence(params: Params, nu_star: int, ns,
 # brute-force scan over (tau, nu)
 # ---------------------------------------------------------------------------
 
+# the range of the log-spaced tau grid of brute_min_tau_nu
+_BRUTE_TAU_MIN, _BRUTE_TAU_MAX = 1e-4, 1e4
+
+
 @dataclass(frozen=True)
 class BruteMinResult:
     min_value: float
@@ -518,10 +523,10 @@ class BruteMinResult:
     rel_error: float
 
 
-def brute_min_tau_nu(params: Params, tau_min: float = 1e-4,
-                     tau_max: float = 1e4, tau_points: int = 400,
+def brute_min_tau_nu(params: Params, tau_points: int = 400,
                      nu_max: int = 40, rel_tol: float = 1e-10) -> BruteMinResult:
-    """Scan Q/P over tau in {0} plus a log grid, nu <= nu_max.
+    """Scan Q/P over tau in {0} plus `tau_points` log-spaced values in
+    [_BRUTE_TAU_MIN, _BRUTE_TAU_MAX], nu <= nu_max.
 
     Every mode is evaluated in one pass: the (Q, P) tau-coefficients of
     nu = 0..nu_max, zero-padded to degree MAX_TAU_DEGREE, run through
@@ -539,7 +544,7 @@ def brute_min_tau_nu(params: Params, tau_min: float = 1e-4,
     if nu_max < 0:
         raise ValueError(f"nu_max must be >= 0, got {nu_max}")
     taus = np.concatenate([[0.0], np.exp(np.linspace(
-        np.log(tau_min), np.log(tau_max), tau_points))])
+        np.log(_BRUTE_TAU_MIN), np.log(_BRUTE_TAU_MAX), tau_points))])
     # coeffs[side, nu, k]: tau^k coefficient of Q (side 0) or P (side 1)
     coeffs = np.zeros((2, nu_max + 1, MAX_TAU_DEGREE + 1))
     for nu in range(nu_max + 1):

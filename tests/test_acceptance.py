@@ -145,7 +145,7 @@ def test_criterion_7_remainder_inequality():
 def test_criterion_8_difference_quotient_guard():
     with _Timer("8 difference-quotient numeric guard"):
         margin, checked, failures = certs.difference_quotient_guard(
-            seed=0, count=10_000, slack=1e-12)
+            seed=0, count=10_000)
         assert checked >= 10_000
         assert not failures and margin >= -1e-12
         # gamma <= 1: the difference quotient tends to the sharp channel

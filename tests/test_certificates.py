@@ -36,11 +36,21 @@ def test_suite_is_deterministic():
 
 
 def test_every_corpus_file_has_reference():
-    names = {c.name for c in certs.load_corpus()}
+    corpus = certs.load_corpus()
+    names = {c.name for c in corpus}
     missing = names - set(certs.REFERENCES)
     assert not missing
     unused = set(certs.REFERENCES) - names
     assert not unused
+    # every name sits in exactly one regime, and each file's `regime:`
+    # field names the REGIMES list that holds it
+    home = {}
+    for regime, members in certs.REGIMES.items():
+        for name in members:
+            assert name not in home, (name, home.get(name), regime)
+            home[name] = regime
+    assert set(home) == names
+    assert {c.name: c.regime for c in corpus} == home
 
 
 @pytest.mark.parametrize("regime,count", [
@@ -322,7 +332,7 @@ def test_guard_cases_are_instances_of_the_qp_identities():
     # the float guard re-samples a proven claim: at each of its seed-0
     # cases, tau times the cleared margin over c0 is the target of its
     # regime's qp identity at (lam, N, alpha_nu), which the corpus proves
-    # equal to _qp{1,2,3}_difference and to tau times a nonnegative family
+    # equal to _qp_difference and to tau times a nonnegative family
     targets = {c.name: c.target for c in certs.load_corpus()
                if c.name in ("qp1-identity", "qp2-identity", "qp3-identity")}
     cases = set(certs._guard_cases(np.random.default_rng(0), 10_000))

@@ -41,6 +41,10 @@ ALLOWLIST = {
                      "closed-form norms BUMP_NORM2 and COS4_NORM2",
     "IntervalQ.real_line": "the whole-line interval of the nonnegativity "
                            "API, the counterpart of the half-line default",
+    "IntervalQ.at_least": "the half-line [lo, oo) of the nonnegativity API; "
+                          "the corpus writes its intervals as text",
+    "IntervalQ.at_most": "the half-line (-oo, hi] of the nonnegativity API; "
+                         "the corpus writes its intervals as text",
     "AnalyticFieldBundle.potential": "the scalar potential whose gradient "
                                      "the oracle's field must be",
     "AnalyticFieldBundle.u_cart": "the field at a point, which the analytic "

@@ -1,12 +1,12 @@
-"""Bernstein/Sturm nonnegativity decision: exactness and completeness."""
+"""Sturm nonnegativity decision on the interval itself: exactness,
+completeness and true-valued witnesses."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from curlsharp import nonneg
 from curlsharp.nonneg import IntervalQ, nonneg_on_interval
 from curlsharp.poly import MultiPoly, parse_poly
 
@@ -44,8 +44,8 @@ def test_interior_dip_detected():
 
 
 def test_double_root_inside():
-    # nonnegative with an interior zero: Bernstein alone cannot certify,
-    # the Sturm fallback must
+    # nonnegative with an interior zero: the odd square-free part is the
+    # constant 1, so Sturm counts no sign change
     ok, witness = nonneg_on_interval(parse_poly("(s - 1/3)^2"),
                                      IntervalQ.closed(0, 1))
     assert ok and witness.method in ("sturm", "bernstein")
@@ -124,11 +124,12 @@ def _value(coeffs, x):
 
 
 def test_halfline_witness_is_true_value():
-    # the Goursat transform scales the value by (1-y)^n; the witness must
-    # carry p's own value, not the transformed one (-1/1600 here)
-    ok, witness = nonneg_on_interval(parse_poly("(s - 3)^2 - 1/100"),
-                                     IntervalQ.at_least(0))
-    assert not ok and witness.sample == (F(3), F(-1, 100))
+    # the witness carries p's own value at a point of the half-line, not
+    # the value of a transformed problem (the Goursat-scaled -1/1600 once)
+    poly = parse_poly("(s - 3)^2 - 1/100")
+    ok, witness = nonneg_on_interval(poly, IntervalQ.at_least(0))
+    assert not ok and witness.sample == (F(2997, 1024), F(-121519, 26214400))
+    assert poly.eval({"s": F(2997, 1024)}) == F(-121519, 26214400)
 
 
 @pytest.mark.parametrize("text,interval", [
@@ -138,8 +139,8 @@ def test_halfline_witness_is_true_value():
     ("5 - s^2", IntervalQ.real_line()),
 ])
 def test_point_at_infinity_witness_is_real(text, interval):
-    # a negative leading term is detected at the unit problem's y = 1;
-    # the witness is a real point of the interval where p < 0
+    # a negative leading term shows past the Cauchy bound; the witness is
+    # a real point of the interval where p < 0
     poly = parse_poly(text)
     ok, witness = nonneg_on_interval(poly, interval)
     assert not ok
@@ -196,6 +197,24 @@ def test_negative_verdict_sample_is_exact(coeffs, interval):
         return
     x, v = witness.sample
     assert v < 0 and _value(coeffs, x) == v
+    assert interval.lo is None or x >= interval.lo
+    assert interval.hi is None or x <= interval.hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.fractions(-8, 8, max_denominator=6),
+                       min_size=1, max_size=6),
+       interval=_INTERVALS)
+@example(coeffs=[F(1), F(-6), F(9)], interval=IntervalQ.closed(0, 3))
+@example(coeffs=[F(49), F(35), F(-13), F(1)], interval=IntervalQ.at_least(5))
+def test_every_sample_is_a_true_value_in_the_interval(coeffs, interval):
+    # positive verdicts too: (3s - 1)^2 on [0, 3] and (s - 7)^2 (s + 1) on
+    # [5, oo) once printed a point and value of a transformed problem
+    _, witness = nonneg_on_interval(coeffs, interval)
+    if witness.sample is None:
+        return
+    x, v = witness.sample
+    assert _value(coeffs, x) == v
     assert interval.lo is None or x >= interval.lo
     assert interval.hi is None or x <= interval.hi
 
@@ -281,16 +300,3 @@ def test_verdict_matches_sympy_root_count(roots, cofactor, interval):
             coeffs = _times(coeffs, [-r, F(1)])
     ok, _ = nonneg_on_interval(coeffs, interval)
     assert ok == _sympy_verdict(coeffs, interval)
-
-
-def test_max_depth_reaches_bernstein(monkeypatch):
-    depths = []
-    real = nonneg._bernstein_decide
-    monkeypatch.setattr(nonneg, "_bernstein_decide",
-                        lambda c, max_depth: depths.append(max_depth)
-                        or real(c, max_depth))
-    p = parse_poly("(s - 1/3)^2")
-    for depth in (3, 25):
-        nonneg_on_interval(p, IntervalQ.closed(0, 1), max_depth=depth)
-    nonneg_on_interval(p, IntervalQ.closed(0, 1))
-    assert depths == [3, 25, 10]
