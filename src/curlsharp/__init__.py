@@ -76,7 +76,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # spectral imports numpy and scipy; load it only when its name is used
+    # spectral imports numpy; load it only when its name is used
     if name == "NonPositiveFormError":
         from .spectral import NonPositiveFormError
         return NonPositiveFormError

@@ -6,9 +6,14 @@ computes the weighted integrals by tensor-product quadrature with the
 radial weights and volume Jacobians written out explicitly.  The results
 cross-check the reduction to the 1-D spectral forms, which every
 sharp-constant claim rests on, so the oracle stays independent of it: it
-shares only the profile's closed-form derivatives with `spectral`, not
-its quadratic-form code path, and it integrates the zonal harmonic over
-the sphere by quadrature rather than through a closed-form norm.
+shares with `spectral` the profile's closed-form derivatives, the
+Gauss-Legendre rule and the Legendre recurrence (`_legendre`, which gives
+the N = 3 zonal harmonic P_nu(cos theta) and its derivatives), not its
+quadratic-form code path, and it integrates the zonal harmonic over the
+sphere by quadrature rather than through a closed-form norm.  At
+construction the quadrature norm is checked against `_harmonic_norm2`,
+the closed form 4 pi / (2 nu + 1), which checks the shared rule and the
+recurrence independently of both.
 
 Field shapes (g is the dilated profile, t = log r, Y a zonal harmonic):
 
@@ -47,11 +52,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from .constants import Params, alpha, rellich_hardy_C
-from .spectral import (_GL_NODES_PER_UNIT, Profile, _gl_nodes, _legendre_rule,
-                       quadratic_form, NotConvergedError)
+from .spectral import (_GL_NODES_PER_UNIT, Profile, _gl_nodes, _legendre,
+                       _legendre_rule, quadratic_form, NotConvergedError)
 from . import polyfamily as pf
 
 
@@ -75,8 +79,9 @@ class _Zonal:
         """The angular factors of the field terms at ang, by key: "1",
         "y" (Y), "dy" (dY/dtheta), "d2y" (d2Y/dtheta2) and, for N = 3
         only, "cot_dy" (cot(theta) dY/dtheta, written without the cot
-        singularity).  For N = 3 the Legendre values are evaluated once
-        for all of them."""
+        singularity).  For N = 3 one Legendre recurrence gives P_nu, P'_nu
+        and P''_nu at cos(theta) for all of them, and no factor divides by
+        sin(theta), so the values hold on the polar axis too."""
         ang = np.asarray(ang, dtype=float)
         nu = self.nu
         one = np.ones_like(ang)
@@ -85,13 +90,7 @@ class _Zonal:
                     "dy": -nu * np.sin(nu * ang),
                     "d2y": -nu ** 2 * np.cos(nu * ang)}
         c, s = np.cos(ang), np.sin(ang)
-        p = eval_legendre(nu, c)
-        if nu == 0:
-            dp = np.zeros_like(c)
-        else:
-            dp = nu * (eval_legendre(nu - 1, c) - c * p) / (1.0 - c * c)
-        # Legendre ODE: (1-c^2) P'' - 2c P' + nu(nu+1) P = 0
-        d2p = (2.0 * c * dp - nu * (nu + 1) * p) / (1.0 - c * c)
+        p, dp, d2p = _legendre(nu, c)
         return {"1": one, "y": p, "dy": -s * dp,
                 "d2y": -c * dp + s ** 2 * d2p, "cot_dy": -c * dp}
 

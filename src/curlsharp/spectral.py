@@ -36,6 +36,12 @@ orders s..s+3, and the FFT window samples the single order s.  A Fourier
 moment of order k needs h^(k) continuous, so a form that would read a
 higher order (cos4 is only C^3) is rejected before any quadrature, and
 the basis stops at that order (cos4 at shift 1 keeps orders 1..3).
+
+The Gauss-Legendre rule under the composite quadrature is computed here
+with numpy alone: one Legendre recurrence (`_legendre`, which gives P, P'
+and P'' without dividing by 1 - c^2) drives Newton's method for the
+nodes and gives the weights.  The oracle reads the same rule, and the
+same recurrence for its zonal harmonic on the 2-sphere.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .constants import Params, rellich_hardy_C, rellich_hardy_C_min
 from .certificates import c0_for
@@ -71,7 +76,8 @@ class ArgminNotAtZeroError(AssertionError):
 
 
 class NotConvergedError(RuntimeError):
-    """Resolution doubling changed the result beyond tolerance."""
+    """Resolution doubling changed the result beyond tolerance, or Newton's
+    method for a Gauss-Legendre rule ran out of steps."""
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +266,59 @@ class Profile:
 # quadratic forms, two backends
 # ---------------------------------------------------------------------------
 
+def _legendre(nu: int, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_nu, P'_nu, P''_nu) at c, by the three-term recurrence
+    P_j = c P_{j-1} + (j - 1)/j (c P_{j-1} - P_{j-2}) together with
+    P'_j = c P'_{j-1} + j P_{j-1} and P''_j = c P''_{j-1} + (j + 1) P'_{j-1}.
+    Nothing divides by 1 - c^2, so the poles c = +-1 are ordinary points."""
+    c = np.asarray(c, dtype=float)
+    p_prev, p = np.zeros_like(c), np.ones_like(c)
+    dp, d2p = np.zeros_like(c), np.zeros_like(c)
+    for j in range(1, nu + 1):
+        cp = c * p
+        p_prev, p, dp, d2p = (p, cp + (j - 1) / j * (cp - p_prev),
+                              c * dp + j * p, c * d2p + (j + 1) * dp)
+    return p, dp, d2p
+
+
+# Newton's method for the Gauss-Legendre nodes stops once every step is
+# within _NEWTON_TOL (a few ulp of 1), and fails after _NEWTON_STEPS steps
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+_NEWTON_STEPS = 20
+
+
 @lru_cache(maxsize=16)
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre (nodes, weights) on [-1, 1], read-only and shared."""
-    x, w = roots_legendre(order)
+    """Gauss-Legendre (nodes, weights) on [-1, 1], nodes ascending,
+    read-only and shared.
+
+    Newton's method on P_order from Tricomi's guesses
+    cos(pi (k - 1/4) / (order + 1/2)) finds the nonnegative nodes; the
+    weights are 2 / ((1 - x^2) P'_order(x)^2), and the rule is mirrored
+    about 0, so it is symmetric by construction.  Raises NotConvergedError
+    when a step is still above _NEWTON_TOL after _NEWTON_STEPS steps.
+    """
+    half = (order + 1) // 2
+    x = np.cos(np.pi * (np.arange(1, half + 1) - 0.25) / (order + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        p, dp, d2p = _legendre(order, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            break
+    else:
+        raise NotConvergedError(
+            f"not_converged: Gauss-Legendre nodes of order {order} after "
+            f"{_NEWTON_STEPS} Newton steps")
+    if order % 2:
+        x[-1] = 0.0  # the middle node of an odd rule
+    # P' at the nodes, carried across the last step of a few ulp by P''
+    dp = dp - step * d2p
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # x descends from the largest node; mirror it into ascending order
+    low = order // 2
+    x = np.concatenate([-x[:low], x[::-1]])
+    w = np.concatenate([w[:low], w[::-1]])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -552,8 +607,11 @@ def brute_min_tau_nu(params: Params, tau_points: int = 400,
             c = _tau_coefficients(poly)
             coeffs[side, nu, :len(c)] = c
     vals = coeffs[..., -1, None] + taus * 0
+    # in place: a fresh (mode, tau) temporary per step is large enough that
+    # the allocator may return its pages and fault them back in on every op
     for k in range(MAX_TAU_DEGREE - 1, -1, -1):
-        vals = coeffs[..., k, None] + vals * taus
+        vals *= taus
+        vals += coeffs[..., k, None]
     valid = np.ones(vals.shape[1:], dtype=bool)
     if params.degenerate and nu_max >= 1:
         valid[1, 0] = False

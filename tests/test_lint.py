@@ -23,10 +23,17 @@ one is not the module's container.
 `json.dump`.  Every JSON document goes through `cli._json`, which writes
 the indented layout on the C encoder; an `indent` argument would start a
 second, pure-Python encoder beside it.
+
+(e) No module of `src/curlsharp` imports scipy, at module level or inside
+a function.  numpy is the only runtime dependency: the Gauss-Legendre
+rule and the Legendre values come from one recurrence in `spectral`.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -237,3 +244,32 @@ def test_no_indented_json_dumps():
                     and any(kw.arg == "indent" for kw in node.keywords)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_scipy_import():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_numeric_modules_load_without_scipy():
+    code = ("import sys\n"
+            "import curlsharp.cli, curlsharp.spectral, curlsharp.oracle\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout

@@ -119,6 +119,39 @@ def test_cot_dy_exists_for_n3_only():
                        np.cos(theta) / np.sin(theta) * samples["dy"])
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-9, np.pi - 1e-9, np.pi])
+@pytest.mark.parametrize("nu", range(7))
+def test_zonal_samples_on_the_polar_axis(theta, nu):
+    # P'_nu(+-1) = (+-1)^(nu + 1) nu (nu + 1) / 2, so at the pole sigma,
+    # Y = sigma^nu, dY/dtheta = 0 and both d2Y/dtheta2 and
+    # cot(theta) dY/dtheta tend to -sigma^nu nu (nu + 1) / 2
+    sigma = 1.0 if theta < 1.0 else -1.0
+    limit = -sigma ** nu * nu * (nu + 1) / 2
+    samples = _Zonal(3, nu).samples(np.array([theta]))
+    assert samples["y"][0] == pytest.approx(sigma ** nu, rel=1e-12)
+    assert abs(samples["dy"][0]) <= 1e-7
+    assert samples["d2y"][0] == pytest.approx(limit, rel=1e-12, abs=1e-12)
+    assert samples["cot_dy"][0] == pytest.approx(limit, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", range(7))
+def test_jacobian_on_the_polar_axis_matches_finite_differences(nu):
+    # the field is smooth on the axis, where theta = 0 or pi
+    bundle = analytic_field(Params(3, F(0)), nu, Profile.make("bump", 2))
+    eps = 1e-6
+    for x in ([0.0, 0.0, 0.7], [1e-9, 0.0, 0.7], [0.0, 0.0, -0.7]):
+        x = np.array(x)
+        jac = bundle.jac_cart(x)
+        fd = np.zeros((3, 3))
+        for k in range(3):
+            dx = np.zeros(3)
+            dx[k] = eps
+            fd[:, k] = (bundle.u_cart(x + dx) - bundle.u_cart(x - dx)) / (2 * eps)
+        assert np.all(np.isfinite(jac))
+        scale = max(np.max(np.abs(jac)), 1e-300)
+        assert np.max(np.abs(jac - fd)) / scale < 1e-5, x
+
+
 def test_zero_and_positive_integrals():
     bundle = analytic_field(Params(2, F(1, 2)), 1, Profile.make("bump", 2))
     ints = weighted_integrals(bundle)

@@ -9,7 +9,6 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import roots_legendre
 
 import curlsharp
 from curlsharp import polyfamily as pf
@@ -68,8 +67,9 @@ def test_order_limited_derivs_match_full_table(kind):
 
 
 def _gl_nodes_loop(n, nodes_per_unit=16):
-    """Per-interval reference for spectral._gl_nodes."""
-    x, w = roots_legendre(nodes_per_unit)
+    """Per-interval reference for spectral._gl_nodes: the composite
+    construction, on the same one-interval rule."""
+    x, w = spectral._legendre_rule(nodes_per_unit)
     right = [n - 2.0 ** (-j) for j in range(0, spectral._EDGE_LEVELS + 1)]
     breaks = sorted(set([-n] + [-b for b in right]
                         + [float(k) for k in range(-n + 1, n)] + right + [n]))
@@ -100,6 +100,101 @@ def test_gl_nodes_cached_and_read_only():
         nodes[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         weights *= 2
+
+
+def _mp_legendre_rule(order):
+    """Gauss-Legendre rule by Newton's method at 50 digits: mpmath's P_n,
+    with P'_n = n (x P_n - P_{n-1}) / (x^2 - 1), from Tricomi's guesses."""
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = [], []
+    with mpmath.workdps(50):
+        def dp(x):
+            p = mpmath.legendre(order, x)
+            return order * (x * p - mpmath.legendre(order - 1, x)) / (x * x - 1)
+
+        for k in range(order, 0, -1):
+            x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (order + mpmath.mpf(1) / 2))
+            for _ in range(60):
+                step = mpmath.legendre(order, x) / dp(x)
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -45:
+                    break
+            else:
+                raise AssertionError(f"reference Newton stalled at order {order}")
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp(x) ** 2)))
+    return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 16, 24, 32, 64])
+def test_legendre_rule_accuracy(order):
+    x, w = spectral._legendre_rule(order)
+    want_x, want_w = _mp_legendre_rule(order)
+    assert np.max(np.abs(x - want_x)) <= 2.3e-16
+    assert np.max(np.abs(w - want_w) / want_w) <= 2e-13
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0)
+    assert abs(float(np.sum(w)) - 2.0) <= 4e-15
+    assert spectral._legendre_rule(order)[0] is x  # one build per order
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        w *= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.data())
+def test_legendre_rule_exact_for_monomials(order, data):
+    # an order-n rule integrates x^k over [-1, 1] exactly for k < 2n
+    k = data.draw(st.integers(0, 2 * order - 1), label="k")
+    x, w = spectral._legendre_rule(order)
+    want = 0.0 if k % 2 else 2.0 / (k + 1)
+    assert abs(float(np.sum(w * x ** k)) - want) <= 1e-14
+
+
+def test_legendre_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    c = np.array([-1.0, -0.93, -0.5, -0.125, 0.0, 0.3, 0.71, 0.99, 1.0])
+    for nu in range(13):
+        got = spectral._legendre(nu, c)
+        with mpmath.workdps(50):
+            want = [mpmath.taylor(lambda t: mpmath.legendre(nu, t), mpmath.mpf(x), 2)
+                    for x in c]
+            # |P^(k)| is largest at the poles, so its pole value sets the scale
+            scale = mpmath.taylor(lambda t: mpmath.legendre(nu, t), 1, 2)
+        for k in range(3):
+            ref = np.array([float(row[k] * math.factorial(k)) for row in want])
+            tol = 1e-14 * max(1.0, float(scale[k] * math.factorial(k)))
+            assert np.max(np.abs(got[k] - ref)) <= tol, (nu, k)
+
+
+def test_legendre_rule_raises_when_newton_stalls_under_python_O():
+    code = ("import sys\n"
+            "from curlsharp import spectral\n"
+            "if __debug__:\n"
+            "    sys.exit(4)\n"
+            "spectral._NEWTON_STEPS = 1\n"
+            "try:\n"
+            "    spectral._legendre_rule(16)\n"
+            "except spectral.NotConvergedError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("order", [2, 7, 16, 33, 64])
+def test_legendre_rule_matches_scipy(order):
+    # an independent implementation, where scipy happens to be installed
+    special = pytest.importorskip("scipy.special")
+    x, w = spectral._legendre_rule(order)
+    want_x, want_w = special.roots_legendre(order)
+    assert np.max(np.abs(x - want_x)) <= 2e-12
+    assert np.max(np.abs(w - want_w) / want_w) <= 2e-12
 
 
 def test_bump_point_values():
