@@ -32,7 +32,7 @@ Certificate file syntax::
     domain: N >= 3, s >= 0   # variable lower bounds (used by nne / coeffs)
     let mu = 2*lam + N - 2   # named alias polynomial
     assume mu                # hypothesis: alias (or variable) is >= 0
-    target: <polynomial expression, may reference @FamilyNames>
+    target: <polynomial expression, may reference @Name>
     nonneg: coeffs           # certify target by shifted coefficient expansion
     term: 2 * sq(2*lam + N - 5/4)   # or a sum of tagged product terms
     term: 6 * sq(lam)
@@ -45,6 +45,10 @@ square, ``dom(name)`` for an assumed-nonnegative alias or variable,
 after shifting every bounded variable to its lower bound, and
 ``uni(expr ; var ; interval)`` for a univariate factor certified by
 `nonneg_on_interval`.
+
+``@Name`` in an expression is a `parse_poly` atom for `_at_table`'s
+polynomial: the `polyfamily` members plus the slices P1_0, P1_0n2,
+P1_0_lam0 and W_s.  `load_corpus` names the file of any parse failure.
 """
 
 from __future__ import annotations
@@ -206,9 +210,9 @@ REFERENCES = {
     "q1-factored-form": pf.q1,
     "qp1-identity": lambda: _qp_difference(1, pf.q1(), pf.p1()),
     "q0p0-identity": lambda: _qp_difference(1, pf.q0(), pf.p0()),
-    "p1-zero-display": lambda: pf.p1().subs("tau", 0),
-    "p1-alpha1": lambda: pf.p1().subs("tau", 0).subs("a", pf.N - 1),
-    "p1-alpha2": lambda: pf.p1().subs("tau", 0).subs("a", 2 * pf.N),
+    "p1-zero-display": pf.p1_at_zero,
+    "p1-alpha1": lambda: pf.p1_at_zero().subs("a", pf.N - 1),
+    "p1-alpha2": lambda: pf.p1_at_zero().subs("a", 2 * pf.N),
     "p1-tau-slope": lambda: pf.p1().diff("tau"),
     "alpha-shift": _as_at_difference,
     # gamma <= 1 regime
@@ -233,7 +237,7 @@ REFERENCES = {
                              - pf.S * _case2_bound_at(pf.S)),
     # gamma > 1, N >= 3 regime
     "qp2-identity": lambda: _qp_difference(2, pf.q1(), pf.p1()),
-    "taylor-p1": lambda: pf.p1().subs("tau", 0).subs("a", pf.N - 1 + pf.S),
+    "taylor-p1": lambda: pf.p1_at_zero().subs("a", pf.N - 1 + pf.S),
     "e1-taylor-c0": lambda: _e1_taylor(0),
     "e1-taylor-c1": lambda: _e1_taylor(1),
     "e1-taylor-c2": lambda: _e1_taylor(2),
@@ -259,7 +263,7 @@ REFERENCES = {
     "p1-n2-form": lambda: pf.p1().subs("N", 2),
     "qp3-identity": lambda: _qp_difference(
         3, pf.q1().subs("N", 2), pf.p1().subs("N", 2)),
-    "taylor-p1-n2": lambda: _f_taylor(pf.p1().subs("tau", 0).subs("N", 2)),
+    "taylor-p1-n2": lambda: _f_taylor(pf.p1_at_zero().subs("N", 2)),
     "g1-half-n2": lambda: _f_taylor(pf.g1().subs("N", 2)).scale(Fraction(1, 2)),
     "g0-half-n2": lambda: _f_taylor(pf.g0().subs("N", 2)).scale(Fraction(1, 2)),
     "f1-taylor": lambda: _f_taylor(pf.f1()),
@@ -282,47 +286,15 @@ REFERENCES = {
 
 
 def _at_table() -> dict[str, MultiPoly]:
-    """Named polynomials usable as @refs inside certificate files."""
-    table = {
-        "P0": pf.p0(),
-        "P1": pf.p1(),
-        "Q0": pf.q0(),
-        "Q1": pf.q1(),
-        "P1_0": pf.p1().subs("tau", 0),
-        "Q1_0": pf.q1().subs("tau", 0),
-        "G0": pf.g0(),
-        "G1": pf.g1(),
-        "scriptG1": pf.script_g1(),
-        "scriptG2": pf.script_g2(),
-        "E1": pf.e1(),
-        "E0": pf.e0(),
-        "E12": pf.e12(),
-        "E11": pf.e11(),
-        "E10": pf.e10(),
-        "E03": pf.e03(),
-        "E02": pf.e02(),
-        "E01": pf.e01(),
-        "E00": pf.e00(),
-        "P1_0n2": pf.p1().subs("tau", 0).subs("N", 2),
-        "F1": pf.f1(),
-        "F0": pf.f0(),
-        "W_s": pf.w_interleave().subs("a", pf.alpha_poly(pf.S)),
-        "P1_0_s": pf.p1().subs("tau", 0).subs("a", pf.alpha_poly(pf.S)),
-        "P1_0_lam0": pf.p1().subs("tau", 0).subs("lam", 0),
-    }
-    return table
-
-
-_AT_RE = re.compile(r"@([A-Za-z_][A-Za-z0-9_]*)")
-
-
-def _expand_ats(text: str, table: dict[str, MultiPoly]) -> str:
-    def repl(match):
-        name = match.group(1)
-        if name not in table:
-            raise KeyError(f"unknown @reference {name!r} in certificate")
-        return "(" + format_poly(table[name]) + ")"
-    return _AT_RE.sub(repl, text)
+    """The @Name polynomials: the family members, read from the cached
+    builders so that a Q1 fault fails q1-forms-agree instead of the load,
+    plus four slices."""
+    p1_0 = pf.p1_at_zero()
+    return {**{name: build() for name, build in pf._MEMBERS.items()},
+            "P1_0": p1_0,
+            "P1_0n2": p1_0.subs("N", 2),
+            "P1_0_lam0": p1_0.subs("lam", 0),
+            "W_s": pf.w_interleave().subs("a", pf.alpha_poly(pf.S))}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +403,7 @@ def _parse_factor(text: str, table, aliases, assumed) -> Factor | Fraction:
         bits = _split_top_level(body, ";")
         if len(bits) != 3:
             raise CertificateError(f"uni(...) needs expr;var;interval: {text!r}")
-        poly = parse_poly(_expand_ats(bits[0], table))
+        poly = parse_poly(bits[0], table)
         var = bits[1].strip()
         interval = _parse_interval(bits[2])
         return Factor("uni", poly, exp, var=var, interval=interval, label=bits[0].strip())
@@ -444,7 +416,7 @@ def _parse_factor(text: str, table, aliases, assumed) -> Factor | Fraction:
         if name not in assumed:
             raise CertificateError(f"dom({name}) used without 'assume {name}'")
         return Factor("dom", poly, exp, label=name)
-    poly = parse_poly(_expand_ats(body, table))
+    poly = parse_poly(body, table)
     return Factor(kind, poly, exp, label=body.strip())
 
 
@@ -461,10 +433,9 @@ def parse_certificate(text: str, table=None) -> Certificate:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition(":")
-        if key == "let" or line.startswith("let "):
-            body = line[4:]
-            name, _, expr = body.partition("=")
-            aliases[name.strip()] = parse_poly(_expand_ats(expr, table))
+        if line.startswith("let "):
+            name, _, expr = line[4:].partition("=")
+            aliases[name.strip()] = parse_poly(expr, table)
             continue
         if line.startswith("assume "):
             assumed.add(line[len("assume "):].strip())
@@ -486,7 +457,7 @@ def parse_certificate(text: str, table=None) -> Certificate:
             raise CertificateError(f"unknown certificate line {line!r}")
     if "name" not in fields or "target" not in fields:
         raise CertificateError("certificate needs name: and target:")
-    target = parse_poly(_expand_ats(fields["target"], table))
+    target = parse_poly(fields["target"], table)
     terms = []
     for tline in term_lines:
         coeff = Fraction(1)
@@ -533,7 +504,10 @@ def load_corpus() -> list[Certificate]:
     table = _at_table()
     certs = []
     for path in sorted(_corpus_dir().glob("*.cert")):
-        cert = parse_certificate(path.read_text(), table)
+        try:
+            cert = parse_certificate(path.read_text(), table)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            raise CertificateError(f"{path.name}: {exc}") from exc
         if cert.name != path.stem:
             raise CertificateError(f"{path.name}: name field says {cert.name!r}")
         certs.append(cert)
@@ -772,7 +746,7 @@ def _channel_at_zero(branch: str) -> tuple[MultiPoly, MultiPoly]:
         return pf.q0().subs("tau", 0), pf.p0().subs("tau", 0)
     slot = pf.N - 1 if branch == "nu=1" else pf.alpha_poly(pf.S)
     return (pf.q1().subs("tau", 0).subs("a", slot),
-            pf.p1().subs("tau", 0).subs("a", slot))
+            pf.p1_at_zero().subs("a", slot))
 
 
 _LINK_BRANCHES = ("radial", "nu=1", "nu>=2")

@@ -275,6 +275,8 @@ def _as_poly(x) -> MultiPoly:
 # The parser accepts a superset (parenthesised products/powers, unary minus)
 # so displayed certificate expressions can be transcribed verbatim; the
 # writer always emits the flat canonical form, which round-trips exactly.
+# The atom '@name' is the polynomial `names[name]` handed to parse_poly; it
+# binds like a parenthesised atom, so '@G0^2' squares G0.
 # ---------------------------------------------------------------------------
 
 def _fmt_coeff(c: Fraction) -> str:
@@ -315,7 +317,8 @@ class PolyParseError(ValueError):
 
 
 class _Tokens:
-    def __init__(self, text: str):
+    def __init__(self, text: str, names: Mapping[str, MultiPoly] | None):
+        self.names = names
         self.toks: list[str] = []
         i, n = 0, len(text)
         while i < n:
@@ -331,8 +334,8 @@ class _Tokens:
                     j += 1
                 self.toks.append(text[i:j])
                 i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
+            elif ch.isalpha() or ch in "_@":
+                j = i + 1
                 while j < n and (text[j].isalnum() or text[j] == "_"):
                     j += 1
                 self.toks.append(text[i:j])
@@ -352,9 +355,13 @@ class _Tokens:
         return tok
 
 
-def parse_poly(text: str) -> MultiPoly:
-    """Parse the textual polynomial format into a MultiPoly (exact)."""
-    toks = _Tokens(text)
+def parse_poly(text: str, names: Mapping[str, MultiPoly] | None = None) -> MultiPoly:
+    """Parse the textual polynomial format into a MultiPoly (exact).
+
+    An atom ``@name`` stands for ``names[name]``; an unknown name, a bare
+    ``@`` or an ``@`` without `names` raises PolyParseError.
+    """
+    toks = _Tokens(text, names)
     p = _parse_sum(toks)
     if toks.peek() is not None:
         raise PolyParseError(f"trailing tokens starting at {toks.peek()!r}")
@@ -416,4 +423,13 @@ def _parse_atom(toks: _Tokens) -> MultiPoly:
         return MultiPoly.const(num)
     if tok in _VAR_INDEX:
         return MultiPoly.var(tok)
+    if tok.startswith("@"):
+        name = tok[1:]
+        if not name:
+            raise PolyParseError("'@' must be followed by a name")
+        if toks.names is None:
+            raise PolyParseError(f"@{name} used without a mapping of names")
+        if name not in toks.names:
+            raise PolyParseError(f"unknown @reference {name!r}")
+        return toks.names[name]
     raise PolyParseError(f"unexpected token {tok!r}")

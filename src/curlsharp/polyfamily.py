@@ -15,11 +15,12 @@ C(nu) between the unconstrained A(nu -/+ 1).
 
 Everything is exact: coefficients live in Fraction, symbols in MultiPoly
 over (tau, a, lam, N) with shift variables s, m, mu reserved for Taylor
-re-expansions.  `build_family` returns the full family, either symbolic
-or with lam, N substituted by rationals.  `channel_polys` is the numeric
-builder of one channel's (Q, P) pair: it substitutes (lam, N) into
-Q0/P0/Q1/P1 only, once per Params, then alpha_nu, and memoises both
-steps.
+re-expansions.  `_MEMBERS` states the family's names once, each with
+its builder: `build_family` fills `PolyFamily` from it, symbolic or with
+lam, N substituted by rationals, and certificate files reference its
+members as @name.  `channel_polys` is the numeric builder of one
+channel's (Q, P) pair: it substitutes (lam, N) into Q0/P0/Q1/P1 only,
+once per Params, then alpha_nu, and memoises both steps.
 """
 
 from __future__ import annotations
@@ -234,6 +235,16 @@ class PolyFamily:
     params: Params | None = None
 
 
+# PolyFamily's fields, in order, each with its cached builder
+_MEMBERS = dict(
+    P0=p0, P1=p1, Q0=q0, Q1=q1, G0=g0, G1=g1,
+    scriptG1=script_g1, scriptG2=script_g2,
+    E1=e1, E0=e0, E12=e12, E11=e11, E10=e10,
+    E03=e03, E02=e02, E01=e01, E00=e00,
+    F1=f1, F0=f0, W=w_interleave,
+)
+
+
 @lru_cache(maxsize=None)
 def _check_q1_forms() -> None:
     """Raise FamilyInvariantError unless q1() == q1_factored() exactly.
@@ -252,13 +263,7 @@ def build_family(params: Params | None = None) -> PolyFamily:
     Q1 disagree (exact polynomial identity).
     """
     _check_q1_forms()
-    fields = dict(
-        P0=p0(), P1=p1(), Q0=q0(), Q1=q1(), G0=g0(), G1=g1(),
-        scriptG1=script_g1(), scriptG2=script_g2(),
-        E1=e1(), E0=e0(), E12=e12(), E11=e11(), E10=e10(),
-        E03=e03(), E02=e02(), E01=e01(), E00=e00(),
-        F1=f1(), F0=f0(), W=w_interleave(),
-    )
+    fields = {name: build() for name, build in _MEMBERS.items()}
     if params is not None:
         subs = {"lam": params.lam, "N": Fraction(params.N)}
         fields = {k: v.subs_many(subs) for k, v in fields.items()}

@@ -3,6 +3,8 @@ numeric guards, and failure localisation."""
 
 import inspect
 import os
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -256,7 +258,10 @@ _C_BODIES = ("_c_radial", "_c_one", "_c_nu")
 
 @pytest.mark.parametrize("targets,perturb,fails", [
     (["q0"], lambda f: lambda: f() + pf.LAM, ["radial link"]),
-    (["p1"], lambda f: lambda: f() + pf.LAM ** 2 * pf.A, ["nu=1 link", "nu>=2 link"]),
+    # the links read P1(0) from its own cached builder; the tau-free
+    # perturbation is the same fault in both
+    (["p1", "p1_at_zero"], lambda f: lambda: f() + pf.LAM ** 2 * pf.A,
+     ["nu=1 link", "nu>=2 link"]),
     (["q1"], lambda f: lambda: f() + pf.A ** 3, ["nu=1 link", "nu>=2 link"]),
     (["_c_nu"], _numerator_plus_nu, ["nu>=2 link"]),
     # zero num and den would satisfy the cross-multiplied identity vacuously
@@ -515,3 +520,70 @@ def test_division_invariants_raise_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_at_names_in_corpus_match_the_table():
+    table = certs._at_table()
+    read = set()
+    for path in certs._corpus_dir().glob("*.cert"):
+        read |= set(re.findall(r"@([A-Za-z_][A-Za-z0-9_]*)", path.read_text()))
+    assert read <= set(table), read - set(table)
+    # a slice beyond the family members earns its place by being read
+    slices = set(table) - set(pf._MEMBERS)
+    assert slices <= read, slices - read
+
+
+def test_let_colon_spelling_is_rejected():
+    text = "name: x\nregime: base\nlet: mu = lam\ntarget: lam\n"
+    with pytest.raises(certs.CertificateError, match="unknown certificate line"):
+        certs.parse_certificate(text)
+    cert = certs.parse_certificate(text.replace("let:", "let"))
+    assert cert.aliases == {"mu": parse_poly("lam")}
+
+
+_CORRUPTIONS = {
+    "unknown-at-name": ("qp1-identity.cert", "@G0", "@G9"),
+    "bad-polynomial": ("qp1-identity.cert", "(@G0 + @G1 * tau)", "(@G0 + * tau)"),
+    "dom-unknown-variable": ("taylor-g1-c1.cert", "assume mu", "assume x\nterm: dom(x)"),
+    "bad-domain-bound": ("taylor-g1-c1.cert", "N >= 2", "N >= two"),
+}
+
+
+def _corrupt_corpus(tmp_path, case):
+    name, old, new = _CORRUPTIONS[case]
+    corpus = tmp_path / "certs"
+    shutil.copytree(certs._corpus_dir(), corpus)
+    text = (corpus / name).read_text()
+    assert old in text
+    (corpus / name).write_text(text.replace(old, new, 1))
+    return corpus, name
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_malformed_corpus_file_is_named(monkeypatch, capsys, tmp_path, case):
+    from curlsharp import cli
+    corpus, name = _corrupt_corpus(tmp_path, case)
+    monkeypatch.setattr(certs, "_corpus_dir", lambda: corpus)
+    assert cli.main(["certify", "--regime", "base"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"math failure: {name}: ")
+    assert "Traceback" not in err
+
+
+def test_malformed_corpus_file_is_named_under_python_O(tmp_path):
+    corpus, name = _corrupt_corpus(tmp_path, "unknown-at-name")
+    code = ("import sys\n"
+            "from pathlib import Path\n"
+            "from curlsharp import certificates as certs, cli\n"
+            "if __debug__:\n"
+            "    sys.exit(4)\n"
+            f"certs._corpus_dir = lambda: Path({str(corpus)!r})\n"
+            "sys.exit(cli.main(['certify', '--regime', 'base']))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"math failure: {name}: unknown @reference 'G9'")
+    assert "Traceback" not in proc.stderr

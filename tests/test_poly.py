@@ -1,11 +1,13 @@
 """Exact polynomial arithmetic, substitution, Taylor re-expansion, text format."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curlsharp.certificates import _at_table
 from curlsharp.poly import (VARS, MultiPoly, PolyParseError,
                             UnknownVariableError, format_poly, parse_poly)
 
@@ -162,3 +164,45 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         p.terms = {}
     assert hash(p) == hash(parse_poly("1 + tau"))
+
+
+# ---- the @name atom ----------------------------------------------------
+
+_TABLE = _at_table()
+
+
+def _paste_then_parse(text, table):
+    """Reference expansion: each @name replaced by the canonical text of
+    its polynomial in parentheses, then the whole text parsed."""
+    return parse_poly(re.sub(r"@([A-Za-z_][A-Za-z0-9_]*)",
+                             lambda m: "(" + format_poly(table[m.group(1)]) + ")",
+                             text))
+
+
+_AT_TEXTS = ("{k}*@{x}^{e} + {p}", "{k}*@{x}^{e} - {p}", "-@{x}^{e} + {p}",
+             "{p} - @{x}", "({p}) * @{x}^{e}", "{k}*-@{x}^{e}", "@{x} * @{y}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.sampled_from(sorted(_TABLE)), y=st.sampled_from(sorted(_TABLE)),
+       form=st.sampled_from(_AT_TEXTS), k=st.integers(1, 9),
+       e=st.integers(0, 2), p=POLYS)
+def test_at_atom_equals_paste_then_parse(x, y, form, k, e, p):
+    text = form.format(x=x, y=y, k=k, e=e, p=format_poly(p))
+    assert parse_poly(text, _TABLE) == _paste_then_parse(text, _TABLE)
+
+
+def test_every_at_name_parses_to_its_polynomial():
+    for name, poly in _TABLE.items():
+        assert parse_poly(f"@{name}", _TABLE) == poly
+
+
+@pytest.mark.parametrize("text,names,problem", [
+    ("tau + @G9", _TABLE, "unknown @reference 'G9'"),
+    ("tau + @", _TABLE, "'@' must be followed by a name"),
+    ("@ G0", _TABLE, "'@' must be followed by a name"),
+    ("2 * @G0", None, "@G0 used without a mapping of names"),
+], ids=["unknown-name", "bare-at-end", "bare-at-space", "no-mapping"])
+def test_at_atom_errors_name_the_problem(text, names, problem):
+    with pytest.raises(PolyParseError, match=re.escape(problem)):
+        parse_poly(text, names)
