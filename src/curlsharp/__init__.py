@@ -9,7 +9,7 @@ spectral reduction, and the remainder inequality.
 Modules
 -------
 poly          exact sparse multivariate polynomials (Fraction coefficients)
-nonneg        exact Sturm nonnegativity decision on intervals
+nonneg        exact nonnegativity on intervals by Sturm root isolation
 constants     closed-form sharp constants, exact mode minimisation
 sweep         float64 mirror of the formulas for gamma sweeps
 polyfamily    the P/Q quotient framework and auxiliary G/E/F/W families

@@ -199,7 +199,7 @@ def _c1_c0_lhs() -> MultiPoly:
 
 
 def _c_lam0_lhs() -> MultiPoly:
-    return pf.q1().subs("tau", 0).subs("lam", 0) * (pf.A - 1)
+    return pf.q1_at_zero().subs("lam", 0) * (pf.A - 1)
 
 
 def _as_at_difference() -> MultiPoly:
@@ -745,7 +745,7 @@ def _channel_at_zero(branch: str) -> tuple[MultiPoly, MultiPoly]:
     if branch == "radial":
         return pf.q0().subs("tau", 0), pf.p0().subs("tau", 0)
     slot = pf.N - 1 if branch == "nu=1" else pf.alpha_poly(pf.S)
-    return (pf.q1().subs("tau", 0).subs("a", slot),
+    return (pf.q1_at_zero().subs("a", slot),
             pf.p1_at_zero().subs("a", slot))
 
 

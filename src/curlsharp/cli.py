@@ -43,8 +43,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .constants import (Params, TailBoundError, hardy_leray, improvement_report,
-                        rellich_hardy_A, rellich_hardy_C)
+from .constants import (Params, TailBoundError, _hardy_leray, hardy_leray,
+                        improvement_report, rellich_hardy_A, rellich_hardy_C)
 from . import certificates as certs
 from . import sweep as sweep_mod
 
@@ -151,7 +151,7 @@ def cmd_constants(args) -> int:
             "gamma": gf,
             "float_path": True,
             "warning": "decimal gamma evaluated on the float path",
-            "H": sweep_mod.hardy_leray_f(args.N, gf),
+            "H": _hardy_leray(args.N, gf, args.N / 2.0),
             "A": a[:args.nu_max + 1],
             "C": c[:args.nu_max + 1],
             "A_min": row.A_min, "A_argmin": row.A_argmin,

@@ -108,10 +108,15 @@ def hardy_leray(p: Params) -> Fraction:
     Two-branch closed form; the branch condition (gamma + N/2)^2 <= N + 1
     is decided exactly.
     """
-    g, N = p.gamma, p.N
-    base = (g + Fraction(N, 2) - 1) ** 2
-    if (g + Fraction(N, 2)) ** 2 <= N + 1:
-        shift = (g + Fraction(N, 2) - 2) ** 2
+    return _hardy_leray(p.N, p.gamma, Fraction(p.N, 2))
+
+
+def _hardy_leray(N: int, g, h):
+    """The Hardy-Leray closed form, generic in gamma's type: g and h = N/2
+    are both Fraction (exact) or both float (the float path of `cli`)."""
+    base = (g + h - 1) ** 2
+    if (g + h) ** 2 <= N + 1:
+        shift = (g + h - 2) ** 2
         return base * (3 * (N - 1) + shift) / (N - 1 + shift)
     return base + N - 1
 
@@ -393,7 +398,12 @@ class ImprovementReport:
 
 def in_improvement_region(p: Params) -> bool:
     """Exact test of |gamma - (N+4)/6| < sqrt(N^2 - N + 1)/3 via squares."""
-    g, N = p.gamma, p.N
+    return _in_region(p.N, p.gamma)
+
+
+def _in_region(N: int, g) -> bool:
+    """The improvement-region test, generic in gamma's type: exact on a
+    Fraction, the float mirror's test on a float."""
     return (6 * g - (N + 4)) ** 2 < 4 * (N * N - N + 1)
 
 

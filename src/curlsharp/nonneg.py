@@ -2,13 +2,13 @@
 
 One procedure, on the interval as given.  p is evaluated at each finite
 end.  An infinite end is replaced by a finite stand-in past the Cauchy
-root bound, so no root of p lies beyond it.  Yun square-free
-decomposition strips the factors of even multiplicity; the roots of
-what is left are exactly the points where p changes sign, and a Sturm
-chain counts them inside the interval.  With none, one interior sample
-where p != 0 decides the sign; with some, a Sturm-guided search returns
-a point where p < 0.  Sound and complete for any polynomial with
-finitely many zeros on the interval, i.e. any nonzero polynomial.
+root bound, so no root of p lies beyond it.  Between the ends one
+root-isolation loop decides the sign: the roots of p at the ends are
+divided out, a Sturm chain of what is left counts its distinct roots in
+a piece, and the interval is split depth-first until every piece has
+positive ends and at most one root, or a split point where p < 0 turns
+up.  Sound and complete for any polynomial with finitely many zeros on
+the interval, i.e. any nonzero polynomial.
 
 Every witness sample (x, v) is a point x of the interval and the exact
 value v == p(x) of the polynomial itself.
@@ -66,15 +66,11 @@ class IntervalQ:
 class NonnegWitness:
     method: str  # zero-poly | sturm | negative-value
     sample: tuple[Fraction, Fraction] | None = None  # (point, value)
-    interior_sign_roots: int | None = None
 
     def __str__(self) -> str:
-        bits = [self.method]
-        if self.interior_sign_roots is not None:
-            bits.append(f"sign-roots={self.interior_sign_roots}")
-        if self.sample is not None:
-            bits.append(f"p({self.sample[0]})={self.sample[1]}")
-        return ", ".join(bits)
+        if self.sample is None:
+            return self.method
+        return f"{self.method}, p({self.sample[0]})={self.sample[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +94,8 @@ def _derivative(c: list[Fraction]) -> list[Fraction]:
     return [k * c[k] for k in range(1, len(c))]
 
 
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
 # ---------------------------------------------------------------------------
-# square-free decomposition and Sturm chains
+# Sturm chains and root isolation
 # ---------------------------------------------------------------------------
 
 def _primitive(c: list[Fraction]) -> list[Fraction]:
@@ -143,72 +129,6 @@ def _polydiv(a: list[Fraction], b: list[Fraction]):
     return _trim(q), r
 
 
-def _gcd_poly(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _primitive(_trim(list(a))), _primitive(_trim(list(b)))
-    while b:
-        _, r = _polydiv(a, b)
-        a, b = b, _primitive(r)
-    if a:
-        a = [x / a[-1] for x in a]  # monic
-    return a
-
-
-def _exact_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    q, r = _polydiv(a, b)
-    if r:
-        raise AssertionError("inexact polynomial division")
-    return q
-
-
-def _yun(p: list[Fraction]) -> list[tuple[int, list[Fraction]]]:
-    """Yun square-free decomposition: p ~ prod f_i^i with f_i square-free,
-    pairwise coprime.  Returns [(multiplicity, factor)] for deg >= 1 factors.
-    """
-    p = _primitive(_trim(list(p)))
-    dp = _derivative(p)
-    g = _gcd_poly(p, dp)
-    if len(g) <= 1:
-        return [(1, p)]
-    out = []
-    w = _exact_div(p, g)
-    y = _exact_div(dp, g)
-    i = 1
-    while len(w) > 1:
-        z = _trim([a - b for a, b in _pad(y, _derivative(w))])
-        if not z:
-            out.append((i, w))
-            break
-        f = _gcd_poly(w, z)
-        if len(f) > 1:
-            out.append((i, f))
-            w = _exact_div(w, f)
-            y = _exact_div(z, f)
-        else:
-            y = z
-        i += 1
-    return out
-
-
-def _pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    return zip(a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b)))
-
-
-def _squarefree_odd_part(c: list[Fraction]) -> list[Fraction]:
-    """Product of the irreducible factors of odd multiplicity (square-free).
-
-    The real roots of this polynomial are exactly the sign changes of p.
-    """
-    p = _trim(list(c))
-    if len(p) <= 1:
-        return p
-    out = [Fraction(1)]
-    for mult, f in _yun(p):
-        if mult % 2 == 1 and len(f) > 1:
-            out = _polymul(out, f)
-    return out
-
-
 def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
     chain = [_primitive(_trim(list(p)))]
     d = _primitive(_derivative(chain[0]))
@@ -223,76 +143,30 @@ def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
     return chain
 
 
-def _sign_changes_at(chain, x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = _eval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+def _probe(chain, x: Fraction) -> tuple[bool, int]:
+    """(chain[0](x) > 0, the sign changes of the chain at x), for x not a
+    root of chain[0]."""
+    signs = [v > 0 for v in (_eval(c, x) for c in chain) if v != 0]
+    return signs[0], sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def count_roots_half_open(p: list[Fraction], a: Fraction, b: Fraction,
-                          chain=None) -> int:
-    """Distinct real roots of square-free p in (a, b] via Sturm's theorem."""
-    p = _trim(list(p))
-    if len(p) <= 1:
-        return 0
-    if chain is None:
-        chain = _sturm_chain(p)
-    return _sign_changes_at(chain, a) - _sign_changes_at(chain, b)
+def _deflate_root(g: list[Fraction], x: Fraction) -> tuple[list[Fraction], int]:
+    """g divided by (s - x)^m, and the multiplicity m of x as a root of g."""
+    m = 0
+    while _eval(g, x) == 0:
+        g, _ = _polydiv(g, [-x, Fraction(1)])
+        m += 1
+    return g, m
 
 
-def count_roots_open(p: list[Fraction], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of square-free p in the open interval (a, b)."""
-    n = count_roots_half_open(p, a, b)
-    if _eval(p, b) == 0:
-        n -= 1
-    return max(n, 0)
-
-
-def _deflate_root(g: list[Fraction], r: Fraction) -> list[Fraction]:
-    """Divide out (x - r) while g(r) == 0."""
-    while len(g) > 1 and _eval(g, r) == 0:
-        g = _exact_div(g, [-r, Fraction(1)])
-    return g
-
-
-def _find_negative_sample(c: list[Fraction], g: list[Fraction],
-                          lo: Fraction, hi: Fraction):
-    """Rational x in (lo, hi) with p(x) < 0, given that the odd part g of p
-    has a root in the open interval (so p changes sign there).
-
-    Sturm-guided: isolate one root of g to a bracket with opposite end
-    signs, then probe geometrically shrinking neighbourhoods of the root.
-    Terminates because p is strictly negative on one side of the root.
-    """
-    g = _deflate_root(_deflate_root(list(g), lo), hi)
-    chain = _sturm_chain(g)
-    a, b = lo, hi
-    # bisect until the bracket holds exactly one root and endpoint signs differ
-    for _ in range(256):
-        fa, fb = _eval(g, a), _eval(g, b)
-        if fa != 0 and fb != 0 and (fa < 0) != (fb < 0) \
-                and count_roots_half_open(g, a, b, chain) == 1:
-            break
-        mid = (a + b) / 2
-        if _eval(g, mid) == 0:
-            mid = a + (b - a) * Fraction(5, 11)  # avoid landing on a root
-        left = count_roots_half_open(g, a, mid, chain)
-        if left >= 1:
-            b = mid
-        else:
-            a = mid
-    # probe both sides of the bracketed root, approaching it geometrically
-    for j in range(2, 200):
-        step = (b - a) / 2 ** j
-        for x in (a + step, b - step, (a + b) / 2 + step):
-            if lo < x < hi:
-                v = _eval(c, x)
-                if v < 0:
-                    return x, v
-    raise AssertionError("sign change certified by Sturm but no sample found")
+def _split_point(r: list[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
+    """A point strictly between lo and hi where r != 0: the midpoint, else
+    the first of lo + (hi - lo) k/(2k + 1), k = 1, 2, ..., that misses the
+    finitely many roots of r."""
+    x, k = (lo + hi) / 2, 1
+    while _eval(r, x) == 0:
+        x, k = lo + (hi - lo) * Fraction(k, 2 * k + 1), k + 1
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +192,11 @@ def _off_open_end(c: list[Fraction], x: Fraction, iv: IntervalQ) -> Fraction:
     return x + sign * step
 
 
-def _negative_witness(c: list[Fraction], x: Fraction, iv: IntervalQ,
-                      sign_roots: int | None = None) -> NonnegWitness:
+def _negative_witness(c: list[Fraction], x: Fraction, iv: IntervalQ) -> NonnegWitness:
     """Disproof at x (moved off an open end of iv), carrying the exact
     value of p itself there."""
     x = _off_open_end(c, x, iv)
-    return NonnegWitness("negative-value", sample=(x, _eval(c, x)),
-                         interior_sign_roots=sign_roots)
+    return NonnegWitness("negative-value", sample=(x, _eval(c, x)))
 
 
 def nonneg_on_interval(
@@ -338,16 +210,26 @@ def nonneg_on_interval(
     ascending coefficient list, and works on the interval as given.  p is
     evaluated at each finite end.  An infinite end is replaced by a
     finite stand-in past the Cauchy bound 1 + max|c_i/c_n|, beyond which
-    p has no root and so keeps one sign.  Between the ends, a Sturm chain
-    counts the roots of the odd square-free part of p, which are exactly
-    the points where p changes sign.  With none, one interior sample where
-    p != 0 gives the sign of p on the whole interval; with some, p < 0
-    next to one of them.
+    p has no root and so keeps one sign.  Between the ends a and b, one
+    root-isolation loop decides:
+
+    1. The roots of p at a and b are divided out, and the sign flipped
+       when b's multiplicity is odd, leaving r with the sign of p on
+       (a, b) and r(a), r(b) != 0.
+    2. The Sturm chain of r, square-free or not, counts the distinct
+       roots of r between two points that are not roots.
+    3. [a, b] is split depth-first at points where r != 0.  A piece whose
+       ends are positive and that holds at most one root is done: r does
+       not change sign there.  A split point where r < 0 is a disproof.
+       The pieces shrink until each holds at most one root, so a stretch
+       where r < 0 is always reached.
 
     The result is exact.  Every sample (x, v) has x in the interval and
-    v == p(x); a negative verdict's x is never on an open end.  Open and
-    closed ends give the same verdict: p is continuous, so p < 0 at an
-    end means p < 0 just inside it.
+    v == p(x); a negative verdict's x is never on an open end, and a
+    positive verdict's x is a split point inside, where p > 0, the same
+    for open and closed ends.  Open and closed ends give the same
+    verdict: p is continuous, so p < 0 at an end means p < 0 just inside
+    it.
     """
     if isinstance(poly, MultiPoly):
         used = poly.variables_used()
@@ -365,25 +247,31 @@ def nonneg_on_interval(
     for end in (lo, hi):
         if end is not None and _eval(coeffs, end) < 0:
             return False, _negative_witness(coeffs, end, interval)
+    if lo is not None and lo == hi:
+        return True, NonnegWitness("sturm", sample=(lo, _eval(coeffs, lo)))
     # every root z has |z| < 1 + max|c_i/c_n| (Cauchy); adding |lo| + |hi|
     # keeps a stand-in past the finite end too
     cauchy = max((abs(c / coeffs[-1]) for c in coeffs[:-1]), default=Fraction(0))
     far = 1 + cauchy + sum(abs(e) for e in (lo, hi) if e is not None)
     a = -far if lo is None else lo
     b = far if hi is None else hi
-    g = _squarefree_odd_part(coeffs)
-    sign_roots = count_roots_open(g, a, b)
-    if sign_roots:
-        x, _ = _find_negative_sample(coeffs, g, a, b)
-        return False, _negative_witness(coeffs, x, interval, sign_roots)
-    # one sign on (a, b), read where p != 0: p has fewer roots than the
-    # n - 1 samples
-    n = 2 * len(coeffs) + 4
-    for k in range(1, n):
-        x = a + (b - a) * Fraction(k, n)
-        v = _eval(coeffs, x)
-        if v != 0:
-            break
-    if v < 0:
-        return False, _negative_witness(coeffs, x, interval, 0)
-    return True, NonnegWitness("sturm", sample=(x, v), interior_sign_roots=0)
+    r, _ = _deflate_root(coeffs, a)
+    r, mult_b = _deflate_root(r, b)
+    chain = _sturm_chain([-c for c in r] if mult_b % 2 else r)
+    # pieces are pairs of ends (x, r(x) > 0, Sturm sign changes at x); the
+    # first piece is always split, so that a positive verdict has a sample
+    pieces = [((a, *_probe(chain, a)), (b, *_probe(chain, b)))]
+    sample = None
+    while pieces:
+        left, right = pieces.pop()
+        (x0, pos0, changes0), (x1, pos1, changes1) = left, right
+        if sample is not None and pos0 and pos1 and changes0 - changes1 <= 1:
+            continue  # no root inside, or one of even multiplicity
+        x = _split_point(chain[0], x0, x1)
+        mid = (x, *_probe(chain, x))
+        if not mid[1]:
+            return False, _negative_witness(coeffs, x, interval)
+        if sample is None:
+            sample = (x, _eval(coeffs, x))
+        pieces += [(mid, right), (left, mid)]
+    return True, NonnegWitness("sturm", sample=sample)

@@ -127,6 +127,11 @@ def p1_at_zero() -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
+def q1_at_zero() -> MultiPoly:
+    return q1().subs("tau", 0)
+
+
+@lru_cache(maxsize=None)
 def e1() -> MultiPoly:
     """Linear-in-tau coefficient in the c0 = 1/2 difference bound (N >= 3)."""
     return (2 * (2 * LAM + N - 2) * g1()

@@ -1,19 +1,21 @@
 """Float64 mirror of the sharp-constant formulas, for parameter sweeps.
 
-The formulas from `constants` are re-stated here in plain floating point
-(same branch logic, same scan window: `constants.default_nu_max`) so
-gamma grids can be swept quickly.  `point_f` computes the gamma-only
-subexpressions of A(nu) and C(nu) once per (N, gamma) and evaluates each
-mode on demand from them; each float is bit-identical to evaluating the
-closed form term by term.  It takes the minima with the exact path's two
-window rules (`constants._a_window_min` and `_c_window_min`), which read
-the modes in increasing nu and stop where the rule is decided, a few
-modes past the turn of A rather than at the end of the window; so it
-raises TailBoundError where the exact path would.  The result is a
-mirror, not a certificate: the rules compare floats.  The exact path is
-authoritative; on rational grid points the mirror's modes, minima and
-argmins are tested equal to `float()` of the exact ones, and its `equal`
-flag to exact equality.
+The mode formulas A(nu) and C(nu) from `constants` are re-stated here in
+plain floating point (same branch logic, same scan window:
+`constants.default_nu_max`) so gamma grids can be swept quickly.  The
+improvement-region test is not re-stated: `constants._in_region` is one
+body generic in gamma's type, run here on a float.  `point_f` computes
+the gamma-only subexpressions of A(nu) and C(nu) once per (N, gamma) and
+evaluates each mode on demand from them; each float is bit-identical to
+evaluating the closed form term by term.  It takes the minima with the
+exact path's two window rules (`constants._a_window_min` and
+`_c_window_min`), which read the modes in increasing nu and stop where
+the rule is decided, a few modes past the turn of A rather than at the
+end of the window; so it raises TailBoundError where the exact path
+would.  The result is a mirror, not a certificate: the rules compare
+floats.  The exact path is authoritative; on rational grid points the
+mirror's modes, minima and argmins are tested equal to `float()` of the
+exact ones, and its `equal` flag to exact equality.
 
 A point's result is a `SweepRow`, a `NamedTuple`: immutable, hashable
 and comparable, built in one tuple allocation.  `sweep_gamma` builds the
@@ -24,19 +26,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .constants import _ModeTable, _a_window_min, _c_window_min, default_nu_max
+from .constants import (_ModeTable, _a_window_min, _c_window_min, _in_region,
+                        default_nu_max)
 
 # relative tolerance under which float minima count as equal; on rational
 # grid points it coincides with exact equality
 EQUAL_REL_TOL = 1e-12
-
-
-def hardy_leray_f(N: int, gamma: float) -> float:
-    base = (gamma + N / 2.0 - 1.0) ** 2
-    if (gamma + N / 2.0) ** 2 <= N + 1:
-        shift = (gamma + N / 2.0 - 2.0) ** 2
-        return base * (3.0 * (N - 1) + shift) / (N - 1 + shift)
-    return base + N - 1
 
 
 def _mode_functions(N: int, gamma: float):
@@ -71,10 +66,6 @@ def _mode_functions(N: int, gamma: float):
     return a_mode, c_mode
 
 
-def in_improvement_region_f(N: int, gamma: float) -> bool:
-    return (6.0 * gamma - (N + 4.0)) ** 2 < 4.0 * (N * N - N + 1)
-
-
 class SweepRow(NamedTuple):
     """The float minima of A and C at one (N, gamma); `_asdict()` is the
     JSON row of `sweep --format json`."""
@@ -101,7 +92,7 @@ def _point(N: int, gamma: float) -> tuple[SweepRow, _ModeTable, _ModeTable]:
         N=N, gamma=float(gamma), A_min=a_min, A_argmin=a_argmin,
         C_min=c_min, C_argmin=c_argmin,
         equal=abs(c_min - a_min) <= EQUAL_REL_TOL * max(abs(a_min), abs(c_min), 1.0),
-        in_improvement_region=in_improvement_region_f(N, gamma),
+        in_improvement_region=_in_region(N, gamma),
     )
     return row, a, c
 

@@ -258,11 +258,12 @@ _C_BODIES = ("_c_radial", "_c_one", "_c_nu")
 
 @pytest.mark.parametrize("targets,perturb,fails", [
     (["q0"], lambda f: lambda: f() + pf.LAM, ["radial link"]),
-    # the links read P1(0) from its own cached builder; the tau-free
-    # perturbation is the same fault in both
+    # the links read P1(0) and Q1(0) from their own cached builders; the
+    # tau-free perturbation is the same fault in both
     (["p1", "p1_at_zero"], lambda f: lambda: f() + pf.LAM ** 2 * pf.A,
      ["nu=1 link", "nu>=2 link"]),
-    (["q1"], lambda f: lambda: f() + pf.A ** 3, ["nu=1 link", "nu>=2 link"]),
+    (["q1", "q1_at_zero"], lambda f: lambda: f() + pf.A ** 3,
+     ["nu=1 link", "nu>=2 link"]),
     (["_c_nu"], _numerator_plus_nu, ["nu>=2 link"]),
     # zero num and den would satisfy the cross-multiplied identity vacuously
     (_C_BODIES, _zero_pair,

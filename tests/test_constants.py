@@ -517,7 +517,7 @@ def test_float_path_matches_exact():
             for nu in range(0, 6):
                 assert a[nu] == float(rellich_hardy_A(p, nu)), (n, g, nu)
                 assert c[nu] == float(rellich_hardy_C(p, nu)), (n, g, nu)
-            assert sweep.hardy_leray_f(n, gf) == float(hardy_leray(p)), (n, g)
+            assert constants._hardy_leray(n, gf, n / 2.0) == float(hardy_leray(p)), (n, g)
             a_min, c_min = rellich_hardy_A_min(p), rellich_hardy_C_min(p)
             assert (row.A_min, row.A_argmin) == (float(a_min.value), a_min.argmin_nu)
             assert (row.C_min, row.C_argmin) == (float(c_min.value), c_min.argmin_nu)

@@ -27,6 +27,10 @@ second, pure-Python encoder beside it.
 (e) No module of `src/curlsharp` imports scipy, at module level or inside
 a function.  numpy is the only runtime dependency: the Gauss-Legendre
 rule and the Legendre values come from one recurrence in `spectral`.
+
+(f) No `assert` statement in `src/curlsharp`.  `python -O` strips them,
+so an invariant stated with one stops firing there; the package raises
+a real exception instead.
 """
 
 import ast
@@ -258,6 +262,13 @@ def test_no_scipy_import():
                 continue
             if any(m == "scipy" or m.startswith("scipy.") for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_no_assert_statement():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
     assert not found, found
 
 
