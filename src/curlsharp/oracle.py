@@ -54,8 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import Params, alpha, rellich_hardy_C
-from .spectral import (_GL_NODES_PER_UNIT, Profile, _gl_nodes, _legendre,
-                       _legendre_rule, quadratic_form, NotConvergedError)
+from .spectral import (_GL_NODES_PER_UNIT, Profile, _derivative_table,
+                       _gl_nodes, _legendre, _legendre_rule, quadratic_form,
+                       NotConvergedError)
 from . import polyfamily as pf
 
 
@@ -159,12 +160,14 @@ class AnalyticFieldBundle:
     The field, its gradient tensor and its Laplacian are stated once, as
     entries made of separable (radial vector, angular key) terms.  The
     radial vectors are built from `gs`, the profile derivatives of orders
-    0..3 on the radial nodes (`radial_derivs`; no entry reads the
-    fourth), so every integrand of a pass shares one derivative table.
-    `_integrate` contracts the squared entries with the angular Gram
+    0..3 on the radial nodes (no entry reads the fourth).  `_integrate`
+    takes them from `spectral._derivative_table`, the one read-only table
+    per (profile, nodes per unit) that the GL bases of the reduced forms
+    read too, and contracts the squared entries with the angular Gram
     matrix; `u_frame` and `_frame_gradient` (behind `u_cart` and
-    `jac_cart`) evaluate the same terms on a (t, theta) grid, so the
-    pointwise checks test the very formulas that are integrated.
+    `jac_cart`) evaluate the same terms on a (t, theta) grid, with
+    `radial_derivs` at the given points, so the pointwise checks test the
+    very formulas that are integrated.
     """
 
     nu: int
@@ -336,7 +339,9 @@ def _integrate(bundle: AnalyticFieldBundle, nodes_per_unit: int,
     """One resolution pass; returns the four weighted integrals (lap,
     grad, u, rem).  Each is the tensor-product quadrature sum, taken as
     radial sums contracted with the angular Gram matrix (module
-    docstring)."""
+    docstring).  The profile derivatives on the radial nodes are rows
+    0..3 of the shared `_derivative_table`, bit for bit what
+    `bundle.radial_derivs` gives there."""
     gamma = float(bundle.params.gamma)
     n_dim = bundle.dim
     tn, tw = _gl_nodes(bundle.profile.n, nodes_per_unit)
@@ -345,7 +350,8 @@ def _integrate(bundle: AnalyticFieldBundle, nodes_per_unit: int,
     row = {key: i for i, key in enumerate(angular)}
     basis = np.array(list(angular.values()))
     gram = (basis * aw) @ basis.T
-    terms = bundle.integrand_terms(tn, bundle.radial_derivs(tn))
+    terms = bundle.integrand_terms(
+        tn, _derivative_table(bundle.profile, nodes_per_unit)[:4])
     out = []
     for name, offset in _WEIGHT_OFFSET.items():
         weight = np.exp((2 * gamma + offset + n_dim) * tn) * tw
@@ -363,7 +369,10 @@ def _integrate(bundle: AnalyticFieldBundle, nodes_per_unit: int,
 def weighted_integrals(bundle: AnalyticFieldBundle) -> WeightedIntegrals:
     """Weighted integrals with an a-posteriori resolution-doubling check:
     a pass at the GL bases' _GL_NODES_PER_UNIT radial nodes per unit of t
-    and the default angular rule, then one at twice both.  Raises
+    and the default angular rule, then one at twice both.  The coarse
+    pass reads the same derivative table as the profile's GL bases, so a
+    cross-check evaluates the closed forms once for the bases and the
+    coarse pass together, and once for the fine pass.  Raises
     NotConvergedError when doubling moves any integral beyond
     CONVERGENCE_REL_TOL relative."""
     coarse = _integrate(bundle, _GL_NODES_PER_UNIT, None)

@@ -23,19 +23,28 @@ high-order moments keep their accuracy at large n (each order within
 
 A form of degree <= 3 in tau is a dot product of its tau-coefficients
 with the profile's derivative norms and Fourier moments of orders 0..3.
-Those two vectors are computed once per (profile, derivative shift) and
-kept on the Profile instance, so one basis serves every form on it: the
-Q and P forms of a quotient, and the three forms of a remainder check or
-an oracle cross-check (two bases).  Each order of a basis is checked on
-its own, GL norm against FFT moment, to ORDER_REL_TOL relative.  The
-(Q, P) pair of a channel comes from `polyfamily.channel_polys`.
+Those two vectors depend only on the profile's value (kind, n) and the
+derivative shift, so they are computed once per process for each such
+key and kept in the lru_cache of `Profile.form_basis`.  One basis serves
+every form on it, in every call that builds an equal Profile: the Q and
+P forms of a quotient, and the three forms of a remainder check or an
+oracle cross-check (two bases).  Each order of a basis is checked on its
+own, GL norm against FFT moment, to ORDER_REL_TOL relative, and a basis
+that fails the check is not cached.  The (Q, P) pair of a channel comes
+from `polyfamily.channel_polys`.
 
-The closed-form derivative tables hold orders 0..4 and are built only up
-to the highest order an evaluation asks for: the GL norms of shift s read
-orders s..s+3, and the FFT window samples the single order s.  A Fourier
-moment of order k needs h^(k) continuous, so a form that would read a
-higher order (cos4 is only C^3) is rejected before any quadrature, and
-the basis stops at that order (cos4 at shift 1 keeps orders 1..3).
+The closed-form derivative tables hold orders 0..4.  A pointwise
+evaluation builds its table only up to the highest order it asks for;
+the FFT window samples the single order s.  On the composite GL nodes,
+one read-only table of all orders per (profile, nodes per unit) is kept
+in a bounded cache (`_derivative_table`): the GL norms of both shifts
+read it, and so do both passes of the oracle's weighted integrals, so an
+oracle call evaluates the closed forms once per pass.  Each row is the
+same expression whatever the table's top order, so every row is bit for
+bit the value a smaller table gives.  A Fourier moment of order k needs
+h^(k) continuous, so a form that would read a higher order (cos4 is only
+C^3) is rejected before any quadrature, and the basis stops at that
+order (cos4 at shift 1 keeps orders 1..3).
 
 The Gauss-Legendre rule under the composite quadrature is computed here
 with numpy alone: one Legendre recurrence (`_legendre`, which gives P, P'
@@ -47,7 +56,7 @@ same recurrence for its zonal harmonic on the 2-sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -182,20 +191,30 @@ REMAINDER_TOL = 1e-8
 _GL_NODES_PER_UNIT = 16
 
 
+def _checked_orders(orders) -> tuple[int, ...]:
+    """The derivative orders as a tuple; raises ValueError unless it is
+    nonempty and every order lies in 0..MAX_DERIV_ORDER."""
+    orders = tuple(orders)
+    if not orders or any(k not in range(MAX_DERIV_ORDER + 1)
+                         for k in orders):
+        raise ValueError(f"derivative orders must lie in "
+                         f"0..{MAX_DERIV_ORDER}, got {orders}")
+    return orders
+
+
 @dataclass(frozen=True)
 class Profile:
     """Dilated compactly supported smooth profile h(t/n) on [-n, n].
 
-    `kind` names the base profile h on (-1, 1) and `n` is the dilation.
-    The backends set their own resolutions: the GL rule counts nodes per
-    unit of t, the FFT window samples per base unit (see `_fft_grid`).
+    A plain frozen value: `kind` names the base profile h on (-1, 1) and
+    `n` is the dilation, and equal profiles share every cached basis and
+    derivative table.  The backends set their own resolutions: the GL
+    rule counts nodes per unit of t, the FFT window samples per base unit
+    (see `_fft_grid`).
     """
 
     kind: str
     n: int
-    # derivative shift -> (norms, moments); see form_basis
-    _bases: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @classmethod
     def make(cls, kind: str = "bump", n: int = 1) -> "Profile":
@@ -217,19 +236,18 @@ class Profile:
         highest order asked for.  Raises ValueError unless every order lies
         in 0..MAX_DERIV_ORDER.
         """
-        orders = tuple(orders)
-        if not orders or any(k not in range(MAX_DERIV_ORDER + 1)
-                             for k in orders):
-            raise ValueError(f"derivative orders must lie in "
-                             f"0..{MAX_DERIV_ORDER}, got {orders}")
+        orders = _checked_orders(orders)
         t = np.asarray(t, dtype=float)
         table = _KINDS[self.kind](t / self.n, max(orders))
         return [table[k] / self.n ** k for k in orders]
 
+    @lru_cache(maxsize=128)
     def form_basis(self, derivative_shift: int = 0
                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """(derivative norms, Fourier moments) of orders 0..top for
-        h^(derivative_shift), computed on first use and then reused.
+        h^(derivative_shift), computed once per process for each
+        (kind, n, derivative_shift) and then shared by every equal
+        profile: the cache is keyed on the profile's value.
 
         top is MAX_TAU_DEGREE, or less where h^(derivative_shift + top)
         would pass the profile's highest continuous order: a higher
@@ -237,22 +255,20 @@ class Profile:
         that would read it.  Each order is an independent two-backend
         check: raises BackendDisagreementError, and caches nothing, when
         any order's GL norm and FFT moment differ by more than
-        ORDER_REL_TOL relative.
+        ORDER_REL_TOL relative (lru_cache stores no exception).
         """
-        if derivative_shift not in self._bases:
-            top = min(MAX_TAU_DEGREE,
-                      _CONTINUOUS_ORDER[self.kind] - derivative_shift)
-            norms = tuple(derivative_norms(self, top, derivative_shift))
-            moments = tuple(_fourier_moments(self, top, derivative_shift))
-            for k, (g, f) in enumerate(zip(norms, moments)):
-                rel = abs(g - f) / max(abs(g), abs(f), 1e-300)
-                if rel > ORDER_REL_TOL:
-                    raise BackendDisagreementError(
-                        f"backend_disagreement: {self.kind} n={self.n} order "
-                        f"{derivative_shift + k}: GL norm {g} vs FFT moment "
-                        f"{f} (rel {rel:.2e})")
-            self._bases[derivative_shift] = (norms, moments)
-        return self._bases[derivative_shift]
+        top = min(MAX_TAU_DEGREE,
+                  _CONTINUOUS_ORDER[self.kind] - derivative_shift)
+        norms = tuple(derivative_norms(self, top, derivative_shift))
+        moments = tuple(_fourier_moments(self, top, derivative_shift))
+        for k, (g, f) in enumerate(zip(norms, moments)):
+            rel = abs(g - f) / max(abs(g), abs(f), 1e-300)
+            if rel > ORDER_REL_TOL:
+                raise BackendDisagreementError(
+                    f"backend_disagreement: {self.kind} n={self.n} order "
+                    f"{derivative_shift + k}: GL norm {g} vs FFT moment "
+                    f"{f} (rel {rel:.2e})")
+        return norms, moments
 
     def base_norm2(self) -> float:
         return BUMP_NORM2 if self.kind == "bump" else COS4_NORM2
@@ -351,14 +367,32 @@ def _gl_nodes(n: int, nodes_per_unit: int):
     return nodes, weights
 
 
+@lru_cache(maxsize=8)
+def _derivative_table(profile: Profile, nodes_per_unit: int) -> np.ndarray:
+    """The profile's derivatives of orders 0..MAX_DERIV_ORDER on the
+    `_gl_nodes(profile.n, nodes_per_unit)` nodes, shape
+    (MAX_DERIV_ORDER + 1, nodes), read-only and shared.
+
+    Row k equals `profile.deriv(nodes, k)` bit for bit.  The GL norms and
+    both passes of `oracle.weighted_integrals` read it, so the closed
+    forms run once per key while it stays in the cache.
+    """
+    nodes, _ = _gl_nodes(profile.n, nodes_per_unit)
+    table = np.array(profile.derivs(nodes, range(MAX_DERIV_ORDER + 1)))
+    table.flags.writeable = False
+    return table
+
+
 def derivative_norms(profile: Profile, max_order: int,
                      derivative_shift: int = 0) -> list[float]:
     """[integral (h^(k+shift))^2 dt for k = 0..max_order] by composite GL
-    with _GL_NODES_PER_UNIT nodes per unit of t."""
-    nodes, weights = _gl_nodes(profile.n, _GL_NODES_PER_UNIT)
-    orders = range(derivative_shift, derivative_shift + max_order + 1)
-    return [float(np.sum(weights * vals * vals))
-            for vals in profile.derivs(nodes, orders)]
+    with _GL_NODES_PER_UNIT nodes per unit of t, on the shared derivative
+    table."""
+    orders = _checked_orders(
+        range(derivative_shift, derivative_shift + max_order + 1))
+    _, weights = _gl_nodes(profile.n, _GL_NODES_PER_UNIT)
+    table = _derivative_table(profile, _GL_NODES_PER_UNIT)
+    return [float(np.sum(weights * table[k] * table[k])) for k in orders]
 
 
 def _fft_grid(n: int) -> tuple[int, int]:
@@ -440,12 +474,12 @@ def quadratic_form(profile: Profile, poly: MultiPoly,
     Computed twice: tau^k -> integral (h^(k))^2 (integration by parts;
     boundary terms vanish by compact support) and tau^k -> Fourier moment.
     Both vectors come from `Profile.form_basis`, so one basis per
-    (profile, derivative shift) serves every form on it.  Raises
-    ValueError, before any quadrature, when the form reads a derivative
-    order the profile does not have continuous (cos4 is only C^3), and
-    BackendDisagreementError when the backends differ beyond FORM_REL_TOL
-    relative on the form, or beyond ORDER_REL_TOL on any one order of the
-    basis (a resolution problem, not a rounding one).
+    (kind, n, derivative shift) serves every form on an equal profile.
+    Raises ValueError, before any quadrature, when the form reads a
+    derivative order the profile does not have continuous (cos4 is only
+    C^3), and BackendDisagreementError when the backends differ beyond
+    FORM_REL_TOL relative on the form, or beyond ORDER_REL_TOL on any one
+    order of the basis (a resolution problem, not a rounding one).
     """
     coeffs = _tau_coefficients(poly)
     top = derivative_shift + len(coeffs) - 1

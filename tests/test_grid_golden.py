@@ -9,10 +9,8 @@ the test suite and not only a benchmark run.  They read `bench/` and
 write nothing there.
 """
 
-import importlib.util
 import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,17 +20,6 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDED_POINTS = 200
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def _sample(workloads):
     fixed = set(workloads.closed_form_points())
     fixed |= {(n, g) for n, g in workloads.grid_points() if g == Fraction(4 - n, 2)}
@@ -40,8 +27,7 @@ def _sample(workloads):
     return sorted(fixed) + random.Random(10).sample(rest, SEEDED_POINTS)
 
 
-def _assert_match_golden(workloads, ops):
-    checks = _load("checks")
+def _assert_match_golden(checks, workloads, ops):
     golden = json.loads((BENCH / "golden.json").read_text())["ops"]
     space = {op.key for op in workloads.op_space("grid")}
     for op in ops:
@@ -52,17 +38,18 @@ def _assert_match_golden(workloads, ops):
         assert [digest, floats] == golden[op.key], op.key
 
 
-def test_constants_ops_match_golden():
+def test_constants_ops_match_golden(load_bench):
     pytest.importorskip("jsonschema")
-    workloads = _load("workloads")
+    workloads = load_bench("workloads")
     points = _sample(workloads)
     assert len(points) > SEEDED_POINTS + 30
-    _assert_match_golden(workloads, [workloads.constants_op(n, g) for n, g in points])
+    _assert_match_golden(load_bench("checks"), workloads,
+                         [workloads.constants_op(n, g) for n, g in points])
 
 
-def test_sweep_ops_match_golden():
+def test_sweep_ops_match_golden(load_bench):
     pytest.importorskip("jsonschema")
-    workloads = _load("workloads")
+    workloads = load_bench("workloads")
     ops = [workloads.sweep_op(n) for n in workloads.GRID_N]
     assert len(ops) == 23
-    _assert_match_golden(workloads, ops)
+    _assert_match_golden(load_bench("checks"), workloads, ops)

@@ -207,21 +207,28 @@ def test_mismatch_raises():
 
 
 @pytest.mark.parametrize("dim,nu", [(2, 0), (2, 2), (3, 0), (3, 2)])
-def test_weighted_integrals_match_per_term_reference(monkeypatch, dim, nu):
+def test_weighted_integrals_match_per_term_reference(monkeypatch, cold_bases,
+                                                     dim, nu):
     # one derivative table per radial grid and pass gives the same floats
     # as evaluating profile.deriv separately for every term
     bundle = analytic_field(Params(dim, F(1, 2)), nu,
                             Profile.make("bump", 2))
     got = weighted_integrals(bundle)
+    calls = []
 
     def per_term(self, t, orders):
         # each order from its own full five-row table
+        calls.append(1)
         x = np.asarray(t, dtype=float) / self.n
         return [spectral._KINDS[self.kind](x, spectral.MAX_DERIV_ORDER)[k]
                 / self.n ** k for k in orders]
 
     monkeypatch.setattr(Profile, "derivs", per_term)
+    # the first call cached both passes' tables: start cold, so the
+    # reference really builds them through per_term
+    cold_bases()
     assert weighted_integrals(bundle) == got
+    assert calls
 
 
 def test_crosscheck_reuses_harmonic_norm(monkeypatch):
@@ -256,6 +263,42 @@ def _brute_grid_integrals(bundle, nodes_per_unit, angular_points):
             values += e * e
         out.append(float(np.sum(values * np.exp(power * tn)[:, None] * volume)))
     return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_integrate_on_shared_table_matches_radial_derivs(monkeypatch, dim):
+    # rows 0..3 of the shared derivative table are the radial_derivs
+    # values on the nodes, so each pass sums the same numbers
+    for gamma in (F(-1), F(1, 2)):
+        for nu in range(3):
+            for n in (1, 2):
+                bundle = analytic_field(Params(dim, gamma), nu,
+                                        Profile.make("bump", n))
+                ang, _ = oracle._angular_rule(dim, nu)
+                for npu, points in ((16, None), (32, 2 * len(ang))):
+                    got = oracle._integrate(bundle, npu, points)
+                    with monkeypatch.context() as m:
+                        m.setattr(oracle, "_derivative_table",
+                                  lambda prof, k: bundle.radial_derivs(
+                                      spectral._gl_nodes(prof.n, k)[0]))
+                        want = oracle._integrate(bundle, npu, points)
+                    assert got == want, (gamma, nu, n, npu)
+
+
+def test_crosscheck_shares_one_table_with_the_bases(monkeypatch, cold_bases):
+    # a cold cross-check evaluates the closed forms once per radial pass,
+    # all orders (the coarse pass and both GL bases share the first
+    # table), and once per FFT window, one order each; a repeated one
+    # reuses the cached bases and tables
+    calls = []
+    real = spectral._KINDS["bump"]
+    monkeypatch.setitem(spectral._KINDS, "bump",
+                        lambda x, top: calls.append(top) or real(x, top))
+    first = crosscheck(Params(3, F(0)), 2, Profile.make("bump", 2))
+    assert calls == [4, 4, 0, 1]
+    calls.clear()
+    assert crosscheck(Params(3, F(0)), 2, Profile.make("bump", 2)) == first
+    assert calls == []
 
 
 @pytest.mark.parametrize("gamma", [F(-1), F(1, 2), F(2)])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import curlsharp
 from curlsharp import polyfamily as pf
-from curlsharp import oracle, spectral
+from curlsharp import cli, oracle, spectral
 from curlsharp.poly import MultiPoly, parse_poly
 from curlsharp.constants import (Params, alpha, rellich_hardy_C,
                                  rellich_hardy_C_min)
@@ -44,6 +45,10 @@ def test_profile_validation():
                 prof.derivs(np.array([0.5]), (0, bad))
         with pytest.raises(ValueError):
             prof.derivs(np.array([0.5]), ())
+        # the GL norms read the shared table and keep the same bounds
+        for max_order, shift in ((-1, 0), (0, -1), (4, 1)):
+            with pytest.raises(ValueError):
+                derivative_norms(prof, max_order, shift)
 
 
 @pytest.mark.parametrize("kind", ["bump", "cos4"])
@@ -574,7 +579,7 @@ def _reference_form(prof, poly, shift):
 
 
 @pytest.mark.parametrize("kind", ["bump", "cos4"])
-def test_shared_basis_forms_exact(kind):
+def test_shared_basis_forms_exact(kind, cold_bases):
     p = Params(3, F(1, 2))
     q0, p0 = pf.channel_polys(p, 0)
     q1, p1 = pf.channel_polys(p, 2)
@@ -584,17 +589,20 @@ def test_shared_basis_forms_exact(kind):
             if kind == "cos4" and shift == 1 and poly is q1:
                 # cubic in tau on h' reads cos4's fourth derivative, which
                 # jumps at the support ends: rejected before any quadrature
-                fresh = Profile.make(kind, 3)
+                before = Profile.form_basis.cache_info()
                 with pytest.raises(ValueError):
-                    quadratic_form(fresh, poly, derivative_shift=shift)
-                assert fresh._bases == {}
+                    quadratic_form(Profile.make(kind, 3), poly,
+                                   derivative_shift=shift)
+                assert Profile.form_basis.cache_info() == before
                 continue
             fv = quadratic_form(shared, poly, derivative_shift=shift)
             fresh = quadratic_form(Profile.make(kind, 3), poly,
                                    derivative_shift=shift)
             assert fv == fresh
             assert (fv.value, fv.fourier) == _reference_form(shared, poly, shift)
-    assert set(shared._bases) == {0, 1}
+    # one basis per shift, computed once and shared by the equal profiles
+    info = Profile.form_basis.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 @pytest.mark.parametrize("kind,shift,length", [
@@ -641,7 +649,7 @@ def test_fft_length_bounded_for_every_dilation(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [0, 3])
-def test_form_basis_gate_is_per_order(monkeypatch, order):
+def test_form_basis_gate_is_per_order(monkeypatch, cold_bases, order):
     # one perturbed moment fails the basis, even where the forms built on
     # it would still pass their own tolerance; nothing is cached
     real = spectral._fourier_moments
@@ -655,7 +663,7 @@ def test_form_basis_gate_is_per_order(monkeypatch, order):
     prof = Profile.make("bump", 3)
     with pytest.raises(spectral.BackendDisagreementError, match=f"order {order}"):
         prof.form_basis(0)
-    assert prof._bases == {}
+    assert Profile.form_basis.cache_info().currsize == 0
     with pytest.raises(spectral.BackendDisagreementError):
         quadratic_form(prof, pf.TAU ** 0)
     # below the gate, the same perturbation passes
@@ -663,15 +671,105 @@ def test_form_basis_gate_is_per_order(monkeypatch, order):
     assert len(prof.form_basis(0)[1]) == 4
 
 
-def test_per_unit_of_t_sizing_trips_the_gate(monkeypatch):
+def test_per_unit_of_t_sizing_trips_the_gate(monkeypatch, cold_bases):
     # 512 samples per unit of t (2^16 at n = 40) let high-tau rounding
     # noise into the bump's tau^6 moment: the per-order gate rejects it
     prof = Profile.make("bump", 40)
     assert prof.form_basis(0)
     monkeypatch.setattr(spectral, "_FFT_SAMPLES_PER_BASE_UNIT", 512 * 40)
     assert spectral._fft_grid(40)[1] == 1 << 16
+    # the basis above is cached per process: only a cold one sees the
+    # new sizing
+    Profile.form_basis.cache_clear()
     with pytest.raises(spectral.BackendDisagreementError):
         Profile.make("bump", 40).form_basis(0)
+    assert Profile.form_basis.cache_info().currsize == 0
+
+
+def _uncached_basis(prof, shift):
+    """form_basis with no cache: GL norms from a derivative table built per
+    call up to the highest order read."""
+    top = min(spectral.MAX_TAU_DEGREE,
+              spectral._CONTINUOUS_ORDER[prof.kind] - shift)
+    nodes, weights = spectral._gl_nodes(prof.n, spectral._GL_NODES_PER_UNIT)
+    norms = tuple(float(np.sum(weights * vals * vals))
+                  for vals in prof.derivs(nodes, range(shift, shift + top + 1)))
+    return norms, tuple(spectral._fourier_moments(prof, top, shift))
+
+
+@pytest.mark.parametrize("kind", ["bump", "cos4"])
+def test_cached_basis_and_table_match_uncached(kind, cold_bases):
+    for n in [*range(1, 9), 10, 20, 40]:
+        prof = Profile.make(kind, n)
+        for shift in (0, 1):
+            assert prof.form_basis(shift) == _uncached_basis(prof, shift)
+        for npu in (16, 32):
+            nodes, _ = spectral._gl_nodes(n, npu)
+            table = spectral._derivative_table(prof, npu)
+            assert table.shape == (spectral.MAX_DERIV_ORDER + 1, len(nodes))
+            # each row against the smallest table holding it, and rows
+            # 0..3 against the four-row table radial_derivs builds
+            for k in range(spectral.MAX_DERIV_ORDER + 1):
+                assert np.array_equal(table[k], prof.deriv(nodes, k))
+            for k, row in enumerate(prof.derivs(nodes, range(4))):
+                assert np.array_equal(table[k], row)
+
+
+def test_cached_table_is_read_only(cold_bases):
+    prof = Profile.make("bump", 2)
+    table = spectral._derivative_table(prof, spectral._GL_NODES_PER_UNIT)
+    assert spectral._derivative_table(Profile.make("bump", 2),
+                                      spectral._GL_NODES_PER_UNIT) is table
+    for view in (table, table[1], table[:4]):
+        with pytest.raises(ValueError):
+            view[..., 0] = 1.0
+    norms, moments = prof.form_basis(0)
+    assert isinstance(norms, tuple) and isinstance(moments, tuple)
+
+
+def test_failed_gate_caches_nothing_then_recomputes(monkeypatch, cold_bases):
+    warm = Profile.make("cos4", 2).form_basis(1)
+    size = Profile.form_basis.cache_info().currsize
+    real = spectral._fourier_moments
+    monkeypatch.setattr(spectral, "_fourier_moments",
+                        lambda prof, top, shift=0: [2.0 * v for v in
+                                                    real(prof, top, shift)])
+    prof = Profile.make("bump", 5)
+    with pytest.raises(spectral.BackendDisagreementError):
+        prof.form_basis(0)
+    assert Profile.form_basis.cache_info().currsize == size
+    monkeypatch.setattr(spectral, "_fourier_moments", real)
+    misses = Profile.form_basis.cache_info().misses
+    assert prof.form_basis(0) == _uncached_basis(prof, 0)
+    info = Profile.form_basis.cache_info()
+    assert (info.misses, info.currsize) == (misses + 1, size + 1)
+    assert Profile.make("cos4", 2).form_basis(1) is warm
+
+
+def test_remainder_call_computes_each_basis_once(monkeypatch, cold_bases,
+                                                 capsys):
+    # 60 fields over at most 2 kinds x 6 dilations: each (kind, n, shift)
+    # basis is computed on its first field and read by the rest
+    argv = ["remainder", "--count", "20", "--seed", "3"]
+    real = spectral.derivative_norms
+    keys = Counter()
+
+    def counting(profile, max_order, derivative_shift=0):
+        keys[profile.kind, profile.n, derivative_shift] += 1
+        return real(profile, max_order, derivative_shift)
+
+    monkeypatch.setattr(spectral, "derivative_norms", counting)
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    assert keys and max(keys.values()) == 1
+    computed = dict(keys)
+    # a warm call computes no basis; a cold one prints the same bytes
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert keys == computed
+    cold_bases()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize("kind,n", [("bump", 1), ("bump", 4), ("cos4", 2)])
