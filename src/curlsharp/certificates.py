@@ -14,21 +14,21 @@ into manifestly nonnegative pieces.  The checker
   3. validates every factor's nonnegativity rule under the declared
      domain hypotheses (sign check),
 
-all in exact rational arithmetic.  A certificate whose target uses the
-dimension variable N declares the integer N it covers (``nrange``, 2..12
-by default), and that range must lie within its domain: the parser
-rejects an ``nrange`` that reaches below a ``domain: N >=`` bound.  Then
-a passing symbolic check covers every integer N of the range, since
-substituting such an N keeps an identity an identity and keeps shifted
-nonnegative coefficients (and even powers of a free N) nonnegative.  The
-checker instantiates N one integer at a time only after a symbolic check
-has failed, to name the N that breaks.
+all in exact rational arithmetic, with the dimension variable N free.  A
+passing symbolic check covers every N in the file's ``domain:``:
+substituting any such N keeps an identity an identity and keeps shifted
+nonnegative coefficients (and even powers of a free N) nonnegative, and
+every ``uni`` factor is free of N.  A certificate whose target uses N
+declares ``nrange`` (2..12 by default), the integers N at which a failed
+check is instantiated again, one at a time, to name the N that breaks;
+the parser rejects an ``nrange`` that reaches below a ``domain: N >=``
+bound.
 
 Certificate file syntax::
 
     name: e12-square-form
     regime: gt1-nge3
-    nrange: 3..12            # integer N covered, within the domain; 'none' if N fixed
+    nrange: 3..12            # N a failure is named at, within the domain; 'none' if N fixed
     domain: N >= 3, s >= 0   # variable lower bounds (used by nne / coeffs)
     let mu = 2*lam + N - 2   # named alias polynomial
     assume mu                # hypothesis: alias (or variable) is >= 0
@@ -39,12 +39,17 @@ Certificate file syntax::
     ...
     note: free text
 
+``nonneg:`` is ``coeffs`` or ``terms``; ``terms``, the default when a
+file has ``term:`` lines, needs at least one.  Any other value is a
+parse error, so a misspelt rule cannot drop a sign check.
+
 Term factors: a rational constant (must be >= 0), ``sq(expr)`` for a
 square, ``dom(name)`` for an assumed-nonnegative alias or variable,
 ``nne(expr)`` for a subpolynomial whose coefficients are nonnegative
 after shifting every bounded variable to its lower bound, and
 ``uni(expr ; var ; interval)`` for a univariate factor certified by
-`nonneg_on_interval`.
+`nonneg_on_interval`: ``var`` is one of `poly.VARS` and ``expr`` uses no
+other variable, else the file does not parse.
 
 ``@Name`` in an expression is a `parse_poly` atom for `_at_table`'s
 polynomial: the `polyfamily` members plus the slices P1_0, P1_0n2,
@@ -63,7 +68,7 @@ from . import constants
 from . import polyfamily as pf
 from .constants import Params, alpha
 from .nonneg import IntervalQ, nonneg_on_interval
-from .poly import MultiPoly, format_poly, parse_poly
+from .poly import VARS, MultiPoly, format_poly, parse_poly
 
 _N_RANGE_DEFAULT = range(2, 13)
 
@@ -98,12 +103,18 @@ def _case2_bound_at(svar: MultiPoly) -> MultiPoly:
             + 2 * lam ** 2 * (2 - 4 * lam - 4 * pf.N + pf.N ** 2))
 
 
-def _qp_difference(k: int, q: MultiPoly, p: MultiPoly) -> MultiPoly:
-    """k (Q P(0) - Q(0) P) - tau P P(0) for a channel pair (Q, P): the
-    numerator of k (Q/P - Q(0)/P(0)) - tau over P P(0), so its sign is
-    that of the difference-quotient bound (Q/P - Q(0)/P(0))/tau >= 1/k."""
-    pz, qz = p.subs("tau", 0), q.subs("tau", 0)
+def _qp_difference(k: int, q: MultiPoly, p: MultiPoly,
+                   qz: MultiPoly, pz: MultiPoly) -> MultiPoly:
+    """k (Q P(0) - Q(0) P) - tau P P(0) for a channel pair (Q, P) and its
+    tau = 0 values (Q(0), P(0)): the numerator of k (Q/P - Q(0)/P(0)) - tau
+    over P P(0), so its sign is that of the difference-quotient bound
+    (Q/P - Q(0)/P(0))/tau >= 1/k."""
     return (q * pz - qz * p).scale(k) - pf.TAU * p * pz
+
+
+def _channel1() -> tuple[MultiPoly, ...]:
+    """(Q1, P1, Q1(0), P1(0)): the nu >= 1 channel and its tau = 0 values."""
+    return pf.q1(), pf.p1(), pf.q1_at_zero(), pf.p1_at_zero()
 
 
 def _e1_taylor(k: int) -> MultiPoly:
@@ -208,8 +219,9 @@ def _as_at_difference() -> MultiPoly:
 
 REFERENCES = {
     "q1-factored-form": pf.q1,
-    "qp1-identity": lambda: _qp_difference(1, pf.q1(), pf.p1()),
-    "q0p0-identity": lambda: _qp_difference(1, pf.q0(), pf.p0()),
+    "qp1-identity": lambda: _qp_difference(1, *_channel1()),
+    "q0p0-identity": lambda: _qp_difference(1, pf.q0(), pf.p0(),
+                                            *_channel_at_zero("radial")),
     "p1-zero-display": pf.p1_at_zero,
     "p1-alpha1": lambda: pf.p1_at_zero().subs("a", pf.N - 1),
     "p1-alpha2": lambda: pf.p1_at_zero().subs("a", 2 * pf.N),
@@ -236,7 +248,7 @@ REFERENCES = {
     "g0-case2-gap": lambda: (pf.g0().subs("a", pf.N - 1 + pf.S)
                              - pf.S * _case2_bound_at(pf.S)),
     # gamma > 1, N >= 3 regime
-    "qp2-identity": lambda: _qp_difference(2, pf.q1(), pf.p1()),
+    "qp2-identity": lambda: _qp_difference(2, *_channel1()),
     "taylor-p1": lambda: pf.p1_at_zero().subs("a", pf.N - 1 + pf.S),
     "e1-taylor-c0": lambda: _e1_taylor(0),
     "e1-taylor-c1": lambda: _e1_taylor(1),
@@ -262,7 +274,7 @@ REFERENCES = {
     # N = 2 regime
     "p1-n2-form": lambda: pf.p1().subs("N", 2),
     "qp3-identity": lambda: _qp_difference(
-        3, pf.q1().subs("N", 2), pf.p1().subs("N", 2)),
+        3, *(x.subs("N", 2) for x in _channel1())),
     "taylor-p1-n2": lambda: _f_taylor(pf.p1_at_zero().subs("N", 2)),
     "g1-half-n2": lambda: _f_taylor(pf.g1().subs("N", 2)).scale(Fraction(1, 2)),
     "g0-half-n2": lambda: _f_taylor(pf.g0().subs("N", 2)).scale(Fraction(1, 2)),
@@ -303,7 +315,7 @@ def _at_table() -> dict[str, MultiPoly]:
 
 @dataclass(frozen=True)
 class Factor:
-    kind: str  # const | sq | dom | nne | uni
+    kind: str  # sq | dom | nne | uni
     poly: MultiPoly
     exp: int = 1
     var: str | None = None
@@ -405,6 +417,9 @@ def _parse_factor(text: str, table, aliases, assumed) -> Factor | Fraction:
             raise CertificateError(f"uni(...) needs expr;var;interval: {text!r}")
         poly = parse_poly(bits[0], table)
         var = bits[1].strip()
+        if var not in VARS or set(poly.variables_used()) - {var}:
+            raise CertificateError(
+                f"uni(...) needs a polynomial in its variable alone: {text!r}")
         interval = _parse_interval(bits[2])
         return Factor("uni", poly, exp, var=var, interval=interval, label=bits[0].strip())
     if kind == "dom":
@@ -446,7 +461,7 @@ def parse_certificate(text: str, table=None) -> Certificate:
         elif key == "domain":
             for clause in value.split(","):
                 var, _, bound = clause.partition(">=")
-                if not bound:
+                if not bound or var.strip() not in VARS:
                     raise CertificateError(f"bad domain clause {clause!r}")
                 bounds[var.strip()] = Fraction(bound.strip())
         elif key == "note":
@@ -469,7 +484,12 @@ def parse_certificate(text: str, table=None) -> Certificate:
             else:
                 factors.append(got)
         terms.append(CertTerm(coeff, tuple(factors)))
+    if fields.get("nonneg", "terms") not in ("coeffs", "terms"):
+        raise CertificateError(
+            f"nonneg: {fields['nonneg']!r} is neither coeffs nor terms")
     strategy = fields.get("nonneg", "terms" if terms else "none")
+    if strategy == "terms" and not terms:
+        raise CertificateError("nonneg: terms needs a term: line")
     nrange_text = fields.get("nrange", "")
     if nrange_text == "none" or "N" not in target.variables_used() and not nrange_text:
         n_values: tuple[int, ...] = ()
@@ -524,8 +544,6 @@ def _shifted_coeffs_nonneg(poly: MultiPoly, bounds: dict[str, Fraction]) -> bool
     in even powers only.  Then poly >= 0 whenever each bounded variable
     sits above its lower bound (unbounded variables range over all reals).
     """
-    from .poly import VARS
-
     shifted = poly
     for var, lower in bounds.items():
         shifted = shifted.subs(var, MultiPoly.var(var) + lower)
@@ -539,107 +557,80 @@ def _shifted_coeffs_nonneg(poly: MultiPoly, bounds: dict[str, Fraction]) -> bool
     return True
 
 
-def _check_factor(f: Factor, cert: Certificate) -> tuple[bool, str]:
-    if f.kind == "sq":
-        return True, ""
-    if f.kind == "dom":
-        ok = f.label in cert.assumed
-        return ok, "" if ok else f"dom({f.label}) not assumed"
-    if f.kind == "nne":
-        ok = _shifted_coeffs_nonneg(f.poly, cert.domain_bounds)
-        return ok, "" if ok else f"nne({f.label}) has a negative shifted coefficient"
-    if f.kind == "uni":
-        ok, witness = nonneg_on_interval(f.poly, f.interval, var=f.var)
-        return ok, "" if ok else f"uni({f.label}) on {f.interval}: {witness}"
-    raise AssertionError(f.kind)
+def _problems(cert: Certificate, reference: MultiPoly,
+              n: int | None = None) -> list[tuple[bool, str]]:
+    """The rules `cert` fails against `reference`, each as (is a sign
+    rule, text), with N free or at the integer N = n.  At N = n, N leaves
+    the domain bounds and only the rules whose input can hold N run: the
+    two identities, ``coeffs`` and ``nne``.  A term's constant, ``dom``
+    and ``uni`` (free of N, by the parser) are decided with N free."""
+    at_n = {} if n is None else {"N": Fraction(n)}
+    bounds = {v: b for v, b in cert.domain_bounds.items() if v not in at_n}
+    target = cert.target.subs_many(at_n)
+    sums = [("display != reference", reference.subs_many(at_n))]
+    if cert.terms:
+        total = sum((t.polynomial() for t in cert.terms), MultiPoly())
+        sums.append(("terms sum != display", total.subs_many(at_n)))
+    problems = [(False, f"{text}, difference {format_poly(poly - target)[:200]}")
+                for text, poly in sums if poly != target]
+    if cert.strategy == "coeffs" and not _shifted_coeffs_nonneg(target, bounds):
+        problems.append((True, "target has a negative shifted coefficient"))
+    for i, t in enumerate(cert.terms):
+        if n is None and t.coeff < 0:
+            problems.append((True, f"term {i} has negative constant {t.coeff}"))
+        for f in t.factors:
+            if f.kind == "nne":
+                if not _shifted_coeffs_nonneg(f.poly.subs_many(at_n), bounds):
+                    problems.append((True, f"term {i}: nne({f.label}) has a "
+                                           "negative shifted coefficient"))
+            elif n is None and f.kind == "dom" and f.label not in cert.assumed:
+                problems.append((True, f"term {i}: dom({f.label}) not assumed"))
+            elif n is None and f.kind == "uni":
+                ok, witness = nonneg_on_interval(f.poly, f.interval, var=f.var)
+                if not ok:
+                    problems.append(
+                        (True, f"term {i}: uni({f.label}) on {f.interval}: {witness}"))
+    return problems
 
 
 def check_certificate(cert: Certificate, reference: MultiPoly) -> CertReport:
-    """Check the transcription, the decomposition and every sign, in N
-    symbolically.  The per-N instantiations run only when a symbolic
-    check failed, and add the N at which each check breaks."""
-    problems = []
-    identity_ok = True
-    if reference != cert.target:
-        identity_ok = False
-        diff = reference - cert.target
-        problems.append(f"display != reference, difference {format_poly(diff)[:200]}")
-    if cert.terms:
-        total = MultiPoly()
-        for t in cert.terms:
-            total = total + t.polynomial()
-        if total != cert.target:
-            identity_ok = False
-            diff = total - cert.target
-            problems.append(f"terms sum != display, difference {format_poly(diff)[:200]}")
-    signs_ok = True
-    if cert.strategy == "coeffs":
-        if not _shifted_coeffs_nonneg(cert.target, cert.domain_bounds):
-            signs_ok = False
-            problems.append("target has a negative shifted coefficient")
-    for i, t in enumerate(cert.terms):
-        if t.coeff < 0:
-            signs_ok = False
-            problems.append(f"term {i} has negative constant {t.coeff}")
-        for f in t.factors:
-            ok, msg = _check_factor(f, cert)
-            if not ok:
-                signs_ok = False
-                problems.append(f"term {i}: {msg}")
-    # a passing symbolic check covers every N in n_values (module
-    # docstring), so instantiate only to name the N a failure breaks at
-    for n0 in cert.n_values if problems else ():
-        subsN = {"N": Fraction(n0)}
-        ref_n = reference.subs_many(subsN)
-        tgt_n = cert.target.subs_many(subsN)
-        if ref_n != tgt_n:
-            identity_ok = False
-            problems.append(f"N={n0}: display != reference")
-        if cert.strategy == "coeffs":
-            bounds_n = {v: b for v, b in cert.domain_bounds.items() if v != "N"}
-            if not _shifted_coeffs_nonneg(tgt_n, bounds_n):
-                signs_ok = False
-                problems.append(f"N={n0}: negative shifted coefficient")
-        for i, t in enumerate(cert.terms):
-            for f in t.factors:
-                if f.kind == "nne":
-                    bounds_n = {v: b for v, b in cert.domain_bounds.items()
-                                if v != "N"}
-                    if not _shifted_coeffs_nonneg(f.poly.subs_many(subsN), bounds_n):
-                        signs_ok = False
-                        problems.append(f"N={n0} term {i}: nne({f.label})")
-                elif f.kind == "uni":
-                    ok, witness = nonneg_on_interval(
-                        f.poly.subs_many(subsN), f.interval, var=f.var)
-                    if not ok:
-                        signs_ok = False
-                        problems.append(f"N={n0} term {i}: uni({f.label}): {witness}")
-    return CertReport(cert.name, identity_ok, signs_ok, "; ".join(problems))
+    """Check the transcription, the decomposition and every sign with N
+    free.  Only when that fails, check again at each N of `n_values`, to
+    name the N at which each failure breaks."""
+    problems = _problems(cert, reference)
+    if problems:
+        for n in cert.n_values:
+            problems += [(sign, f"N={n}: {text}")
+                         for sign, text in _problems(cert, reference, n)]
+    return CertReport(cert.name, all(sign for sign, _ in problems),
+                      not any(sign for sign, _ in problems),
+                      "; ".join(text for _, text in problems))
 
 
 # ---------------------------------------------------------------------------
 # structural identities verified directly in code (no display to transcribe)
 # ---------------------------------------------------------------------------
 
+# (name, lhs, rhs, failure text): each report checks lhs() == rhs()
+_STRUCTURAL = (
+    ("q1-forms-agree", lambda: pf.q1(), lambda: pf.q1_factored(),
+     "cubic factorisation of Q1 differs"),
+    # shifting the expansion point by N+1 moves slot alpha_1 to alpha_2
+    ("g0-alpha2-shift", lambda: pf.g0().subs("a", 2 * pf.N + pf.S),
+     lambda: pf.g0().subs("a", pf.N - 1 + pf.S).subs("s", pf.N + 1 + pf.S),
+     "slot shift alpha_1 + (N+1) != alpha_2"),
+    # P1(tau,a) - P1(0,a) = tau^2 + (2(a + lam^2 + lam) + N) tau
+    ("p1-tau-offset", lambda: pf.p1() - pf.p1_at_zero(),
+     lambda: pf.TAU ** 2 + (2 * (pf.A + pf.LAM ** 2 + pf.LAM) + pf.N) * pf.TAU,
+     "tau-offset of P1 differs"),
+)
+
+
 def _structural_reports() -> list[CertReport]:
     out = []
-    ok = pf.q1() == pf.q1_factored()
-    out.append(CertReport("q1-forms-agree", ok, True,
-                          "" if ok else "cubic factorisation of Q1 differs"))
-    # shifting the expansion point by N+1 moves slot alpha_1 to alpha_2
-    g0 = pf.g0()
-    lhs = g0.subs("a", 2 * pf.N + pf.S)
-    rhs = g0.subs("a", pf.N - 1 + pf.S).subs("s", pf.N + 1 + pf.S)
-    ok = lhs == rhs
-    out.append(CertReport("g0-alpha2-shift", ok, True,
-                          "" if ok else "slot shift alpha_1 + (N+1) != alpha_2"))
-    # P1(tau,a) - P1(0,a) = tau^2 + (2(a + lam^2 + lam) + N) tau
-    p1 = pf.p1()
-    diff = p1 - p1.subs("tau", 0)
-    expect = pf.TAU ** 2 + (2 * (pf.A + pf.LAM ** 2 + pf.LAM) + pf.N) * pf.TAU
-    ok = diff == expect
-    out.append(CertReport("p1-tau-offset", ok, True,
-                          "" if ok else "tau-offset of P1 differs"))
+    for name, lhs, rhs, failure in _STRUCTURAL:
+        ok = lhs() == rhs()
+        out.append(CertReport(name, ok, True, "" if ok else failure))
     return out
 
 

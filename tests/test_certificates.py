@@ -1,6 +1,7 @@
 """Certificate corpus: every identity and sign certificate, exact links,
 numeric guards, and failure localisation."""
 
+import dataclasses
 import inspect
 import os
 import re
@@ -299,6 +300,22 @@ def test_section5_reports_a_perturbed_a_form(monkeypatch, target, perturb, fails
     assert got == fails
 
 
+@pytest.mark.parametrize("target,perturb,detail", [
+    ("q1_factored", lambda f: lambda: f() + pf.LAM,
+     "q1-forms-agree: cubic factorisation of Q1 differs"),
+    ("g0", lambda f: lambda: f() + pf.S,
+     "g0-alpha2-shift: slot shift alpha_1 + (N+1) != alpha_2"),
+    ("p1_at_zero", lambda f: lambda: f() + pf.TAU,
+     "p1-tau-offset: tau-offset of P1 differs"),
+], ids=["q1-forms", "g0-shift", "p1-offset"])
+def test_structural_reports_name_a_perturbed_form(monkeypatch, target, perturb,
+                                                  detail):
+    monkeypatch.setattr(pf, target, perturb(getattr(pf, target)))
+    got = [f"{r.name}: {r.detail}" for r in certs._structural_reports()
+           if not r.ok]
+    assert got == [detail]
+
+
 def test_interleaving_spot_checks():
     assert certs.interleaving_spot_checks(seed=0, count=200) == []
 
@@ -405,6 +422,67 @@ term: dom(s)
 """
     with pytest.raises(certs.CertificateError):
         certs.parse_certificate(text)
+    # a certificate built without the parser is checked all the same
+    cert = certs.parse_certificate("assume s\n" + text)
+    report = certs.check_certificate(
+        dataclasses.replace(cert, assumed=frozenset()), parse_poly("s"))
+    assert (report.identity_ok, report.signs_ok) == (True, False)
+    assert report.detail == "term 0: dom(s) not assumed"
+
+
+_BAD_RULE_HEAD = "name: bad\nregime: base\ndomain: N >= 2\nnrange: 2..4\n"
+
+
+@pytest.mark.parametrize("body,reference,identity_ok,detail", [
+    ("target: N^2 + 1\n", "N^2 + N", False,
+     "display != reference, difference N - 1; "
+     "N=2: display != reference, difference 1; "
+     "N=3: display != reference, difference 2; "
+     "N=4: display != reference, difference 3"),
+    ("target: 2*N\nterm: nne(N)\n", "2*N", False,
+     "terms sum != display, difference -N; "
+     "N=2: terms sum != display, difference -2; "
+     "N=3: terms sum != display, difference -3; "
+     "N=4: terms sum != display, difference -4"),
+    ("target: N - 3\nnonneg: coeffs\n", "N - 3", True,
+     "target has a negative shifted coefficient; "
+     "N=2: target has a negative shifted coefficient"),
+    ("target: -N\nterm: -1 * nne(N)\n", "-N", True,
+     "term 0 has negative constant -1"),
+    ("target: N - 3\nterm: nne(N - 3)\n", "N - 3", True,
+     "term 0: nne(N - 3) has a negative shifted coefficient; "
+     "N=2: term 0: nne(N - 3) has a negative shifted coefficient"),
+    ("target: N*s - 1/2*N\nterm: nne(N) * uni(s - 1/2 ; s ; [0, 1])\n",
+     "N*s - 1/2*N", True,
+     "term 0: uni(s - 1/2) on [0, 1]: negative-value, p(0)=-1/2"),
+], ids=["display", "terms-sum", "coeffs", "negative-constant", "nne", "uni"])
+def test_each_rule_names_its_failure(body, reference, identity_ok, detail):
+    # one failing certificate per rule.  The text before the first "N="
+    # is the symbolic verdict; each rule whose input can hold N (the two
+    # identities, coeffs and nne) is then run again at every N of the
+    # nrange and repeats its text after "N=<n>: " where it fails, while a
+    # term's constant and a uni factor, free of N, are decided once.
+    cert = certs.parse_certificate(_BAD_RULE_HEAD + body)
+    report = certs.check_certificate(cert, parse_poly(reference))
+    assert (report.identity_ok, report.signs_ok) == (identity_ok, not identity_ok)
+    assert report.detail == detail
+
+
+@pytest.mark.parametrize("line,error", [
+    ("nonneg: coefs\n", "neither coeffs nor terms"),
+    ("nonneg: none\n", "neither coeffs nor terms"),
+    ("nonneg: terms\n", "needs a term: line"),
+    ("term: uni(N*s + 1 ; s ; [0, 1])\n", "in its variable alone"),
+    ("term: uni(s + 1 ; x ; [0, 1])\n", "in its variable alone"),
+    ("term: uni(s + 1 ; lam ; [0, 1])\n", "in its variable alone"),
+    ("term: uni(2 ; x ; [0, 1])\n", "in its variable alone"),
+], ids=["misspelt", "none", "terms-without-term", "uni-with-n", "uni-unknown-var",
+        "uni-other-var", "uni-constant-unknown-var"])
+def test_parser_rejects_what_the_checker_cannot_decide(line, error):
+    text = ("name: x\nregime: base\ndomain: N >= 3\nnrange: 3..4\n"
+            "target: N - 3\n" + line)
+    with pytest.raises(certs.CertificateError, match=error):
+        certs.parse_certificate(text)
 
 
 _N_AT_LEAST_3 = ("name: low\nregime: base\n{}domain: N >= 3\n"
@@ -449,7 +527,8 @@ def test_failing_certificate_names_the_n(monkeypatch):
     report = certs.check_certificate(cert, parse_poly("N - 3"))
     assert report.identity_ok and not report.signs_ok
     assert report.detail == ("term 0: nne(N - 3) has a negative shifted "
-                             "coefficient; N=2 term 0: nne(N - 3)")
+                             "coefficient; N=2: term 0: nne(N - 3) has a "
+                             "negative shifted coefficient")
     assert seen  # the per-N diagnostic ran
 
 
@@ -547,6 +626,10 @@ _CORRUPTIONS = {
     "bad-polynomial": ("qp1-identity.cert", "(@G0 + @G1 * tau)", "(@G0 + * tau)"),
     "dom-unknown-variable": ("taylor-g1-c1.cert", "assume mu", "assume x\nterm: dom(x)"),
     "bad-domain-bound": ("taylor-g1-c1.cert", "N >= 2", "N >= two"),
+    "domain-unknown-variable": ("taylor-g1-c1.cert", "N >= 2", "N >= 2, x >= 0"),
+    "nonneg-misspelt": ("g0-case2-bound.cert", "nonneg: coeffs", "nonneg: coefs"),
+    "uni-uses-n": ("g1-case1-c1.cert", "uni(21-10*s-3*s^2 ;", "uni(21-10*s-3*N*s^2 ;"),
+    "uni-unknown-var": ("e01-series-n3.cert", "; s ; [0, oo))", "; x ; [0, oo))"),
 }
 
 
