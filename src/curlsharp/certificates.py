@@ -21,8 +21,8 @@ nonnegative coefficients (and even powers of a free N) nonnegative, and
 every ``uni`` factor is free of N.  A certificate whose target uses N
 declares ``nrange`` (2..12 by default), the integers N at which a failed
 check is instantiated again, one at a time, to name the N that breaks;
-the parser rejects an ``nrange`` that reaches below a ``domain: N >=``
-bound.
+the parser rejects an ``nrange`` that is not ``lo..hi`` with integers
+lo <= hi, or that reaches below a ``domain: N >=`` bound.
 
 Certificate file syntax::
 
@@ -39,9 +39,12 @@ Certificate file syntax::
     ...
     note: free text
 
-``nonneg:`` is ``coeffs`` or ``terms``; ``terms``, the default when a
-file has ``term:`` lines, needs at least one.  Any other value is a
-parse error, so a misspelt rule cannot drop a sign check.
+``name:``, ``regime:``, ``nrange:``, ``target:`` and ``nonneg:`` may
+each appear once; a repeated one is a parse error, so a stale line cannot
+sit in a file unchecked.  ``nonneg:`` is ``coeffs`` or ``terms``;
+``terms``, the default when a file has ``term:`` lines, needs at least
+one.  Any other value is a parse error, so a misspelt rule cannot drop a
+sign check.
 
 Term factors: a rational constant (must be >= 0), ``sq(expr)`` for a
 square, ``dom(name)`` for an assumed-nonnegative alias or variable,
@@ -467,6 +470,8 @@ def parse_certificate(text: str, table=None) -> Certificate:
         elif key == "note":
             notes.append(value)
         elif key in ("name", "regime", "nrange", "target", "nonneg"):
+            if key in fields:
+                raise CertificateError(f"repeated {key}: line {line!r}")
             fields[key] = value
         else:
             raise CertificateError(f"unknown certificate line {line!r}")
@@ -495,7 +500,13 @@ def parse_certificate(text: str, table=None) -> Certificate:
         n_values: tuple[int, ...] = ()
     elif nrange_text:
         lo, _, hi = nrange_text.partition("..")
-        n_values = tuple(range(int(lo), int(hi) + 1))
+        try:
+            n_values = tuple(range(int(lo), int(hi) + 1))
+        except ValueError:
+            n_values = ()
+        if not n_values:
+            raise CertificateError(
+                f"nrange {nrange_text!r} is not lo..hi with integers lo <= hi")
     else:
         n_values = tuple(_N_RANGE_DEFAULT)
     if n_values and "N" in bounds and n_values[0] < bounds["N"]:

@@ -12,7 +12,9 @@ Subcommands:
 Output is JSON, or CSV for sweep unless --format json, deterministic
 for identical inputs including the seed.  Every JSON document is byte
 for byte json.dumps(payload, indent=2, sort_keys=True) plus a newline;
-`_json` writes it with one C-encoder call per container of scalars.
+`_json` writes it with one C-encoder call per container of scalars, and
+one call for a whole list of rows (non-empty dicts of scalars), such as
+the rows of a sweep or the reports of certify.
 gamma accepts an exact rational literal "p/q" or an integer; a decimal
 value is routed to the float path and flagged with a "float_path"
 warning field in the output.
@@ -100,18 +102,33 @@ def _encoder(depth: int) -> json.JSONEncoder:
 
 def _encode(obj, depth: int) -> str:
     """`obj` as json.dumps(obj, indent=2, sort_keys=True) writes it at
-    nesting depth `depth`.  A container of scalars is one encoder call; a
-    container that holds containers is encoded with a null in place of
-    each of them, which is then replaced by the container's own text."""
+    nesting depth `depth`.  A container of scalars is one encoder call, and
+    so is a list of non-empty dicts of scalars (the rows of a table): it is
+    encoded with its rows' item separator, and only the row boundaries are
+    re-indented.  Any other container that holds containers is encoded with
+    a null in place of each of them, which is then replaced by the
+    container's own text."""
     enc = _encoder(depth + 1)
     if not isinstance(obj, _CONTAINERS):
         return enc.encode(obj)
     values = obj.values() if isinstance(obj, dict) else obj
+    pad = "\n" + "  " * depth
     if not any(isinstance(v, _CONTAINERS) for v in values):
         text = enc.encode(obj)
         if len(text) == 2:  # "{}" or "[]"
             return text
         body = text[1:-1]
+    elif (not isinstance(obj, dict)
+          and all(isinstance(v, dict) and v for v in obj)
+          and not any(issubclass(t, _CONTAINERS)
+                      for t in {type(x) for v in obj for x in v.values()})):
+        row_enc = _encoder(depth + 2)
+        # no encoded scalar holds a raw line break and every key encodes as
+        # a string, so "}" + separator + "{" occurs only between two rows
+        boundary = "}" + row_enc.item_separator + "{"
+        rows = row_enc.encode(obj)[2:-2].replace(
+            boundary, pad + "  }," + pad + "  {" + pad + "    ")
+        return "[" + pad + "  {" + pad + "    " + rows + pad + "  }" + pad + "]"
     else:
         if isinstance(obj, dict):
             keys = sorted(obj)  # the encoder's item order
@@ -127,7 +144,6 @@ def _encode(obj, depth: int) -> str:
             if isinstance(v, _CONTAINERS):  # replace the item's "null"
                 items[i] = items[i][:-4] + _encode(v, depth + 1)
         body = enc.item_separator.join(items)
-    pad = "\n" + "  " * depth
     return text[0] + pad + "  " + body + pad + text[-1]
 
 

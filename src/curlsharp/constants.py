@@ -29,11 +29,12 @@ c-minus-a-next, with P1(0, alpha_nu) > 0 from p1-zero-display and
 p1-alpha2), and A is nondecreasing past its turn.  Both read a mode table
 in increasing nu and stop where their rule is decided, typically a few
 modes in, with the same value, first-index argmin and TailBoundError as
-a scan of the whole window.  The cached minima and the float mirror
-`sweep.point_f` hand them tables that evaluate each mode on first read
-(`_ModeTable`); `improvement_report` hands them the full tables it
-prints.  The curl-free Rellich-Leray scan bounds its tail by one exact
-comparison.  All raise TailBoundError rather than silently truncating.
+a scan of the whole window.  The cached minima hand them tables that
+evaluate each mode on first read (`_ModeTable`), and so do the float
+mirror's `sweep._AModes` and `_CModes`; `improvement_report` hands them
+the full tables it prints.  The curl-free Rellich-Leray scan bounds its
+tail by one exact comparison.  All raise TailBoundError rather than
+silently truncating.
 """
 
 from __future__ import annotations

@@ -476,8 +476,14 @@ def test_each_rule_names_its_failure(body, reference, identity_ok, detail):
     ("term: uni(s + 1 ; x ; [0, 1])\n", "in its variable alone"),
     ("term: uni(s + 1 ; lam ; [0, 1])\n", "in its variable alone"),
     ("term: uni(2 ; x ; [0, 1])\n", "in its variable alone"),
+    ("name: y\n", "repeated name: line"),
+    ("regime: le1\n", "repeated regime: line"),
+    ("nrange: 3..4\n", "repeated nrange: line"),
+    ("target: N - 4\n", "repeated target: line"),
+    ("nonneg: coeffs\nnonneg: coeffs\n", "repeated nonneg: line"),
 ], ids=["misspelt", "none", "terms-without-term", "uni-with-n", "uni-unknown-var",
-        "uni-other-var", "uni-constant-unknown-var"])
+        "uni-other-var", "uni-constant-unknown-var", "repeated-name",
+        "repeated-regime", "repeated-nrange", "repeated-target", "repeated-nonneg"])
 def test_parser_rejects_what_the_checker_cannot_decide(line, error):
     text = ("name: x\nregime: base\ndomain: N >= 3\nnrange: 3..4\n"
             "target: N - 3\n" + line)
@@ -496,6 +502,15 @@ def test_nrange_below_domain_is_rejected(nrange):
         certs.parse_certificate(_N_AT_LEAST_3.format(nrange))
     cert = certs.parse_certificate(_N_AT_LEAST_3.format("nrange: 3..12\n"))
     assert cert.n_values == tuple(range(3, 13))
+
+
+@pytest.mark.parametrize("nrange", ["5..3", "5", "a..b"],
+                         ids=["reversed", "one-number", "not-integers"])
+def test_malformed_nrange_is_rejected(nrange):
+    # a reversed range used to parse as the empty one, so a failure was
+    # never named at any N
+    with pytest.raises(certs.CertificateError, match="is not lo..hi"):
+        certs.parse_certificate(_N_AT_LEAST_3.format(f"nrange: {nrange}\n"))
 
 
 def _count_n_substitutions(monkeypatch):
@@ -630,6 +645,7 @@ _CORRUPTIONS = {
     "nonneg-misspelt": ("g0-case2-bound.cert", "nonneg: coeffs", "nonneg: coefs"),
     "uni-uses-n": ("g1-case1-c1.cert", "uni(21-10*s-3*s^2 ;", "uni(21-10*s-3*N*s^2 ;"),
     "uni-unknown-var": ("e01-series-n3.cert", "; s ; [0, oo))", "; x ; [0, oo))"),
+    "duplicate-target": ("qp1-identity.cert", "target:", "target: 0\ntarget:"),
 }
 
 

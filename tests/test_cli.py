@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curlsharp.cli import COMMANDS, _json, build_parser, main
+from curlsharp.sweep import sweep_gamma
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "curlsharp"
@@ -125,6 +126,18 @@ def test_sweep_json_schema(capsys):
     assert len(json.loads(out)["rows"]) == 3
 
 
+@pytest.mark.parametrize("n", [2, 24])
+def test_sweep_json_full_grid(capsys, n):
+    # the grid of the benchmark's sweep ops: 385 rows, encoded in one call
+    grid = "-12:12:0.0625"
+    code, out = run(capsys, "sweep", "--N", str(n), f"--gamma-grid={grid}",
+                    "--format", "json")
+    assert code == 0
+    rows = sweep_gamma(n, [-12 + k * 0.0625 for k in range(385)])
+    payload = {"command": "sweep", "N": n, "rows": [r._asdict() for r in rows]}
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_oracle(capsys):
     code, out = run(capsys, "oracle", "--N", "2", "--gamma", "1/2",
                     "--nu", "1", "--n", "2")
@@ -172,9 +185,37 @@ def test_json_matches_indented_dumps(tree):
     assert _json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
+_FLAT_KEYS = st.one_of(st.text(max_size=6),
+                      st.sampled_from(["}", "{", ",\n  {", "}, {", "\"}"]))
+_FLAT_SCALARS = st.one_of(
+    _SCALARS, st.sampled_from(["}", "{", ",\n  {", "},\n    {", "\"},{\""]))
+# lists of 0-6 dicts of scalars, some of them empty: the rows of a table
+_ROW_LISTS = st.lists(st.dictionaries(_FLAT_KEYS, _FLAT_SCALARS, max_size=5),
+                      max_size=6)
+
+
+def _nest(rows, depth: int):
+    """`rows` with 0..depth containers around it."""
+    if depth == 0:
+        return st.just(rows)
+    inner = _nest(rows, depth - 1)
+    return st.one_of(
+        st.just(rows),
+        st.tuples(inner, st.dictionaries(st.text(max_size=4), _SCALARS, max_size=2),
+                  st.text(max_size=4)).map(lambda t: {**t[1], t[2]: t[0]}),
+        st.tuples(inner, st.lists(_SCALARS, max_size=2)).map(lambda t: t[1] + [t[0]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_ROW_LISTS.flatmap(lambda rows: _nest(rows, 3)))
+def test_json_matches_indented_dumps_for_row_lists(tree):
+    assert _json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
 def test_json_without_the_c_accelerator(monkeypatch):
     # the same encoder class falls back to pure Python, with the same bytes
-    tree = {"rows": [{"x": 1.5, "y": [None, "\u00e9"]}, [], {}], "n": -0.0}
+    tree = {"rows": [{"x": 1.5, "y": [None, "\u00e9"]}, [], {}], "n": -0.0,
+            "table": [{"a": 1, "b": "}"}, {"a": math.nan, "c": None}, {"d": 2}]}
     expected = _json(tree)
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     assert _json(tree) == expected
@@ -185,6 +226,7 @@ def test_json_without_the_c_accelerator(monkeypatch):
     Fraction(1, 3),
     {"a": 1, "b": Fraction(1, 3)},
     {"rows": [{"x": 1}, [Fraction(1, 3)]], "z": 0},
+    {"rows": [{"x": Fraction(1, 3)}, {"y": 1}]},
 ])
 def test_json_rejects_what_dumps_rejects(tree):
     with pytest.raises(TypeError) as expected:

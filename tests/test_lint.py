@@ -31,6 +31,11 @@ rule and the Legendre values come from one recurrence in `spectral`.
 (f) No `assert` statement in `src/curlsharp`.  `python -O` strips them,
 so an invariant stated with one stops firing there; the package raises
 a real exception instead.
+
+(g) `import curlsharp.cli` loads no numpy module.  The certify and grid
+paths import only the CLI, so numpy would add its import time and memory
+to every such run; numpy belongs to the numerical commands, which import
+it inside the function that needs it.
 """
 
 import ast
@@ -272,15 +277,27 @@ def test_no_assert_statement():
     assert not found, found
 
 
-def test_numeric_modules_load_without_scipy():
+def _loaded(modules: str, package: str) -> list[str]:
+    """The modules of `package` that `import <modules>` loads in a fresh
+    interpreter."""
     code = ("import sys\n"
-            "import curlsharp.cli, curlsharp.spectral, curlsharp.oracle\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+            f"import {modules}\n"
+            "print('\\n'.join(m for m in sys.modules\n"
+            f"                 if m == {package!r} or m.startswith({package + '.'!r})))\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]", proc.stdout
+    return proc.stdout.split()
+
+
+def test_numeric_modules_load_without_scipy():
+    found = _loaded("curlsharp.cli, curlsharp.spectral, curlsharp.oracle", "scipy")
+    assert not found, found
+
+
+def test_core_cli_loads_without_numpy():
+    found = _loaded("curlsharp.cli", "numpy")
+    assert not found, found
