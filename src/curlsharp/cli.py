@@ -26,7 +26,8 @@ message on stderr and nothing on stdout: a dimension below 2, a negative
 mode, seed, count or nu-max, a dilation below 1, a gamma that does not
 parse or is not finite, an --ns that is not a list of integers, a
 --gamma-grid that is not finite lo:hi:step with a nonzero step toward
-hi.
+hi.  So is an --output path that cannot be written, found once the
+document is made: "error: cannot write <path>: <reason>" on stderr.
 
 Each subcommand is declared once in COMMANDS; `main` builds the parser
 of the invoked subcommand only, and the full parser when argv names no
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .constants import (Params, TailBoundError, _hardy_leray, hardy_leray,
-                        improvement_report, rellich_hardy_A, rellich_hardy_C)
+                        improvement_report)
 from . import certificates as certs
 from . import sweep as sweep_mod
 
@@ -81,8 +82,11 @@ def _emit(doc, args) -> None:
         base = os.environ.get("CURLSHARP_OUTDIR", "")
         if base and not os.path.isabs(out_path):
             out_path = os.path.join(base, out_path)
-        with open(out_path, "w") as fh:
-            fh.write(doc)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(doc)
 
@@ -179,11 +183,6 @@ def cmd_constants(args) -> int:
         return EXIT_OK
     p = Params(args.N, exact)
     rep = improvement_report(p)
-    # the report's mode tables, extended by direct evaluation past its window
-    a = list(rep.A_values) + [rellich_hardy_A(p, nu) for nu
-                              in range(len(rep.A_values), args.nu_max + 1)]
-    c = list(rep.C_values) + [rellich_hardy_C(p, nu) for nu
-                              in range(len(rep.C_values), args.nu_max + 1)]
     payload = {
         "command": "constants",
         "N": p.N,
@@ -191,8 +190,8 @@ def cmd_constants(args) -> int:
         "lam": str(p.lam),
         "float_path": False,
         "H": str(hardy_leray(p)),
-        "A": [str(v) for v in a[:args.nu_max + 1]],
-        "C": [str(v) for v in c[:args.nu_max + 1]],
+        "A": [str(rep.A_modes[nu]) for nu in range(args.nu_max + 1)],
+        "C": [str(rep.C_modes[nu]) for nu in range(args.nu_max + 1)],
         "A_min": str(rep.A.value), "A_argmin": rep.A.argmin_nu,
         "C_min": str(rep.C.value), "C_argmin": rep.C.argmin_nu,
         "equal": rep.equal,

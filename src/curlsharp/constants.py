@@ -29,12 +29,12 @@ c-minus-a-next, with P1(0, alpha_nu) > 0 from p1-zero-display and
 p1-alpha2), and A is nondecreasing past its turn.  Both read a mode table
 in increasing nu and stop where their rule is decided, typically a few
 modes in, with the same value, first-index argmin and TailBoundError as
-a scan of the whole window.  The cached minima hand them tables that
+a scan of the whole window.  Every exact reader hands them tables that
 evaluate each mode on first read (`_ModeTable`), and so do the float
-mirror's `sweep._AModes` and `_CModes`; `improvement_report` hands them
-the full tables it prints.  The curl-free Rellich-Leray scan bounds its
-tail by one exact comparison.  All raise TailBoundError rather than
-silently truncating.
+mirror's `sweep._AModes` and `_CModes`.  `improvement_report` is the one
+place that applies both rules, and the cached C minimum is its `C`.  The
+curl-free Rellich-Leray scan bounds its tail by one exact comparison.
+All raise TailBoundError rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -296,16 +296,16 @@ def rellich_hardy_C(p: Params, nu: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class _ModeTable(dict):
-    """A mode family evaluated on demand: `table[nu]` evaluates mode(nu) on
-    its first read and keeps it."""
+    """The modes mode(p, nu) of one family at p, evaluated on demand:
+    `table[nu]` evaluates the mode on its first read and keeps it."""
 
-    __slots__ = ("mode",)
+    __slots__ = ("mode", "p")
 
-    def __init__(self, mode):
-        self.mode = mode
+    def __init__(self, mode, p: Params):
+        self.mode, self.p = mode, p
 
     def __missing__(self, nu: int):
-        value = self[nu] = self.mode(nu)
+        value = self[nu] = self.mode(self.p, nu)
         return value
 
 
@@ -361,21 +361,15 @@ def rellich_hardy_A_min(p: Params, nu_max: int | None = None) -> MinResult:
     the modes up to the turn of A."""
     if nu_max is None:
         nu_max = default_nu_max(p.N, p.gamma)
-    a = _ModeTable(lambda nu: rellich_hardy_A(p, nu))
-    return MinResult(*_a_window_min(a, nu_max), nu_max)
+    return MinResult(*_a_window_min(_ModeTable(rellich_hardy_A, p), nu_max), nu_max)
 
 
 @lru_cache(maxsize=4096)
 def rellich_hardy_C_min(p: Params, nu_max: int | None = None) -> MinResult:
-    """Certified minimum of C(nu) over nu >= 0 (`_c_window_min`, after
-    rellich_hardy_A_min(p, nu_max) has certified the turn of A), reading
-    the modes up to where the C rule stops."""
-    if nu_max is None:
-        nu_max = default_nu_max(p.N, p.gamma)
-    rellich_hardy_A_min(p, nu_max)  # raises unless A turns inside the window
-    c = _ModeTable(lambda nu: rellich_hardy_C(p, nu))
-    a = _ModeTable(lambda nu: rellich_hardy_A(p, nu))
-    return MinResult(*_c_window_min(c, a, nu_max), nu_max)
+    """Certified minimum of C(nu) over nu >= 0: improvement_report(p,
+    nu_max).C, which applies the A rule and then the C rule to one pair of
+    mode tables.  It fills no cache of rellich_hardy_A_min."""
+    return improvement_report(p, nu_max).C
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +384,11 @@ class ImprovementReport:
     equal: bool
     strict_improvement: bool
     in_region: bool
-    sandwich_ok: bool | None  # None when lam == 0 (sandwich not applicable)
+    sandwich_ok: bool | None  # certified True; None when lam == 0
     degenerate_mode_nu1: bool
-    # A(nu), nu <= nu_max + 1, and C(nu), nu <= nu_max
-    A_values: tuple[Fraction, ...] = field(repr=False, compare=False)
-    C_values: tuple[Fraction, ...] = field(repr=False, compare=False)
+    # the mode tables the window rules read, extended on any other read
+    A_modes: dict[int, Fraction] = field(repr=False, compare=False)
+    C_modes: dict[int, Fraction] = field(repr=False, compare=False)
 
 
 def in_improvement_region(p: Params) -> bool:
@@ -411,28 +405,30 @@ def _in_region(N: int, g) -> bool:
 def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementReport:
     """Compare the unconstrained and curl-free sharp constants at (N, gamma).
 
-    The report evaluates each mode once, A(nu) for nu <= nu_max + 1 and
-    C(nu) for nu <= nu_max, and keeps these tables as `A_values` and
-    `C_values`.  `A` and `C` are the window rules `_a_window_min` and
-    `_c_window_min` applied to them, so they equal
-    rellich_hardy_A_min(p, nu_max) and rellich_hardy_C_min(p, nu_max) and
-    raise the same TailBoundError where those do, without filling their
-    caches.  `equal` and `strict_improvement` are exact; `in_region` is
-    the exact strict-improvement criterion for the C = C(0) regime;
-    `sandwich_ok` checks min(A(nu-1), A(nu+1)) <= C(nu) <= max(A(nu-1),
-    A(nu+1)) for 1 <= nu <= nu_max (c-minus-a-prev, c-minus-a-next); None
-    when lam == 0, where the nu = 1 mode degenerates.
+    `A` and `C` are the window rules `_a_window_min` and then
+    `_c_window_min` applied to one A and one C mode table (`_ModeTable`),
+    kept as `A_modes` and `C_modes`: they hold the modes the rules read
+    and evaluate any other on its first read.  `C` is
+    rellich_hardy_C_min(p, nu_max); `A` equals rellich_hardy_A_min(p,
+    nu_max), TailBoundError included, and fills no cache.  `equal` and
+    `strict_improvement` are exact; `in_region` is the exact
+    strict-improvement criterion for the C = C(0) regime.
+
+    `sandwich_ok` is the claim min(A(nu-1), A(nu+1)) <= C(nu) <=
+    max(A(nu-1), A(nu+1)) for every nu >= 1, taken from its proof:
+    c-minus-a-prev and c-minus-a-next give C(nu) - A(nu-1) and C(nu) -
+    A(nu+1) opposite signs over positive denominators, P1(0, alpha_nu) > 0
+    by p1-alpha1 (nu = 1, lam != 0), p1-zero-display and p1-alpha2 (nu >= 2),
+    with C(nu) = Q1(0, alpha_nu)/P1(0, alpha_nu) by the nu = 1 and nu >= 2
+    links of quotient_constant_links.  So it is True, and None when lam ==
+    0, where the nu = 1 mode degenerates.
     """
     if nu_max is None:
         nu_max = default_nu_max(p.N, p.gamma)
-    a = [rellich_hardy_A(p, nu) for nu in range(nu_max + 2)]
+    a = _ModeTable(rellich_hardy_A, p)
+    c = _ModeTable(rellich_hardy_C, p)
     a_min = MinResult(*_a_window_min(a, nu_max), nu_max)
-    c = [rellich_hardy_C(p, nu) for nu in range(nu_max + 1)]
     c_min = MinResult(*_c_window_min(c, a, nu_max), nu_max)
-    sandwich: bool | None = None
-    if not p.degenerate:
-        sandwich = all(min(a[nu - 1], a[nu + 1]) <= c[nu] <= max(a[nu - 1], a[nu + 1])
-                       for nu in range(1, nu_max + 1))
     return ImprovementReport(
         params=p,
         A=a_min,
@@ -440,9 +436,8 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
         equal=(a_min.value == c_min.value),
         strict_improvement=(c_min.value > a_min.value),
         in_region=in_improvement_region(p),
-        sandwich_ok=sandwich,
+        sandwich_ok=None if p.degenerate else True,
         degenerate_mode_nu1=p.degenerate,
-        A_values=tuple(a),
-        C_values=tuple(c),
+        A_modes=a,
+        C_modes=c,
     )
-

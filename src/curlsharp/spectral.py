@@ -577,7 +577,8 @@ def minimizing_sequence(params: Params, nu_star: int, ns,
 
     The quotient of the mode-nu_star field converges to that mode's own
     constant C(N, gamma, nu_star) (the global sharp constant when nu_star
-    is the argmin); the fitted log-log slope of the gap is reported.
+    is the argmin); the fitted log-log slope of the gap is reported, or
+    NaN unless every gap is positive and ns holds two distinct n.
     """
     if params.degenerate and nu_star == 1:
         raise DegenerateModeError("(lam = 0, nu = 1) excluded")
@@ -587,7 +588,7 @@ def minimizing_sequence(params: Params, nu_star: int, ns,
         reports.append(rh_quotient(SpectralField(params, nu_star, profile)))
     gaps = np.array([r.gap for r in reports], dtype=float)
     ns_arr = np.array([r.n for r in reports], dtype=float)
-    if np.all(gaps > 0) and len(ns) >= 2:
+    if np.all(gaps > 0) and len(set(ns)) >= 2:
         slope = np.polyfit(np.log(ns_arr), np.log(gaps), 1)[0]
         exponent = -float(slope)
     else:

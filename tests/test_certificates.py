@@ -137,6 +137,24 @@ def test_quotient_constant_links_exact():
     assert certs.quotient_constant_links() == []
 
 
+def test_sandwich_ok_rests_on_passing_certificates():
+    # improvement_report answers sandwich_ok from the corpus: each
+    # certificate its docstring names sits in one regime and passes, and
+    # so do the nu = 1 and nu >= 2 links the docstring names
+    doc = " ".join(constants.improvement_report.__doc__.split())
+    corpus = {c.name for c in certs.load_corpus()}
+    named = {w for w in re.findall(r"[a-z0-9]+(?:-[a-z0-9]+)+", doc) if w in corpus}
+    assert named == {"c-minus-a-prev", "c-minus-a-next", "p1-alpha1",
+                     "p1-alpha2", "p1-zero-display"}
+    assert sorted(name for members in certs.REGIMES.values()
+                  for name in members if name in named) == sorted(named)
+    reports = certs._run_names(sorted(named))
+    assert all(r.ok for r in reports), [r.name for r in reports if not r.ok]
+    assert "quotient_constant_links" in doc
+    assert {"nu=1", "nu>=2"} <= set(certs._LINK_BRANCHES)
+    assert certs.quotient_constant_links() == []
+
+
 def _sympy(poly):
     """A MultiPoly (or a rational) as a sympy expression, term by term."""
     poly = poly if isinstance(poly, MultiPoly) else MultiPoly.const(poly)

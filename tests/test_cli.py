@@ -252,6 +252,19 @@ def test_output_file_and_outdir(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name,reason", [
+    ("missing/c.json", "No such file or directory"),
+    ("", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, name, reason):
+    # a usage error named on stderr, not a traceback and exit 1
+    target = os.path.join(tmp_path, name)
+    code = main(["constants", "--N", "4", "--gamma", "0", "--output", target])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: {reason}\n")
+
+
 # one malformed value per case; each used to escape main as a traceback
 MALFORMED = [
     ("sweep", "--N", "3", "--gamma-grid=1:0:0"),
@@ -341,14 +354,29 @@ def test_bad_gamma_prints_full_usage(capsys, monkeypatch):
                                    + FULL_USAGE)
 
 
-def test_module_entry_point_reads_sys_argv(capsys):
-    argv = ["quotient", "--N", "3", "--gamma", "0", "--nu", "0", "--ns", "5,10"]
+def _run_module(argv):
+    """`python -m curlsharp.cli argv` in a fresh interpreter."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "curlsharp.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "curlsharp.cli", *argv],
                           cwd=root, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    argv = ["quotient", "--N", "3", "--gamma", "0", "--nu", "0", "--ns", "5,10"]
+    proc = _run_module(argv)
     assert proc.returncode == main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
     assert proc.stderr == ""
+
+
+def test_one_distinct_dilation_fits_no_exponent():
+    # --ns 10,10 is one point twice: no slope to fit, so NaN, and no
+    # warning of a rank-deficient fit on stderr
+    proc = _run_module(["quotient", "--N", "3", "--gamma", "0", "--nu", "0",
+                        "--ns", "10,10"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert len(doc["rows"]) == 2 and math.isnan(doc["fitted_exponent"])

@@ -1,5 +1,8 @@
 """Closed-form sharp constants: frozen values, certified minima, invariants."""
 
+import contextlib
+import io
+import json
 import math
 import os
 import subprocess
@@ -389,13 +392,12 @@ def test_improvement_report_equals_public_minima():
             assert rep.equal == (a_min.value == c_min.value)
             assert rep.strict_improvement == (c_min.value > a_min.value)
             assert rep.in_region == in_improvement_region(p)
-            nu_max = a_min.scanned_up_to
-            assert rep.A_values == tuple(rellich_hardy_A(p, nu) for nu in range(nu_max + 2))
-            assert rep.C_values == tuple(rellich_hardy_C(p, nu) for nu in range(nu_max + 1))
-            a, c = rep.A_values, rep.C_values
-            assert rep.sandwich_ok == (None if p.degenerate else all(
-                min(a[nu - 1], a[nu + 1]) <= c[nu] <= max(a[nu - 1], a[nu + 1])
-                for nu in range(1, nu_max + 1)))
+            # each table holds the modes nu = 0, 1, ... that the rules read
+            for modes, mode in ((rep.A_modes, rellich_hardy_A),
+                                (rep.C_modes, rellich_hardy_C)):
+                assert sorted(modes) == list(range(len(modes))), (n, g)
+                assert all(v == mode(p, nu) for nu, v in modes.items()), (n, g)
+            assert rep.sandwich_ok is (None if p.degenerate else True)
 
 
 def test_report_and_minima_share_the_window_rules(monkeypatch):
@@ -422,9 +424,20 @@ def test_report_and_minima_share_the_window_rules(monkeypatch):
     assert rellich_hardy_A_min.cache_info().currsize == 0
     assert rellich_hardy_C_min.cache_info().currsize == 0
     assert (rellich_hardy_A_min(p, 30), rellich_hardy_C_min(p, 30)) == (rep.A, rep.C)
-    assert called == {"_a_window_min": 2, "_c_window_min": 2}
+    # the C minimum is the C of a report, which applies both rules once more
+    assert called == {"_a_window_min": 3, "_c_window_min": 2}
     sweep.point_f(7, -5 / 3)
-    assert called == {"_a_window_min": 3, "_c_window_min": 3}
+    assert called == {"_a_window_min": 4, "_c_window_min": 3}
+
+
+def test_c_min_fills_no_a_min_cache():
+    # the undecorated C minimum (as a benchmark check calls it) leaves the
+    # A minimum's cache as it found it
+    rellich_hardy_A_min.cache_clear()
+    before = rellich_hardy_A_min.cache_info()
+    res = rellich_hardy_C_min.__wrapped__(Params(5, F(0)))
+    assert res == constants.MinResult(F(441, 68), 0, 21)
+    assert rellich_hardy_A_min.cache_info() == before
 
 
 @pytest.mark.parametrize("n,gamma,window,message", [
@@ -467,12 +480,98 @@ def test_constants_op_evaluates_each_mode_once(monkeypatch, capsys, argv):
     for kind, name in (("A", "rellich_hardy_A"), ("C", "rellich_hardy_C")):
         wrapped = counting(kind, getattr(constants, name))
         monkeypatch.setattr(constants, name, wrapped)
-        monkeypatch.setattr(cli, name, wrapped)
     assert cli.main(["constants"] + argv) == 0
     capsys.readouterr()
     # C(0) checks itself against A(1); every other mode is evaluated once
     assert calls.pop(("A", 1)) == 2
     assert set(calls.values()) == {1}
+
+
+class _Reads:
+    """A list read through `[]`, recording the highest index read."""
+
+    def __init__(self, values):
+        self.values, self.top = values, -1
+
+    def __getitem__(self, nu):
+        self.top = max(self.top, nu)
+        return self.values[nu]
+
+
+def _eager_constants(n, gamma, nu_cli):
+    """(exit code, stdout, A modes read, C modes read) of `constants` on the
+    eager design: A(0..nu_max+1) and C(0..nu_max) evaluated up front over
+    the default window, the sandwich recomputed for 1 <= nu <= nu_max, and
+    the printed lists extended by direct evaluation past the window.  The
+    reads are those of the window rules, plus nu <= nu_cli on success."""
+    p = Params(n, gamma)
+    nu_max = constants.default_nu_max(n, gamma)
+    a = _Reads([rellich_hardy_A(p, nu) for nu in range(nu_max + 2)])
+    c = _Reads([rellich_hardy_C(p, nu) for nu in range(nu_max + 1)])
+    try:
+        a_min = constants._a_window_min(a, nu_max)
+        c_min = constants._c_window_min(c, a, nu_max)
+    except TailBoundError:
+        return 1, "", a.top + 1, c.top + 1
+    av, cv = a.values, c.values
+    sandwich = None
+    if not p.degenerate:
+        sandwich = all(min(av[nu - 1], av[nu + 1]) <= cv[nu] <= max(av[nu - 1], av[nu + 1])
+                       for nu in range(1, nu_max + 1))
+    av = av + [rellich_hardy_A(p, nu) for nu in range(len(av), nu_cli + 1)]
+    cv = cv + [rellich_hardy_C(p, nu) for nu in range(len(cv), nu_cli + 1)]
+    payload = {
+        "command": "constants",
+        "N": p.N,
+        "gamma": str(p.gamma),
+        "lam": str(p.lam),
+        "float_path": False,
+        "H": str(hardy_leray(p)),
+        "A": [str(v) for v in av[:nu_cli + 1]],
+        "C": [str(v) for v in cv[:nu_cli + 1]],
+        "A_min": str(a_min[0]), "A_argmin": a_min[1],
+        "C_min": str(c_min[0]), "C_argmin": c_min[1],
+        "equal": a_min[0] == c_min[0],
+        "strict_improvement": c_min[0] > a_min[0],
+        "in_improvement_region": in_improvement_region(p),
+        "sandwich_ok": sandwich,
+        "degenerate_mode_nu1": p.degenerate,
+    }
+    return (0, json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            max(a.top, nu_cli) + 1, max(c.top, nu_cli) + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 40), data=st.data())
+def test_constants_output_equals_the_eager_path(n, data):
+    # the lazy tables print what the eager ones printed, the certified
+    # sandwich_ok included, and evaluate only the modes the rules read and
+    # the printed nu <= --nu-max, each once (A(1) again for C(0) = A(1))
+    q = data.draw(st.integers(1, 24))
+    gamma = data.draw(st.one_of(st.builds(F, st.integers(-30 * q, 30 * q), st.just(q)),
+                                st.just(F(4 - n, 2))))        # lam = 0
+
+    def counting(kind, fn):
+        def wrapper(p, nu):
+            calls[kind, nu] += 1
+            return fn(p, nu)
+        return wrapper
+
+    for nu_cli in (0, 8, 70):
+        rc, out, a_read, c_read = _eager_constants(n, gamma, nu_cli)
+        calls = Counter()
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for kind, name in (("A", "rellich_hardy_A"), ("C", "rellich_hardy_C")):
+                mp.setattr(constants, name, counting(kind, getattr(constants, name)))
+            got = cli.main(["constants", "--N", str(n), f"--gamma={gamma}",
+                            "--nu-max", str(nu_cli)])
+        assert (got, buf.getvalue()) == (rc, out), (n, gamma, nu_cli)
+        want = Counter({("A", nu): 1 for nu in range(a_read)})
+        want.update({("C", nu): 1 for nu in range(c_read)})
+        want["A", 1] += c_read > 0                           # C(0) = A(1)
+        assert calls == want, (n, gamma, nu_cli)
 
 
 def test_cold_minima_read_modes_only_up_to_the_stop(monkeypatch):
