@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .constants import (
     MinResult,
-    ModeInvariantError,
     Params,
     TailBoundError,
     alpha,
@@ -41,7 +40,7 @@ from .constants import (
 from .certificates import c0_for, run_suite
 from .nonneg import IntervalQ, nonneg_on_interval
 from .poly import MultiPoly, Rational, parse_poly
-from .polyfamily import FamilyInvariantError, PolyFamily, build_family
+from .polyfamily import PolyFamily, build_family
 
 __all__ = [
     "Fraction",
@@ -53,7 +52,6 @@ __all__ = [
     "Params",
     "MinResult",
     "TailBoundError",
-    "ModeInvariantError",
     "alpha",
     "hardy_leray",
     "rellich_leray_unconstrained",
@@ -65,7 +63,6 @@ __all__ = [
     "improvement_report",
     "in_improvement_region",
     "PolyFamily",
-    "FamilyInvariantError",
     "NonPositiveFormError",
     "build_family",
     "run_suite",

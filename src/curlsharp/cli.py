@@ -26,8 +26,11 @@ message on stderr and nothing on stdout: a dimension below 2, a negative
 mode, seed, count or nu-max, a dilation below 1, a gamma that does not
 parse or is not finite, an --ns that is not a list of integers, a
 --gamma-grid that is not finite lo:hi:step with a nonzero step toward
-hi.  So is an --output path that cannot be written, found once the
-document is made: "error: cannot write <path>: <reason>" on stderr.
+hi.  So is an --output path that cannot be written: "error: cannot
+write <path>: <reason>" on stderr.  A path whose directory is missing or
+not a directory, or that is itself a directory, is rejected before any
+work; any other reason is found by opening the path once the document
+is made.
 
 Each subcommand is declared once in COMMANDS; `main` builds the parser
 of the invoked subcommand only, and the full parser when argv names no
@@ -38,10 +41,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -76,12 +81,39 @@ def _parse_gamma(text: str) -> tuple[Fraction | None, float, bool]:
     return None, val, True
 
 
-def _emit(doc, args) -> None:
+def _output_path(args) -> str | None:
+    """The path --output names, a relative one under $CURLSHARP_OUTDIR
+    when that is set; empty or None when the document goes to stdout."""
     out_path = getattr(args, "output", None)
+    if out_path and not os.path.isabs(out_path):
+        out_path = os.path.join(os.environ.get("CURLSHARP_OUTDIR", ""), out_path)
+    return out_path
+
+
+def _check_output(args) -> None:
+    """Raise the UsageError `_emit` would raise, before any work, when the
+    output path's directory is missing or not a directory, or the path
+    is itself a directory."""
+    out_path = _output_path(args)
+    if not out_path:
+        return
+    try:
+        mode = os.stat(os.path.dirname(out_path) or os.curdir).st_mode
+    except OSError as exc:
+        reason = exc.strerror
+    else:
+        if not stat.S_ISDIR(mode):
+            reason = os.strerror(errno.ENOTDIR)
+        elif os.path.isdir(out_path):
+            reason = os.strerror(errno.EISDIR)
+        else:
+            return
+    raise UsageError(f"cannot write {out_path}: {reason}")
+
+
+def _emit(doc, args) -> None:
+    out_path = _output_path(args)
     if out_path:
-        base = os.environ.get("CURLSHARP_OUTDIR", "")
-        if base and not os.path.isabs(out_path):
-            out_path = os.path.join(base, out_path)
         try:
             with open(out_path, "w") as fh:
                 fh.write(doc)
@@ -164,7 +196,7 @@ def _json(payload) -> str:
 def cmd_constants(args) -> int:
     exact, gf, float_path = _parse_gamma(args.gamma)
     if float_path:
-        row, a, c = sweep_mod.point_f(args.N, gf, args.nu_max)
+        row, a, c = sweep_mod.point(args.N, gf)
         payload = {
             "command": "constants",
             "N": args.N,
@@ -172,8 +204,8 @@ def cmd_constants(args) -> int:
             "float_path": True,
             "warning": "decimal gamma evaluated on the float path",
             "H": _hardy_leray(args.N, gf, args.N / 2.0),
-            "A": a[:args.nu_max + 1],
-            "C": c[:args.nu_max + 1],
+            "A": [a[nu] for nu in range(args.nu_max + 1)],
+            "C": [c[nu] for nu in range(args.nu_max + 1)],
             "A_min": row.A_min, "A_argmin": row.A_argmin,
             "C_min": row.C_min, "C_argmin": row.C_argmin,
             "equal": row.equal,
@@ -485,6 +517,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_output(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,8 @@ points the mirror's modes, minima and argmins are tested equal to
 
 A point's result is a `SweepRow`, a `NamedTuple`: immutable, hashable
 and comparable, built in one tuple allocation.  `sweep_gamma` builds the
-rows only; `point_f` also returns the mode tables the rules read.
+rows only; `point` also returns the mode tables, which hold the modes
+the rules read and evaluate any other on its first read.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class SweepRow(NamedTuple):
     in_improvement_region: bool
 
 
-def _point(N: int, gamma: float) -> tuple[SweepRow, _AModes, _CModes]:
+def point(N: int, gamma: float) -> tuple[SweepRow, _AModes, _CModes]:
     """The sweep row at (N, gamma), with the A and C tables it read.
     Raises TailBoundError where the window rules do."""
     window = default_nu_max(N, gamma)
@@ -113,21 +114,10 @@ def _point(N: int, gamma: float) -> tuple[SweepRow, _AModes, _CModes]:
     return row, a, c
 
 
-def point_f(N: int, gamma: float, hi: int = 0) -> tuple[SweepRow, list[float], list[float]]:
-    """The sweep row at (N, gamma), with the A(nu) and C(nu) it was read
-    from: the modes the window rules read, and at least nu = 0..hi.
-    Raises TailBoundError where the window rules do."""
-    row, a, c = _point(N, gamma)
-    for nu in range(hi + 1):  # cover nu = 0..hi for the caller
-        a[nu], c[nu]
-    # every read above runs nu = 0, 1, ... in order, so the values are in nu order
-    return row, list(a.values()), list(c.values())
-
-
 def sweep_gamma(N: int, gammas) -> list[SweepRow]:
     """C/A minima over a gamma grid at fixed N (float path): the rows
-    only, without the mode tables `point_f` returns.
+    only, without the mode tables `point` returns.
 
     `equal` means the float minima agree to EQUAL_REL_TOL relative.
     """
-    return [_point(N, g)[0] for g in gammas]
+    return [point(N, g)[0] for g in gammas]

@@ -3,6 +3,7 @@ numeric guards, and failure localisation."""
 
 import dataclasses
 import inspect
+import json
 import os
 import re
 import shutil
@@ -334,6 +335,53 @@ def test_structural_reports_name_a_perturbed_form(monkeypatch, target, perturb,
     assert got == [detail]
 
 
+def _run_python_O(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh `python -O` that imports this curlsharp."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_links_name_perturbed_forms_under_python_O():
+    # the mode evaluators run one form each, so a fault in another form
+    # (A's slot form, the radial branch against A(1), Q1's factored form)
+    # is named by the links and the structural reports, and fails
+    # `certify --regime all`, with asserts stripped
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from curlsharp import certificates as certs, cli, constants as c
+        from curlsharp import polyfamily as pf
+        if __debug__:
+            sys.exit(4)
+        alpha_int, c_radial, q1_factored = c._alpha_int, c._c_radial, pf.q1_factored
+        c._alpha_int = lambda s, n, d: 2 * alpha_int(s, n, d)
+        c._c_radial = lambda G, q, N: (lambda nd: (nd[0] + 1, nd[1]))(c_radial(G, q, N))
+        pf.q1_factored = lambda: q1_factored() + pf.TAU
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["certify", "--regime", "all"])
+        doc = json.loads(out.getvalue())
+        json.dump({
+            "links": [f.split(" fail")[0] for f in certs.quotient_constant_links()],
+            "structural": [r.name for r in certs._structural_reports() if not r.ok],
+            "certify": [rc, doc["all_ok"], doc["link_and_guard_failures"],
+                        sorted(r["name"] for r in doc["reports"]
+                               if not (r["identity_ok"] and r["signs_ok"]))],
+        }, sys.stdout)
+    """)
+    proc = _run_python_O(code)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["links"] == ["radial link", "A(s) forms", "C(0) = A(1)"]
+    assert got["structural"] == ["q1-forms-agree"]
+    rc, all_ok, link_failures, failed_reports = got["certify"]
+    assert (rc, all_ok) == (1, False)
+    assert [f.split(" fail")[0] for f in link_failures] == got["links"]
+    assert "q1-forms-agree" in failed_reports
+
+
 def test_interleaving_spot_checks():
     assert certs.interleaving_spot_checks(seed=0, count=200) == []
 
@@ -627,11 +675,7 @@ def test_division_invariants_raise_under_python_O():
             "    except certs.DivisionInvariantError:\n"
             "        raised += 1\n"
             "sys.exit(0 if raised == 2 else 3)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _run_python_O(code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -697,11 +741,7 @@ def test_malformed_corpus_file_is_named_under_python_O(tmp_path):
             "    sys.exit(4)\n"
             f"certs._corpus_dir = lambda: Path({str(corpus)!r})\n"
             "sys.exit(cli.main(['certify', '--regime', 'base']))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _run_python_O(code)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(f"math failure: {name}: unknown @reference 'G9'")
     assert "Traceback" not in proc.stderr

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curlsharp import certificates as certs
 from curlsharp.cli import COMMANDS, _json, build_parser, main
 from curlsharp.sweep import sweep_gamma
 
@@ -255,11 +256,21 @@ def test_output_file_and_outdir(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("name,reason", [
     ("missing/c.json", "No such file or directory"),
     ("", "Is a directory"),
-], ids=["missing-directory", "directory"])
-def test_unwritable_output_exits_2(tmp_path, capsys, name, reason):
+    ("file/c.json", "Not a directory"),
+], ids=["missing-directory", "directory", "file-as-directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, name, reason):
     # a usage error named on stderr, not a traceback and exit 1
+    (tmp_path / "file").write_text("")
     target = os.path.join(tmp_path, name)
     code = main(["constants", "--N", "4", "--gamma", "0", "--output", target])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: {reason}\n")
+    # and before any work: the suite is never run
+    def no_work(*args, **kwargs):
+        raise AssertionError("certify ran before the --output check")
+    monkeypatch.setattr(certs, "run_suite", no_work)
+    code = main(["certify", "--regime", "all", "--output", target])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: {reason}\n")

@@ -4,19 +4,14 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-import curlsharp
 from curlsharp import cli, constants
-from curlsharp.constants import (ModeInvariantError,
-                                 Params, TailBoundError, alpha, hardy_leray,
+from curlsharp.constants import (Params, TailBoundError, alpha, hardy_leray,
                                  improvement_report, in_improvement_region,
                                  rellich_hardy_A, rellich_hardy_A_min,
                                  rellich_hardy_C, rellich_hardy_C_min,
@@ -52,14 +47,25 @@ def test_hardy_leray_values():
     assert hardy_leray(Params(2, F(10))) == 101
 
 
-def test_rellich_leray_unconstrained():
-    # brute force over nu <= 50 as the oracle
-    for (n, g) in [(3, F(0)), (4, F(3)), (2, F(1)), (6, F(-5, 2))]:
-        p = Params(n, g)
-        brute = min(((g - 1) ** 2 - (nu + F(n, 2) - 1) ** 2) ** 2
-                    for nu in range(51))
-        res = rellich_leray_unconstrained(p)
-        assert res.value == brute
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 40),
+       gamma=st.builds(F, st.integers(-300, 300), st.integers(1, 24)))
+@example(n=3, gamma=F(0))
+@example(n=4, gamma=F(3))
+@example(n=2, gamma=F(1))
+@example(n=6, gamma=F(-5, 2))
+def test_rellich_leray_unconstrained(n, gamma):
+    # the window needs no tail check: a scan to four times its end finds
+    # the same value and first argmin
+    hi = max(4, math.ceil(abs(gamma - 1) - F(n, 2) + 1) + 3)
+    vals = [((gamma - 1) ** 2 - (nu + F(n, 2) - 1) ** 2) ** 2
+            for nu in range(4 * hi + 1)]
+    value = min(vals)
+    res = rellich_leray_unconstrained(Params(n, gamma))
+    assert res == constants.MinResult(value, vals.index(value), hi)
+
+
+def test_rellich_leray_unconstrained_values():
     assert rellich_leray_unconstrained(Params(3, F(0))).value == F(9, 16)
     assert rellich_leray_unconstrained(Params(4, F(3))).value == 0  # (g-1)^2=(nu+1)^2
     assert rellich_leray_unconstrained(Params(2, F(1))).value == 0
@@ -290,41 +296,6 @@ def test_integer_modes_equal_fraction_closed_forms(n, nu, data):
     assert _outcome(rellich_hardy_C, p, nu) == _outcome(_ref_C, p, nu)
 
 
-def test_mode_invariants_raise(monkeypatch):
-    p = Params(3, F(0))
-    # D^2 alpha(lam) is the lam-form's own slot: doubling it breaks that form
-    real_alpha = constants._alpha_int
-    monkeypatch.setattr(constants, "_alpha_int", lambda s, n, d: 2 * real_alpha(s, n, d))
-    with pytest.raises(ModeInvariantError):
-        rellich_hardy_A(p, 2)
-    monkeypatch.setattr(constants, "_alpha_int", real_alpha)
-    monkeypatch.setattr(constants, "rellich_hardy_A", lambda p, nu: F(-1))
-    with pytest.raises(ModeInvariantError):
-        rellich_hardy_C(p, 0)
-    assert issubclass(curlsharp.ModeInvariantError, RuntimeError)
-
-
-def test_mode_invariants_raise_under_python_O():
-    code = ("import sys\n"
-            "from fractions import Fraction\n"
-            "from curlsharp import constants as c\n"
-            "if __debug__:\n"
-            "    sys.exit(4)\n"
-            "real_alpha = c._alpha_int\n"
-            "c._alpha_int = lambda s, n, d: 2 * real_alpha(s, n, d)\n"
-            "try:\n"
-            "    c.rellich_hardy_A(c.Params(3, Fraction(0)), 2)\n"
-            "except c.ModeInvariantError:\n"
-            "    sys.exit(0)\n"
-            "sys.exit(3)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_degenerate_gamma_values():
     # gamma = 2 - N/2
     for n in range(3, 13):
@@ -362,22 +333,6 @@ def test_improvement_report_short_windows():
     assert str(exc.value) == "tail_bound_failed: C-scan window nu <= 3"
     with pytest.raises(TailBoundError, match="C-scan"):
         rellich_hardy_C_min(Params(3, F(4)), nu_max=3)
-
-
-def test_improvement_report_mode_invariants(monkeypatch):
-    p = Params(3, F(0))
-    real_alpha, real_a = constants._alpha_int, constants.rellich_hardy_A
-    # perturb the lam-form of A alone: D^2 alpha(lam) is its only call of
-    # the slot helper (A(0) does not use it)
-    monkeypatch.setattr(constants, "_alpha_int", lambda s, n, d: real_alpha(s, n, d) + 1)
-    with pytest.raises(ModeInvariantError, match="A\\(1\\) forms disagree"):
-        improvement_report(p)
-    monkeypatch.setattr(constants, "_alpha_int", real_alpha)
-    # a wrong A(1) in the table trips the C(0) = A(1) check
-    monkeypatch.setattr(constants, "rellich_hardy_A",
-                        lambda p, nu: real_a(p, nu) + (nu == 1))
-    with pytest.raises(ModeInvariantError, match="C\\(0\\) != A\\(1\\)"):
-        improvement_report(p)
 
 
 def test_improvement_report_equals_public_minima():
@@ -426,7 +381,7 @@ def test_report_and_minima_share_the_window_rules(monkeypatch):
     assert (rellich_hardy_A_min(p, 30), rellich_hardy_C_min(p, 30)) == (rep.A, rep.C)
     # the C minimum is the C of a report, which applies both rules once more
     assert called == {"_a_window_min": 3, "_c_window_min": 2}
-    sweep.point_f(7, -5 / 3)
+    sweep.point(7, -5 / 3)
     assert called == {"_a_window_min": 4, "_c_window_min": 3}
 
 
@@ -451,7 +406,7 @@ def test_point_f_raises_where_the_exact_path_does(monkeypatch, capsys, n, gamma,
     assert str(exact.value) == message
     monkeypatch.setattr(sweep, "default_nu_max", lambda N, g: window)
     with pytest.raises(TailBoundError) as mirror:
-        sweep.point_f(n, float(gamma))
+        sweep.point(n, float(gamma))
     assert str(mirror.value) == message
     # a decimal gamma reaches the mirror through the CLI: a math failure,
     # not an unchecked minimum on stdout
@@ -482,8 +437,7 @@ def test_constants_op_evaluates_each_mode_once(monkeypatch, capsys, argv):
         monkeypatch.setattr(constants, name, wrapped)
     assert cli.main(["constants"] + argv) == 0
     capsys.readouterr()
-    # C(0) checks itself against A(1); every other mode is evaluated once
-    assert calls.pop(("A", 1)) == 2
+    # every mode is evaluated exactly once
     assert set(calls.values()) == {1}
 
 
@@ -546,7 +500,7 @@ def _eager_constants(n, gamma, nu_cli):
 def test_constants_output_equals_the_eager_path(n, data):
     # the lazy tables print what the eager ones printed, the certified
     # sandwich_ok included, and evaluate only the modes the rules read and
-    # the printed nu <= --nu-max, each once (A(1) again for C(0) = A(1))
+    # the printed nu <= --nu-max, each exactly once
     q = data.draw(st.integers(1, 24))
     gamma = data.draw(st.one_of(st.builds(F, st.integers(-30 * q, 30 * q), st.just(q)),
                                 st.just(F(4 - n, 2))))        # lam = 0
@@ -570,7 +524,6 @@ def test_constants_output_equals_the_eager_path(n, data):
         assert (got, buf.getvalue()) == (rc, out), (n, gamma, nu_cli)
         want = Counter({("A", nu): 1 for nu in range(a_read)})
         want.update({("C", nu): 1 for nu in range(c_read)})
-        want["A", 1] += c_read > 0                           # C(0) = A(1)
         assert calls == want, (n, gamma, nu_cli)
 
 
@@ -594,7 +547,7 @@ def test_cold_minima_read_modes_only_up_to_the_stop(monkeypatch):
     assert res == constants.MinResult(F(441, 68), 0, 21)
     assert reads == {"A": 3, "C": 2}
     # the float mirror reads the same modes
-    row, a, c = sweep.point_f(5, 0.0)
+    row, a, c = sweep.point(5, 0.0)
     assert (row.C_min, row.C_argmin) == (441 / 68, 0)
     assert (len(a), len(c)) == (4, 3)
 
@@ -612,7 +565,7 @@ def test_float_path_matches_exact():
         for g in GAMMA_GRID:
             p = Params(n, g)
             gf = float(g)
-            row, a, c = sweep.point_f(n, gf, 5)
+            row, a, c = sweep.point(n, gf)
             for nu in range(0, 6):
                 assert a[nu] == float(rellich_hardy_A(p, nu)), (n, g, nu)
                 assert c[nu] == float(rellich_hardy_C(p, nu)), (n, g, nu)
@@ -627,7 +580,7 @@ def test_float_path_matches_exact():
 
 
 # The float mode formulas as closed forms per nu: the reference for the
-# per-(N, gamma) tables of sweep.point_f, which must be bit-identical.
+# per-(N, gamma) tables of sweep.point, which must be bit-identical.
 
 def _ref_A_f(N, gamma, nu):
     if nu == 0:
@@ -668,12 +621,16 @@ def test_float_tables_bit_identical_to_closed_forms(n, data):
         st.floats(-30.0, 30.0, allow_nan=False),
         st.just(2.0 - n / 2.0)))                     # lam = 0
     hi = data.draw(st.sampled_from([0, 0, 70]))       # 70: a CLI --nu-max past the window
-    row, a, c = sweep.point_f(n, gamma, hi)
+    row, a, c = sweep.point(n, gamma)
+    for nu in range(hi + 1):                          # as `constants` reads them
+        a[nu], c[nu]
     window = math.ceil(abs(gamma)) + n + 16
-    assert min(len(a), len(c)) > hi                   # covers nu = 0..hi
     ref_a = [_ref_A_f(n, gamma, nu) for nu in range(max(len(a), window + 1))]
     ref_c = [_ref_C_f(n, gamma, nu) for nu in range(max(len(c), window + 1))]
-    assert repr(a) == repr(ref_a[:len(a)]) and repr(c) == repr(ref_c[:len(c)])
+    # each table holds nu = 0, 1, ... in order, each float bit-identical
+    for table, ref in ((a, ref_a), (c, ref_c)):
+        assert list(table) == list(range(len(table)))
+        assert repr(list(table.values())) == repr(ref[:len(table)])
     # the row against the minima of the full-window reference tables
     ref_a, ref_c = ref_a[:window + 1], ref_c[:window + 1]
     assert sweep.sweep_gamma(n, [gamma]) == [row]

@@ -792,37 +792,3 @@ def test_form_positivity_invariant(monkeypatch):
         rh_quotient(SpectralField(p, 2, Profile.make("bump", 2)))
     assert curlsharp.NonPositiveFormError is NonPositiveFormError
     assert issubclass(NonPositiveFormError, RuntimeError)
-
-
-def test_q1_forms_invariant(monkeypatch):
-    monkeypatch.setattr(pf, "q1_factored", lambda: pf.q1() + pf.TAU)
-    pf._check_q1_forms.cache_clear()
-    pf._numeric_channels.cache_clear()
-    pf.channel_polys.cache_clear()
-    with pytest.raises(pf.FamilyInvariantError):
-        pf.build_family()
-    with pytest.raises(pf.FamilyInvariantError):
-        pf.channel_polys(Params(3, F(0)), 1)
-    assert curlsharp.FamilyInvariantError is pf.FamilyInvariantError
-    assert issubclass(pf.FamilyInvariantError, RuntimeError)
-
-
-def test_q1_forms_invariant_under_python_O():
-    code = ("import sys\n"
-            "from fractions import Fraction\n"
-            "from curlsharp import polyfamily as pf\n"
-            "from curlsharp.constants import Params\n"
-            "if __debug__:\n"
-            "    sys.exit(4)\n"
-            "pf.q1_factored = lambda: pf.q1() + pf.TAU\n"
-            "try:\n"
-            "    pf.channel_polys(Params(3, Fraction(0)), 1)\n"
-            "except pf.FamilyInvariantError:\n"
-            "    sys.exit(0)\n"
-            "sys.exit(3)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr

@@ -11,14 +11,21 @@ stdout).  Two trees that print the same lines produce the same output
 on every op the benchmark can draw.  The script reads `bench/` and
 writes nothing there.
 
-    PYTHONPATH=src python tools/output_digest.py [workload ...]
+The set `float` covers the float path, which no benchmark op reaches:
+`constants` at a decimal gamma and `sweep` in both formats (`float_ops`).
+Its sha256 is taken over repr((argv, exit code, stdout, stderr)) of
+each CLI call in order.
 
-With no workload named it runs all three; certify alone takes about
-half a minute.
+    PYTHONPATH=src python tools/output_digest.py [workload|float ...]
+
+With nothing named it runs the three workloads and then `float`;
+certify alone takes about half a minute.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -45,11 +52,46 @@ def digest(workloads, workload: str) -> tuple[int, str]:
     return len(ops), h.hexdigest()[:16]
 
 
+def float_ops() -> list[list[str]]:
+    """The argv of every CLI call of the `float` set: `constants` at
+    gamma = 0.3k + 0.05, k = -40..40, for N in {2, 3, 4, 5, 7, 12, 24} and
+    --nu-max 0, 8 and 40; then CSV and JSON sweeps for N = 2..24 on the
+    grids -3:3:0.125 and -12:12:0.0625."""
+    ops = [["constants", "--N", str(n), f"--gamma={(30 * k + 5) / 100!r}",
+            "--nu-max", str(nu_max)]
+           for n in (2, 3, 4, 5, 7, 12, 24)
+           for k in range(-40, 41)
+           for nu_max in (0, 8, 40)]
+    ops += [["sweep", "--N", str(n), f"--gamma-grid={grid}", "--format", fmt]
+            for n in range(2, 25)
+            for grid in ("-3:3:0.125", "-12:12:0.0625")
+            for fmt in ("csv", "json")]
+    return ops
+
+
+def float_digest() -> tuple[int, str]:
+    """(number of calls, sha256 hex prefix) over the `float` set."""
+    from curlsharp import cli
+
+    h = hashlib.sha256()
+    ops = float_ops()
+    for argv in ops:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        h.update(repr((argv, rc, out.getvalue(), err.getvalue())).encode())
+    return len(ops), h.hexdigest()[:16]
+
+
 def main(argv=None) -> int:
     workloads = _workloads()
-    names = (sys.argv[1:] if argv is None else argv) or workloads.WORKLOADS
+    names = ((sys.argv[1:] if argv is None else argv)
+             or [*workloads.WORKLOADS, "float"])
     for name in names:
-        count, hexdigest = digest(workloads, name)
+        if name == "float":
+            count, hexdigest = float_digest()
+        else:
+            count, hexdigest = digest(workloads, name)
         print(f"{name} {count} {hexdigest}", flush=True)
     return 0
 
