@@ -32,9 +32,11 @@ not a directory, or that is itself a directory, is rejected before any
 work; any other reason is found by opening the path once the document
 is made.
 
-Each subcommand is declared once in COMMANDS; `main` builds the parser
+Each subcommand is declared once in COMMANDS; `main` uses the parser
 of the invoked subcommand only, and the full parser when argv names no
-known subcommand (`-h`, a missing or an unknown one).
+known subcommand (`-h`, a missing or an unknown one).  Each parser is
+built on its first use in a process and reused after that; nothing is
+built at import.
 """
 
 from __future__ import annotations
@@ -412,10 +414,13 @@ def _dilations(text: str) -> list[int]:
 
 
 def _gamma_grid(text: str) -> list[float]:
-    """argparse type: "lo:hi:step" -> [lo, lo + step, ..., hi]."""
+    """argparse type: "lo:hi:step" -> [lo, lo + step, ..., lo + k*step],
+    with k the largest count of steps that does not pass hi.  A tolerance
+    of 1e-9 steps keeps a grid whose last step lands on hi up to rounding,
+    such as 0:0.3:0.1, at that point."""
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
-        count = int(round((hi - lo) / step)) + 1
+        count = math.floor((hi - lo) / step + 1e-9) + 1
     except (ValueError, ZeroDivisionError, OverflowError):
         count = 0
     if count < 1:
@@ -482,12 +487,18 @@ COMMANDS = (
 _COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
 
 
+@lru_cache(maxsize=None)
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser with every subcommand, or with `command` alone.
 
     A parser narrowed to one subcommand parses that subcommand's argv to
     the same Namespace, and prints the same help, usage and errors, as
     the full one: its usage line still lists every subcommand.
+
+    Each parser is built once per process and shared by every call.
+    Parsing leaves it unchanged: each parse starts from a fresh Namespace
+    and converts the string defaults anew, and help reads the terminal
+    width when it is printed.
     """
     ap = argparse.ArgumentParser(
         prog="curlsharp",

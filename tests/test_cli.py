@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curlsharp import certificates as certs
+from curlsharp import certificates as certs, cli
 from curlsharp.cli import COMMANDS, _json, build_parser, main
 from curlsharp.sweep import sweep_gamma
 
@@ -119,12 +119,17 @@ def test_sweep_csv(capsys):
 
 
 def test_sweep_json_schema(capsys):
-    code, out = run(capsys, "sweep", "--N", "4", "--gamma-grid=0:1:0.5",
-                    "--format", "json")
-    assert code == 0
-    validate(out)
-    assert_canonical(out)
-    assert len(json.loads(out)["rows"]) == 3
+    # the grid stops at the last point that does not pass hi
+    for grid, gammas in [("0:1:0.5", [0.0, 0.5, 1.0]),
+                         ("0:1:0.6", [0.0, 0.6]),
+                         ("0:0.6:1", [0.0]),
+                         ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.30000000000000004])]:
+        code, out = run(capsys, "sweep", "--N", "4", f"--gamma-grid={grid}",
+                        "--format", "json")
+        assert code == 0
+        validate(out)
+        assert_canonical(out)
+        assert [row["gamma"] for row in json.loads(out)["rows"]] == gammas
 
 
 @pytest.mark.parametrize("n", [2, 24])
@@ -290,6 +295,7 @@ MALFORMED = [
     ("sweep", "--N", "3", "--gamma-grid=nan:1:1"),
     ("sweep", "--N", "3", "--gamma-grid=0:inf:1"),
     ("sweep", "--N", "3", "--gamma-grid=1:0:1"),
+    ("sweep", "--N", "3", "--gamma-grid=0:-0.4:1"),
     ("constants", "--N", "3", "--gamma", "inf"),
     ("constants", "--N", "3", "--gamma", "1e400"),
     ("constants", "--N", "3", "--gamma", "0", "--nu-max", "-1"),
@@ -365,14 +371,19 @@ def test_bad_gamma_prints_full_usage(capsys, monkeypatch):
                                    + FULL_USAGE)
 
 
-def _run_module(argv):
-    """`python -m curlsharp.cli argv` in a fresh interpreter."""
+def _run_python(args):
+    """`python args` in a fresh interpreter that imports from `src`."""
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "curlsharp.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           cwd=root, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
+
+
+def _run_module(argv):
+    """`python -m curlsharp.cli argv` in a fresh interpreter."""
+    return _run_python(["-m", "curlsharp.cli", *argv])
 
 
 def test_module_entry_point_reads_sys_argv(capsys):
@@ -391,3 +402,66 @@ def test_one_distinct_dilation_fits_no_exponent():
     assert (proc.returncode, proc.stderr) == (0, "")
     doc = json.loads(proc.stdout)
     assert len(doc["rows"]) == 2 and math.isnan(doc["fitted_exponent"])
+
+
+# every parser `build_parser` makes: one per subcommand, and the full one
+PARSERS = [*(name for name, *_ in COMMANDS), None]
+
+
+@pytest.mark.parametrize("name", PARSERS)
+def test_each_parser_is_built_once(name):
+    assert build_parser(name) is build_parser(name)
+
+
+def test_import_builds_no_parser():
+    # a process that imports the CLI pays for no parser until it parses
+    proc = _run_python(["-c", "from curlsharp import cli; "
+                        "print(cli.build_parser.cache_info().currsize)"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_reused_parser_keeps_the_default_dilations(capsys):
+    argv = ["quotient", "--N", "3", "--gamma", "0", "--nu", "0"]
+    assert run(capsys, *argv, "--ns", "5,10")[0] == 0
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert [row["n"] for row in json.loads(out)["rows"]] == [10, 20, 40]
+
+
+def test_reused_parser_after_a_usage_error(capsys):
+    argv = ["quotient", "--N", "3", "--gamma", "0", "--nu", "0"]
+    assert main([*argv, "--ns", "10,x"]) == 2  # rejected by argparse
+    assert main([*argv, "--gamma", "0.1"]) == 2  # rejected by the handler
+    assert "needs an exact gamma" in capsys.readouterr().err
+    proc = _run_module(argv)
+    assert proc.returncode == main(argv) == 0
+    assert capsys.readouterr().out == proc.stdout
+
+
+def test_reused_parser_gives_each_call_its_own_grid(monkeypatch, capsys):
+    received = []
+
+    def consume(n, grid):
+        received.append(list(grid))
+        grid.clear()  # a caller that uses up its grid in place
+        return []
+
+    monkeypatch.setattr(cli.sweep_mod, "sweep_gamma", consume)
+    assert main(["sweep", "--N", "3"]) == main(["sweep", "--N", "3"]) == 0
+    capsys.readouterr()
+    default = [-3 + k * 0.125 for k in range(49)]
+    assert received == [default, default]
+
+
+@pytest.mark.parametrize("name", PARSERS)
+def test_cached_help_follows_columns(name, monkeypatch, capsys):
+    argv = ["--help"] if name is None else [name, "--help"]
+    helps = []
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(argv) == 0
+        helps.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            build_parser.__wrapped__(name).parse_args(argv)
+        assert capsys.readouterr().out == helps[-1]
+    assert helps[0] != helps[1]
