@@ -26,8 +26,7 @@ lo <= hi, or that reaches below a ``domain: N >=`` bound.
 
 Certificate file syntax::
 
-    name: e12-square-form
-    regime: gt1-nge3
+    name: <the file's stem>
     nrange: 3..12            # N a failure is named at, within the domain; 'none' if N fixed
     domain: N >= 3, s >= 0   # variable lower bounds (used by nne / coeffs)
     let mu = 2*lam + N - 2   # named alias polynomial
@@ -37,14 +36,19 @@ Certificate file syntax::
     term: 2 * sq(2*lam + N - 5/4)   # or a sum of tagged product terms
     term: 6 * sq(lam)
     ...
-    note: free text
+    note: free text          # documentation, not checked
 
-``name:``, ``regime:``, ``nrange:``, ``target:`` and ``nonneg:`` may
-each appear once; a repeated one is a parse error, so a stale line cannot
-sit in a file unchecked.  ``nonneg:`` is ``coeffs`` or ``terms``;
-``terms``, the default when a file has ``term:`` lines, needs at least
-one.  Any other value is a parse error, so a misspelt rule cannot drop a
-sign check.
+``name:``, ``nrange:``, ``target:`` and ``nonneg:`` may each appear
+once.  A repeated one is a parse error, and so is a line of a kind not
+shown above, so a stale line cannot sit in a file unchecked.
+``nonneg:`` is ``coeffs`` or ``terms``; ``terms``, the default when a
+file has ``term:`` lines, needs at least one.  Any other value is a
+parse error, so a misspelt rule cannot drop a sign check.
+
+A file's regime and the builder of its reference polynomial are not
+lines of the file but its name's one entry in this module's table of
+the corpus, read as `REGIMES` and `REFERENCES`.  `load_corpus` rejects
+a file that the table does not name, since no suite would check it.
 
 Term factors: a rational constant (must be >= 0), ``sq(expr)`` for a
 square, ``dom(name)`` for an assumed-nonnegative alias or variable,
@@ -220,84 +224,97 @@ def _as_at_difference() -> MultiPoly:
     return pf.alpha_poly(pf.S) - pf.alpha_poly(pf.M)
 
 
-REFERENCES = {
-    "q1-factored-form": pf.q1,
-    "qp1-identity": lambda: _qp_difference(1, *_channel1()),
-    "q0p0-identity": lambda: _qp_difference(1, pf.q0(), pf.p0(),
-                                            *_channel_at_zero("radial")),
-    "p1-zero-display": pf.p1_at_zero,
-    "p1-alpha1": lambda: pf.p1_at_zero().subs("a", pf.N - 1),
-    "p1-alpha2": lambda: pf.p1_at_zero().subs("a", 2 * pf.N),
-    "p1-tau-slope": lambda: pf.p1().diff("tau"),
-    "alpha-shift": _as_at_difference,
-    # gamma <= 1 regime
-    "taylor-g1-c0": lambda: _taylor_at_alpha1(pf.g1(), 0),
-    "taylor-g1-c1": lambda: _taylor_at_alpha1(pf.g1(), 1),
-    "taylor-g1-c2": lambda: _taylor_at_alpha1(pf.g1(), 2),
-    "taylor-g0-c0": lambda: _taylor_at_alpha1(pf.g0(), 0),
-    "taylor-g0-c1": lambda: _taylor_at_alpha1(pf.g0(), 1),
-    "taylor-g0-c2": lambda: _taylor_at_alpha1(pf.g0(), 2),
-    "taylor-g0-c3": lambda: _taylor_at_alpha1(pf.g0(), 3),
-    "scriptg2-nonneg": pf.script_g2,
-    "g1-case1-npower": _case1_scriptg1,
-    "g1-case1-expansion": _case1_scriptg1,
-    "g1-case1-c0": lambda: _case1_coeff(0),
-    "g1-case1-c1": lambda: _case1_coeff(1),
-    "g1-case1-c2": lambda: _case1_coeff(2),
-    "g1-case1-c3": lambda: _case1_coeff(3),
-    "g1-case1-c4": lambda: _case1_coeff(4),
-    "g1-case1-c5": lambda: _case1_coeff(5),
-    "g0-case2-bound": lambda: _case2_bound_at(pf.N + 1 + pf.S),
-    "g0-case2-gap": lambda: (pf.g0().subs("a", pf.N - 1 + pf.S)
-                             - pf.S * _case2_bound_at(pf.S)),
-    # gamma > 1, N >= 3 regime
-    "qp2-identity": lambda: _qp_difference(2, *_channel1()),
-    "taylor-p1": lambda: pf.p1_at_zero().subs("a", pf.N - 1 + pf.S),
-    "e1-taylor-c0": lambda: _e1_taylor(0),
-    "e1-taylor-c1": lambda: _e1_taylor(1),
-    "e1-taylor-c2": lambda: _e1_taylor(2),
-    "e1-taylor-c3": lambda: _e1_taylor(3),
-    "e12-square-form": pf.e12,
-    "e11-square-form": pf.e11,
-    "e10-square-form": pf.e10,
-    "e0-taylor-c0": lambda: _e0_taylor(0),
-    "e0-taylor-c1": lambda: _e0_taylor(1),
-    "e0-taylor-c2": lambda: _e0_taylor(2),
-    "e0-taylor-c3": lambda: _e0_taylor(3),
-    "e0-taylor-c4": lambda: _e0_taylor(4),
-    "e03-square-form": pf.e03,
-    "e02-square-form": pf.e02,
-    "e00-square-form": pf.e00,
-    "e01-series": _e01_series,
-    "e01-series-n3": lambda: _e01_series().subs("N", 3),
-    "e01-appendix": pf.e01,
-    "e01-appendix-n3": lambda: pf.e01().subs("N", 3),
-    "e01-appendix-n4": lambda: pf.e01().subs("N", 4),
-    "e01-appendix-n5": lambda: pf.e01().subs("N", 5),
-    # N = 2 regime
-    "p1-n2-form": lambda: pf.p1().subs("N", 2),
-    "qp3-identity": lambda: _qp_difference(
-        3, *(x.subs("N", 2) for x in _channel1())),
-    "taylor-p1-n2": lambda: _f_taylor(pf.p1_at_zero().subs("N", 2)),
-    "g1-half-n2": lambda: _f_taylor(pf.g1().subs("N", 2)).scale(Fraction(1, 2)),
-    "g0-half-n2": lambda: _f_taylor(pf.g0().subs("N", 2)).scale(Fraction(1, 2)),
-    "f1-taylor": lambda: _f_taylor(pf.f1()),
-    "f1-square-form": lambda: _f_taylor(pf.f1()),
-    "f0-taylor": lambda: _f_taylor(pf.f0()),
-    "f0-at-alpha1": lambda: _f_taylor(pf.f0(), 0),
-    "f0-shifted": _f0_shift_chain,
-    "f0-shifted-gap": _f0_shift_gap,
-    # section-5 comparison identities
-    "a1-a0-identity": _a1_a0_lhs,
-    "a-diff-identity": _a_diff_lhs,
-    "a-diff-monotone": _a_diff_numerator_step,
-    "c-minus-a-prev": lambda: _c_minus_a(-1),
-    "c-minus-a-next": lambda: _c_minus_a(+1),
-    "c1-c0-identity": _c1_c0_lhs,
-    "c-lam0-nu": _c_lam0_lhs,
-    "a-rewrite-nu": lambda: _a_gamma_form(pf.S),
-    "a-rewrite-0": lambda: _a_gamma_form(0),
+# The corpus by regime, in report order: each file's name and the builder
+# of the polynomial its display must equal, stated here once.
+_CORPUS = {
+    "base": {
+        "q1-factored-form": pf.q1,
+        "qp1-identity": lambda: _qp_difference(1, *_channel1()),
+        "q0p0-identity": lambda: _qp_difference(1, pf.q0(), pf.p0(),
+                                                *_channel_at_zero("radial")),
+        "alpha-shift": _as_at_difference,
+        "p1-zero-display": pf.p1_at_zero,
+        "p1-alpha1": lambda: pf.p1_at_zero().subs("a", pf.N - 1),
+        "p1-alpha2": lambda: pf.p1_at_zero().subs("a", 2 * pf.N),
+        "p1-tau-slope": lambda: pf.p1().diff("tau"),
+    },
+    "le1": {  # gamma <= 1
+        "taylor-g1-c0": lambda: _taylor_at_alpha1(pf.g1(), 0),
+        "taylor-g1-c1": lambda: _taylor_at_alpha1(pf.g1(), 1),
+        "taylor-g1-c2": lambda: _taylor_at_alpha1(pf.g1(), 2),
+        "taylor-g0-c0": lambda: _taylor_at_alpha1(pf.g0(), 0),
+        "taylor-g0-c1": lambda: _taylor_at_alpha1(pf.g0(), 1),
+        "taylor-g0-c2": lambda: _taylor_at_alpha1(pf.g0(), 2),
+        "taylor-g0-c3": lambda: _taylor_at_alpha1(pf.g0(), 3),
+        "scriptg2-nonneg": pf.script_g2,
+        "g1-case1-npower": _case1_scriptg1,
+        "g1-case1-expansion": _case1_scriptg1,
+        "g1-case1-c0": lambda: _case1_coeff(0),
+        "g1-case1-c1": lambda: _case1_coeff(1),
+        "g1-case1-c2": lambda: _case1_coeff(2),
+        "g1-case1-c3": lambda: _case1_coeff(3),
+        "g1-case1-c4": lambda: _case1_coeff(4),
+        "g1-case1-c5": lambda: _case1_coeff(5),
+        "g0-case2-bound": lambda: _case2_bound_at(pf.N + 1 + pf.S),
+        "g0-case2-gap": lambda: (pf.g0().subs("a", pf.N - 1 + pf.S)
+                                 - pf.S * _case2_bound_at(pf.S)),
+    },
+    "gt1-nge3": {  # gamma > 1, N >= 3
+        "qp2-identity": lambda: _qp_difference(2, *_channel1()),
+        "taylor-p1": lambda: pf.p1_at_zero().subs("a", pf.N - 1 + pf.S),
+        "e1-taylor-c0": lambda: _e1_taylor(0),
+        "e1-taylor-c1": lambda: _e1_taylor(1),
+        "e1-taylor-c2": lambda: _e1_taylor(2),
+        "e1-taylor-c3": lambda: _e1_taylor(3),
+        "e12-square-form": pf.e12,
+        "e11-square-form": pf.e11,
+        "e10-square-form": pf.e10,
+        "e0-taylor-c0": lambda: _e0_taylor(0),
+        "e0-taylor-c1": lambda: _e0_taylor(1),
+        "e0-taylor-c2": lambda: _e0_taylor(2),
+        "e0-taylor-c3": lambda: _e0_taylor(3),
+        "e0-taylor-c4": lambda: _e0_taylor(4),
+        "e03-square-form": pf.e03,
+        "e02-square-form": pf.e02,
+        "e00-square-form": pf.e00,
+        "e01-series": _e01_series,
+        "e01-series-n3": lambda: _e01_series().subs("N", 3),
+        "e01-appendix": pf.e01,
+        "e01-appendix-n3": lambda: pf.e01().subs("N", 3),
+        "e01-appendix-n4": lambda: pf.e01().subs("N", 4),
+        "e01-appendix-n5": lambda: pf.e01().subs("N", 5),
+    },
+    "n2": {  # N = 2
+        "p1-n2-form": lambda: pf.p1().subs("N", 2),
+        "qp3-identity": lambda: _qp_difference(
+            3, *(x.subs("N", 2) for x in _channel1())),
+        "taylor-p1-n2": lambda: _f_taylor(pf.p1_at_zero().subs("N", 2)),
+        "g1-half-n2": lambda: _f_taylor(pf.g1().subs("N", 2)).scale(Fraction(1, 2)),
+        "g0-half-n2": lambda: _f_taylor(pf.g0().subs("N", 2)).scale(Fraction(1, 2)),
+        "f1-taylor": lambda: _f_taylor(pf.f1()),
+        "f1-square-form": lambda: _f_taylor(pf.f1()),
+        "f0-taylor": lambda: _f_taylor(pf.f0()),
+        "f0-at-alpha1": lambda: _f_taylor(pf.f0(), 0),
+        "f0-shifted": _f0_shift_chain,
+        "f0-shifted-gap": _f0_shift_gap,
+    },
+    "section5": {  # the section-5 comparison identities
+        "a1-a0-identity": _a1_a0_lhs,
+        "a-diff-identity": _a_diff_lhs,
+        "a-diff-monotone": _a_diff_numerator_step,
+        "c-minus-a-prev": lambda: _c_minus_a(-1),
+        "c-minus-a-next": lambda: _c_minus_a(+1),
+        "c1-c0-identity": _c1_c0_lhs,
+        "c-lam0-nu": _c_lam0_lhs,
+        "a-rewrite-nu": lambda: _a_gamma_form(pf.S),
+        "a-rewrite-0": lambda: _a_gamma_form(0),
+    },
 }
+
+# called through this dict, so a profiler may wrap its entries in place
+REFERENCES = {name: build for members in _CORPUS.values()
+              for name, build in members.items()}
+REGIMES = {regime: tuple(members) for regime, members in _CORPUS.items()}
 
 
 def _at_table() -> dict[str, MultiPoly]:
@@ -342,15 +359,12 @@ class CertTerm:
 @dataclass(frozen=True)
 class Certificate:
     name: str
-    regime: str
     target: MultiPoly
     terms: tuple[CertTerm, ...]
     strategy: str  # terms | coeffs | none
     domain_bounds: dict[str, Fraction]  # var -> lower bound
     assumed: frozenset[str]  # aliases/vars assumed >= 0
-    aliases: dict[str, MultiPoly]
     n_values: tuple[int, ...]  # integer N instantiations ((), if N fixed)
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -445,7 +459,6 @@ def parse_certificate(text: str, table=None) -> Certificate:
     assumed: set[str] = set()
     bounds: dict[str, Fraction] = {}
     term_lines: list[str] = []
-    notes: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -468,8 +481,8 @@ def parse_certificate(text: str, table=None) -> Certificate:
                     raise CertificateError(f"bad domain clause {clause!r}")
                 bounds[var.strip()] = Fraction(bound.strip())
         elif key == "note":
-            notes.append(value)
-        elif key in ("name", "regime", "nrange", "target", "nonneg"):
+            pass  # documentation for the reader, not checked
+        elif key in ("name", "nrange", "target", "nonneg"):
             if key in fields:
                 raise CertificateError(f"repeated {key}: line {line!r}")
             fields[key] = value
@@ -515,15 +528,12 @@ def parse_certificate(text: str, table=None) -> Certificate:
             f"bound N >= {bounds['N']}")
     return Certificate(
         name=fields["name"],
-        regime=fields.get("regime", "base"),
         target=target,
         terms=tuple(terms),
         strategy=strategy,
         domain_bounds=bounds,
         assumed=frozenset(assumed),
-        aliases=aliases,
         n_values=n_values,
-        note=" ".join(notes),
     )
 
 
@@ -535,6 +545,9 @@ def load_corpus() -> list[Certificate]:
     table = _at_table()
     certs = []
     for path in sorted(_corpus_dir().glob("*.cert")):
+        if path.stem not in REFERENCES:
+            raise CertificateError(
+                f"{path.name}: no regime of the certificate table names it")
         try:
             cert = parse_certificate(path.read_text(), table)
         except (ValueError, ArithmeticError, RuntimeError) as exc:
@@ -655,32 +668,8 @@ def _run_names(names: list[str]) -> list[CertReport]:
     for name in names:
         if name not in by_name:
             raise CertificateError(f"certificate file missing: {name}")
-        if name not in REFERENCES:
-            raise CertificateError(f"no reference builder for: {name}")
         reports.append(check_certificate(by_name[name], REFERENCES[name]()))
     return reports
-
-
-_BASE = ["q1-factored-form", "qp1-identity", "q0p0-identity", "alpha-shift"]
-_P1_POS = ["p1-zero-display", "p1-alpha1", "p1-alpha2", "p1-tau-slope"]
-_LE1 = ["taylor-g1-c0", "taylor-g1-c1", "taylor-g1-c2",
-        "taylor-g0-c0", "taylor-g0-c1", "taylor-g0-c2", "taylor-g0-c3",
-        "scriptg2-nonneg", "g1-case1-npower", "g1-case1-expansion",
-        "g1-case1-c0", "g1-case1-c1", "g1-case1-c2", "g1-case1-c3",
-        "g1-case1-c4", "g1-case1-c5", "g0-case2-bound", "g0-case2-gap"]
-_GT1 = ["qp2-identity", "taylor-p1",
-        "e1-taylor-c0", "e1-taylor-c1", "e1-taylor-c2", "e1-taylor-c3",
-        "e12-square-form", "e11-square-form", "e10-square-form",
-        "e0-taylor-c0", "e0-taylor-c1", "e0-taylor-c2", "e0-taylor-c3",
-        "e0-taylor-c4", "e03-square-form", "e02-square-form",
-        "e00-square-form", "e01-series", "e01-series-n3",
-        "e01-appendix", "e01-appendix-n3", "e01-appendix-n4", "e01-appendix-n5"]
-_N2 = ["p1-n2-form", "qp3-identity", "taylor-p1-n2", "g1-half-n2",
-       "g0-half-n2", "f1-taylor", "f1-square-form", "f0-taylor",
-       "f0-at-alpha1", "f0-shifted", "f0-shifted-gap"]
-_S5 = ["a1-a0-identity", "a-diff-identity", "a-diff-monotone",
-       "c-minus-a-prev", "c-minus-a-next", "c1-c0-identity",
-       "c-lam0-nu", "a-rewrite-nu", "a-rewrite-0"]
 
 
 def c0_for(p: Params) -> Fraction:
@@ -688,15 +677,6 @@ def c0_for(p: Params) -> Fraction:
     if p.gamma <= 1:
         return Fraction(1)
     return Fraction(1, 2) if p.N >= 3 else Fraction(1, 3)
-
-
-REGIMES = {
-    "base": _BASE + _P1_POS,
-    "le1": _LE1,
-    "gt1-nge3": _GT1,
-    "n2": _N2,
-    "section5": _S5,
-}
 
 
 @dataclass
@@ -782,10 +762,10 @@ def quotient_constant_links() -> list[str]:
 def interleaving_spot_checks(seed: int = 0, count: int = 200) -> list[str]:
     """(C(nu) - A(nu-1)) (C(nu) - A(nu+1)) <= 0 at random admissible points.
 
-    c-minus-a-prev and c-minus-a-next prove this interleaving for every
-    nu >= 1, and their references and the links run the same mode bodies
-    as rellich_hardy_A and rellich_hardy_C, so the sample re-checks a
-    proven claim.  It stays while the benchmark tracer patches it by name.
+    The section-5 certificates of C(nu) - A(nu -+ 1) prove this
+    interleaving for every nu >= 1, and their references and the links
+    run the same mode bodies as rellich_hardy_A and rellich_hardy_C, so
+    the sample re-checks a proven claim.  It stays while the benchmark tracer patches it by name.
     """
     import random
 

@@ -26,11 +26,11 @@ message on stderr and nothing on stdout: a dimension below 2, a negative
 mode, seed, count or nu-max, a dilation below 1, a gamma that does not
 parse or is not finite, an --ns that is not a list of integers, a
 --gamma-grid that is not finite lo:hi:step with a nonzero step toward
-hi.  So is an --output path that cannot be written: "error: cannot
-write <path>: <reason>" on stderr.  A path whose directory is missing or
-not a directory, or that is itself a directory, is rejected before any
-work; any other reason is found by opening the path once the document
-is made.
+hi or that has more than 100 000 points.  So is an --output path that
+cannot be written: "error: cannot write <path>: <reason>" on stderr.  A
+path whose directory is missing or not a directory, or that is itself a
+directory, is rejected before any work; any other reason is found by
+opening the path once the document is made.
 
 Each subcommand is declared once in COMMANDS; `main` uses the parser
 of the invoked subcommand only, and the full parser when argv names no
@@ -413,11 +413,15 @@ def _dilations(text: str) -> list[int]:
     return ns
 
 
+GAMMA_GRID_MAX_POINTS = 100_000
+
+
 def _gamma_grid(text: str) -> list[float]:
     """argparse type: "lo:hi:step" -> [lo, lo + step, ..., lo + k*step],
     with k the largest count of steps that does not pass hi.  A tolerance
     of 1e-9 steps keeps a grid whose last step lands on hi up to rounding,
-    such as 0:0.3:0.1, at that point."""
+    such as 0:0.3:0.1, at that point.  A grid of more than
+    GAMMA_GRID_MAX_POINTS points is rejected before any is made."""
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
         count = math.floor((hi - lo) / step + 1e-9) + 1
@@ -427,6 +431,10 @@ def _gamma_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"expected lo:hi:step with finite lo and hi and a nonzero step "
             f"from lo toward hi, got {text!r}")
+    if count > GAMMA_GRID_MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has {count} points, more than the "
+            f"{GAMMA_GRID_MAX_POINTS} a sweep allows")
     return [lo + k * step for k in range(count)]
 
 

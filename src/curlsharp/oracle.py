@@ -64,7 +64,6 @@ from . import polyfamily as pf
 class WeightedIntegrals:
     I_lap: float    # integral |laplacian u|^2 r^(2 gamma)
     I_grad: float   # integral |grad u|^2 r^(2 gamma - 2)
-    I_u: float      # integral |u|^2 r^(2 gamma - 4)
     I_rem: float    # remainder-term integral
     est_error: float  # max relative change under resolution doubling
 
@@ -137,7 +136,7 @@ Term = tuple[np.ndarray, str]
 
 # radial weight r^(2 gamma + offset) of each integrand, in the field
 # order of WeightedIntegrals
-_WEIGHT_OFFSET = {"lap": 0, "grad": -2, "u": -4, "rem": -2}
+_WEIGHT_OFFSET = {"lap": 0, "grad": -2, "rem": -2}
 
 # the largest relative change that doubling the resolution of
 # weighted_integrals may make
@@ -265,13 +264,12 @@ class AnalyticFieldBundle:
         return [[(rfac * mg, "y")], [(rfac * lg, "dy")]]
 
     def integrand_terms(self, t, gs) -> dict[str, list[list[Term]]]:
-        """Entries of the four integrands, each integrand being the sum of
-        its squared entries: |laplacian u|^2 ("lap"), |grad u|^2 ("grad"),
-        |u|^2 ("u") and the remainder core, the squared gradient of the
+        """Entries of the three integrands, each integrand being the sum
+        of its squared entries: |laplacian u|^2 ("lap"), |grad u|^2
+        ("grad") and the remainder core, the squared gradient of the
         shift-1 field ("rem")."""
         return {"lap": self._lap_terms(t, gs),
                 "grad": self._frame_terms(t, gs, 0),
-                "u": self._u_terms(t, gs),
                 "rem": self._frame_terms(t, gs, 1)}
 
     # -- pointwise evaluators on a (t, theta) grid -------------------------
@@ -336,8 +334,8 @@ def analytic_field(params: Params, nu: int, profile: Profile) -> AnalyticFieldBu
 
 def _integrate(bundle: AnalyticFieldBundle, nodes_per_unit: int,
                angular_points: int | None):
-    """One resolution pass; returns the four weighted integrals (lap,
-    grad, u, rem).  Each is the tensor-product quadrature sum, taken as
+    """One resolution pass; returns the three weighted integrals (lap,
+    grad, rem).  Each is the tensor-product quadrature sum, taken as
     radial sums contracted with the angular Gram matrix (module
     docstring).  The profile derivatives on the radial nodes are rows
     0..3 of the shared `_derivative_table`, bit for bit what

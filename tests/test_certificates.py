@@ -46,15 +46,13 @@ def test_every_corpus_file_has_reference():
     assert not missing
     unused = set(certs.REFERENCES) - names
     assert not unused
-    # every name sits in exactly one regime, and each file's `regime:`
-    # field names the REGIMES list that holds it
+    # every name sits in exactly one regime
     home = {}
     for regime, members in certs.REGIMES.items():
         for name in members:
             assert name not in home, (name, home.get(name), regime)
             home[name] = regime
     assert set(home) == names
-    assert {c.name: c.regime for c in corpus} == home
 
 
 @pytest.mark.parametrize("regime,count", [
@@ -460,7 +458,7 @@ def test_c0_for():
 
 def test_checker_catches_broken_identity():
     cert = certs.parse_certificate(
-        "name: wrong\nregime: base\ntarget: lam^2 + 1\n")
+        "name: wrong\ntarget: lam^2 + 1\n")
     report = certs.check_certificate(cert, parse_poly("lam^2"))
     assert not report.identity_ok and "difference" in report.detail
 
@@ -468,7 +466,6 @@ def test_checker_catches_broken_identity():
 def test_checker_catches_broken_signs():
     text = """
 name: wrong-signs
-regime: base
 assume s
 target: s - 1
 term: dom(s)
@@ -482,7 +479,6 @@ term: -1
 def test_checker_rejects_unassumed_domain_factor():
     text = """
 name: bad-dom
-regime: base
 target: s
 term: dom(s)
 """
@@ -496,7 +492,7 @@ term: dom(s)
     assert report.detail == "term 0: dom(s) not assumed"
 
 
-_BAD_RULE_HEAD = "name: bad\nregime: base\ndomain: N >= 2\nnrange: 2..4\n"
+_BAD_RULE_HEAD = "name: bad\ndomain: N >= 2\nnrange: 2..4\n"
 
 
 @pytest.mark.parametrize("body,reference,identity_ok,detail", [
@@ -543,21 +539,20 @@ def test_each_rule_names_its_failure(body, reference, identity_ok, detail):
     ("term: uni(s + 1 ; lam ; [0, 1])\n", "in its variable alone"),
     ("term: uni(2 ; x ; [0, 1])\n", "in its variable alone"),
     ("name: y\n", "repeated name: line"),
-    ("regime: le1\n", "repeated regime: line"),
     ("nrange: 3..4\n", "repeated nrange: line"),
     ("target: N - 4\n", "repeated target: line"),
     ("nonneg: coeffs\nnonneg: coeffs\n", "repeated nonneg: line"),
 ], ids=["misspelt", "none", "terms-without-term", "uni-with-n", "uni-unknown-var",
         "uni-other-var", "uni-constant-unknown-var", "repeated-name",
-        "repeated-regime", "repeated-nrange", "repeated-target", "repeated-nonneg"])
+        "repeated-nrange", "repeated-target", "repeated-nonneg"])
 def test_parser_rejects_what_the_checker_cannot_decide(line, error):
-    text = ("name: x\nregime: base\ndomain: N >= 3\nnrange: 3..4\n"
+    text = ("name: x\ndomain: N >= 3\nnrange: 3..4\n"
             "target: N - 3\n" + line)
     with pytest.raises(certs.CertificateError, match=error):
         certs.parse_certificate(text)
 
 
-_N_AT_LEAST_3 = ("name: low\nregime: base\n{}domain: N >= 3\n"
+_N_AT_LEAST_3 = ("name: low\n{}domain: N >= 3\n"
                  "target: N - 3\nnonneg: coeffs\n")
 
 
@@ -594,7 +589,6 @@ def _count_n_substitutions(monkeypatch):
 
 _FAILING_NNE = """
 name: bad-nne
-regime: base
 domain: N >= 2
 nrange: 2..4
 target: N - 3
@@ -691,11 +685,13 @@ def test_at_names_in_corpus_match_the_table():
 
 
 def test_let_colon_spelling_is_rejected():
-    text = "name: x\nregime: base\nlet: mu = lam\ntarget: lam\n"
+    text = "name: x\nlet: mu = lam\nassume mu\ntarget: lam\nterm: dom(mu)\n"
     with pytest.raises(certs.CertificateError, match="unknown certificate line"):
         certs.parse_certificate(text)
+    # the alias reaches the target: dom(mu) is lam, not the variable mu
     cert = certs.parse_certificate(text.replace("let:", "let"))
-    assert cert.aliases == {"mu": parse_poly("lam")}
+    assert cert.terms[0].polynomial() == cert.target == parse_poly("lam")
+    assert certs.check_certificate(cert, parse_poly("lam")).ok
 
 
 _CORRUPTIONS = {
@@ -708,6 +704,10 @@ _CORRUPTIONS = {
     "uni-uses-n": ("g1-case1-c1.cert", "uni(21-10*s-3*s^2 ;", "uni(21-10*s-3*N*s^2 ;"),
     "uni-unknown-var": ("e01-series-n3.cert", "; s ; [0, oo))", "; x ; [0, oo))"),
     "duplicate-target": ("qp1-identity.cert", "target:", "target: 0\ntarget:"),
+    # a file's regime is its entry in the certificate table, not a line
+    "stale-regime-line": ("qp1-identity.cert", "\ntarget:", "\nregime: base\ntarget:"),
+    # a file no regime names would never be checked (old None: a new file)
+    "file-not-in-table": ("p1-alpha3.cert", None, "name: p1-alpha3\ntarget: lam\n"),
 }
 
 
@@ -715,9 +715,14 @@ def _corrupt_corpus(tmp_path, case):
     name, old, new = _CORRUPTIONS[case]
     corpus = tmp_path / "certs"
     shutil.copytree(certs._corpus_dir(), corpus)
-    text = (corpus / name).read_text()
-    assert old in text
-    (corpus / name).write_text(text.replace(old, new, 1))
+    path = corpus / name
+    if old is None:
+        assert not path.exists()
+        path.write_text(new)
+    else:
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
     return corpus, name
 
 
@@ -733,15 +738,18 @@ def test_malformed_corpus_file_is_named(monkeypatch, capsys, tmp_path, case):
 
 
 def test_malformed_corpus_file_is_named_under_python_O(tmp_path):
-    corpus, name = _corrupt_corpus(tmp_path, "unknown-at-name")
-    code = ("import sys\n"
-            "from pathlib import Path\n"
-            "from curlsharp import certificates as certs, cli\n"
-            "if __debug__:\n"
-            "    sys.exit(4)\n"
-            f"certs._corpus_dir = lambda: Path({str(corpus)!r})\n"
-            "sys.exit(cli.main(['certify', '--regime', 'base']))\n")
-    proc = _run_python_O(code)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith(f"math failure: {name}: unknown @reference 'G9'")
-    assert "Traceback" not in proc.stderr
+    for case, error in (("unknown-at-name", "unknown @reference 'G9'"),
+                        ("file-not-in-table",
+                         "no regime of the certificate table names it")):
+        corpus, name = _corrupt_corpus(tmp_path / case, case)
+        code = ("import sys\n"
+                "from pathlib import Path\n"
+                "from curlsharp import certificates as certs, cli\n"
+                "if __debug__:\n"
+                "    sys.exit(4)\n"
+                f"certs._corpus_dir = lambda: Path({str(corpus)!r})\n"
+                "sys.exit(cli.main(['certify', '--regime', 'base']))\n")
+        proc = _run_python_O(code)
+        assert proc.returncode == 1, (case, proc.stderr)
+        assert proc.stderr.startswith(f"math failure: {name}: {error}")
+        assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 """CLI: values, exit codes, determinism, schema validity."""
 
+import argparse
 import json
 import math
 import os
@@ -392,6 +393,22 @@ def test_module_entry_point_reads_sys_argv(capsys):
     assert proc.returncode == main(argv) == 0
     assert proc.stdout == capsys.readouterr().out
     assert proc.stderr == ""
+
+
+def test_gamma_grid_past_the_cap_is_a_usage_error():
+    # 0:1e12:1 is well formed but counts 10^12 + 1 points: refused before
+    # any is made.  The child runs under a 1 GiB address-space limit, so a
+    # grid that is built anyway fails there instead of filling memory.
+    code = ("import resource, sys\n"
+            "from curlsharp.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+            "sys.exit(main(['sweep', '--N', '3', '--gamma-grid=0:1e12:1']))\n")
+    proc = _run_python(["-c", code])
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "'0:1e12:1' has 1000000000001 points, more than the 100000" in proc.stderr
+    assert len(cli._gamma_grid("0:99999:1")) == cli.GAMMA_GRID_MAX_POINTS == 100_000
+    with pytest.raises(argparse.ArgumentTypeError, match="100001 points"):
+        cli._gamma_grid("0:100000:1")
 
 
 def test_one_distinct_dilation_fits_no_exponent():

@@ -155,7 +155,7 @@ def test_jacobian_on_the_polar_axis_matches_finite_differences(nu):
 def test_zero_and_positive_integrals():
     bundle = analytic_field(Params(2, F(1, 2)), 1, Profile.make("bump", 2))
     ints = weighted_integrals(bundle)
-    assert ints.I_lap > 0 and ints.I_grad > 0 and ints.I_u > 0 and ints.I_rem > 0
+    assert ints.I_lap > 0 and ints.I_grad > 0 and ints.I_rem > 0
     assert ints.est_error < 1e-7
 
 
@@ -244,7 +244,7 @@ def test_crosscheck_reuses_harmonic_norm(monkeypatch):
 
 
 def _brute_grid_integrals(bundle, nodes_per_unit, angular_points):
-    """The four integrals of one pass, summing the bundle's squared entries
+    """The three integrals of one pass, summing the bundle's squared entries
     point by point over the (t, theta) tensor grid."""
     gamma = float(bundle.params.gamma)
     tn, tw = spectral._gl_nodes(bundle.profile.n, nodes_per_unit)
@@ -254,7 +254,7 @@ def _brute_grid_integrals(bundle, nodes_per_unit, angular_points):
     volume = np.exp(bundle.dim * tn)[:, None] * (tw[:, None] * aw[None, :])
     out = []
     for name, power in (("lap", 2 * gamma), ("grad", 2 * gamma - 2),
-                        ("u", 2 * gamma - 4), ("rem", 2 * gamma - 2)):
+                        ("rem", 2 * gamma - 2)):
         values = np.zeros((len(tn), len(ang)))
         for entry in terms[name]:
             e = np.zeros_like(values)
@@ -311,6 +311,6 @@ def test_gram_contraction_matches_brute_grid(dim, gamma):
         for npu, points in ((16, None), (32, 2 * len(ang))):
             got = oracle._integrate(bundle, npu, points)
             want = _brute_grid_integrals(bundle, npu, points)
-            assert len(got) == len(want) == 4
+            assert len(got) == len(want) == 3
             for a, b in zip(got, want):
                 assert abs(a - b) <= 1e-13 * abs(b), (nu, npu, a, b)
