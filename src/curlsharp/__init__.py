@@ -10,8 +10,9 @@ Modules
 -------
 poly          exact sparse multivariate polynomials (Fraction coefficients)
 nonneg        exact nonnegativity on intervals by Sturm root isolation
-constants     closed-form sharp constants, exact mode minimisation
-sweep         float64 mirror of the formulas for gamma sweeps
+constants     closed-form sharp constants, the A and C mode tables that
+              every path runs, exact mode minimisation
+sweep         gamma sweeps on the float path of the mode tables
 polyfamily    the P/Q quotient framework and auxiliary G/E/F/W families
 certificates  data-driven certificate corpus and its checker
 spectral      profiles, reduced quadratic forms, quotients, remainder

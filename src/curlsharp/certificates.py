@@ -7,7 +7,7 @@ into manifestly nonnegative pieces.  The checker
 
   1. rebuilds the polynomial the display is supposed to equal from the
      defining constructions in `polyfamily` and, for the identities that
-     involve A(nu), from the mode bodies of `constants` run on symbols
+     involve A(nu), from the forms of A in `constants` run on symbols
      (transcription check),
   2. re-sums the decomposition and compares it with the display
      (decomposition identity), and
@@ -168,6 +168,11 @@ def _gamma_d(q) -> MultiPoly:
     return (4 - pf.N - 2 * pf.LAM) * q
 
 
+def _pair(num, den) -> tuple:
+    """The ratio that keeps a mode table's (numerator, denominator)."""
+    return num, den
+
+
 def _a_mode(nu) -> tuple[MultiPoly, MultiPoly]:
     """(numerator, denominator) of rellich_hardy_A's slot form at D = 1."""
     return constants._a_slot(_gamma_d(_HALF), _HALF, pf.N, nu)
@@ -175,7 +180,7 @@ def _a_mode(nu) -> tuple[MultiPoly, MultiPoly]:
 
 def _a_gamma_form(nu) -> MultiPoly:
     """Numerator of rellich_hardy_A's gamma-form at D = 1."""
-    return constants._a_gamma(_gamma_d(_HALF), _HALF, pf.N, nu)[0]
+    return constants._AModes(_gamma_d(_HALF), _HALF, pf.N, _pair)[nu][0]
 
 
 def _a1_a0_lhs() -> MultiPoly:
@@ -696,13 +701,18 @@ class SuiteResult:
 
 
 def run_suite(regimes: list[str] | None = None) -> SuiteResult:
+    """Check the corpus files of `regimes` (every regime when None), and
+    the structural reports when `base` is among them."""
+    regimes = list(REGIMES) if regimes is None else regimes
+    if not regimes:
+        raise CertificateError("no regime selected")
     names: list[str] = []
-    for key in (regimes or list(REGIMES)):
+    for key in regimes:
         if key not in REGIMES:
             raise CertificateError(f"unknown regime {key!r}")
         names.extend(REGIMES[key])
     result = SuiteResult(reports=_run_names(names))
-    if regimes is None or "base" in regimes:
+    if "base" in regimes:
         result.structural = _structural_reports()
     return result
 
@@ -714,12 +724,8 @@ def run_suite(regimes: list[str] | None = None) -> SuiteResult:
 def _c_branch(branch: str, q) -> tuple[MultiPoly, MultiPoly]:
     """(numerator, denominator) of a branch of rellich_hardy_C at D = 2q;
     the nu >= 2 branch reads nu as s."""
-    G = _gamma_d(q)
-    if branch == "radial":
-        return constants._c_radial(G, q, pf.N)
-    if branch == "nu=1":
-        return constants._c_one(G, q, pf.N)
-    return constants._c_nu(G, q, pf.N, pf.S)
+    nu = {"radial": 0, "nu=1": 1}.get(branch, pf.S)
+    return constants._CModes(_gamma_d(q), q, pf.N, _pair)[nu]
 
 
 def _channel_at_zero(branch: str) -> tuple[MultiPoly, MultiPoly]:
@@ -740,22 +746,46 @@ def _differ(n1, d1, n2, d2) -> bool:
     return d1 * d2 == 0 or n1 * d2 != n2 * d1
 
 
+# (N, gamma, nu) of the wrapper check in quotient_constant_links: every
+# branch, lam = 0 (N = 3, gamma = 1/2) and denominators not powers of 2
+_WRAPPER_POINTS = ((2, Fraction(-7, 3), 0), (3, Fraction(1, 2), 1),
+                   (5, Fraction(2, 5), 1), (5, Fraction(2, 5), 2),
+                   (8, Fraction(9, 4), 5), (4, Fraction(-1, 6), 3))
+
+
 def quotient_constant_links() -> list[str]:
-    """Identities on the mode bodies with q free (D = 2m); returns failures.
+    """Identities on the mode tables with q free (D = 2m); returns failures.
     Q0(0)/P0(0) = C(0) and Q1(0, alpha_nu)/P1(0, alpha_nu) = C(nu) in
     (lam, N, s, m), one per branch of C, hold wherever P(0) and den are
     nonzero (not at lam = 0, nu = 1).  A's two forms agree at nu = 0 and
-    nu = s, and C(0) = A(1), in free G = mu, q = m and N."""
+    nu = s, and C(0) = A(1), in free G = mu, q = m and N.  Last, the
+    public rellich_hardy_A and _C, whose tables take gamma's numerator and
+    denominator, equal the q = 1/2 pairs in lam at _WRAPPER_POINTS (the
+    first point that differs is named)."""
     failures = []
     for branch in _LINK_BRANCHES:
         if _differ(*_channel_at_zero(branch), *_c_branch(branch, pf.M)):
             failures.append(f"{branch} link fails: Q(0) * den != P(0) * num")
     G, q, n = MultiPoly.var("mu"), pf.M, pf.N
+    a = constants._AModes(G, q, n, _pair)
     for nu, label in ((0, "0"), (pf.S, "s")):
-        if _differ(*constants._a_gamma(G, q, n, nu), *constants._a_slot(G, q, n, nu)):
+        if _differ(*a[nu], *constants._a_slot(G, q, n, nu)):
             failures.append(f"A({label}) forms fail: gamma-form != slot form")
-    if _differ(*constants._c_radial(G, q, n), *constants._a_gamma(G, q, n, 1)):
+    if _differ(*constants._CModes(G, q, n, _pair)[0], *a[1]):
         failures.append("C(0) = A(1) fails: radial branch != gamma-form at nu = 1")
+    half = MultiPoly.const(_HALF)                 # so every entry has eval
+    for label, mode, table in (("A", constants.rellich_hardy_A, constants._AModes),
+                               ("C", constants.rellich_hardy_C, constants._CModes)):
+        pairs = table(_gamma_d(half), half, pf.N, _pair)
+        for dim, g, nu in _WRAPPER_POINTS:
+            p = Params(dim, g)
+            value = mode(p, nu)
+            num, den = (x.eval({"lam": p.lam, "N": dim}) for x in pairs[nu])
+            if _differ(num, den, value.numerator, value.denominator):
+                failures.append(
+                    f"{label} wrapper fails at N={dim} gamma={g} nu={nu}: "
+                    f"rellich_hardy_{label} != its q = 1/2 pair at lam")
+                break
     return failures
 
 
@@ -764,7 +794,7 @@ def interleaving_spot_checks(seed: int = 0, count: int = 200) -> list[str]:
 
     The section-5 certificates of C(nu) - A(nu -+ 1) prove this
     interleaving for every nu >= 1, and their references and the links
-    run the same mode bodies as rellich_hardy_A and rellich_hardy_C, so
+    run the same mode tables as rellich_hardy_A and rellich_hardy_C, so
     the sample re-checks a proven claim.  It stays while the benchmark tracer patches it by name.
     """
     import random

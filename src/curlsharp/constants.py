@@ -11,15 +11,19 @@ together with the verified minimisation over the mode index nu.  Every
 function takes integer dimension N >= 2 and rational weight exponent
 gamma; the derived exponent is lam = 2 - N/2 - gamma.
 
-A(nu) and C(nu) are each stated once.  With gamma = r/q in lowest terms,
-D = 2q and G = gamma D, each form of A and each branch of C is a body over
-(G, q, N, nu) that returns (num, den) using only + - * **.  The public
-functions run one body per mode on int and build one Fraction: A its
-gamma-form, C the branch of nu.  The certificate layer runs the same
-bodies on MultiPoly, so the corpus and the links certify this code:
-`quotient_constant_links` proves, with G, q and N free, that A's slot
-form equals its gamma-form and that C(0) = A(1), and the section-5
-references compare the slot form against the paper's displays.
+A(nu) and C(nu) are each stated once, as the lazy mode tables `_AModes`
+and `_CModes`.  With gamma = r/q in lowest terms, D = 2q and G = gamma D,
+a table at (G, q, N) computes its gamma-only parts once, using only
++ - * **, and keeps ratio(num, den) of each mode on its first read.  The
+exact path runs it on int with ratio = Fraction (`_exact`), `sweep` on
+float at G = gamma, q = 1/2 with operator.truediv, and the certificate
+layer on MultiPoly, nu = s free, keeping the pair: the corpus and
+`quotient_constant_links` certify this code.  The parts follow the
+operation order of the closed forms evaluated term by term in float, up
+to sums and squares of half-integers, which are exact, and at q = 1/2
+every D-scaling is a product with 1.0; so the float path gives those
+floats bit for bit while 4 w^2 < 2^53, w = nu + N/2 - 1, which keeps
+alpha_nu D^2 = (w D)^2 - ((N/2 - 1) D)^2 exact.
 
 Minima over nu are certified, not assumed.  Two window rules, each
 stated once, decide whether the window nu <= nu_max holds the minimum.
@@ -31,10 +35,9 @@ c-minus-a-next, with P1(0, alpha_nu) > 0 from p1-zero-display and
 p1-alpha2), and A is nondecreasing past its turn.  Both read a mode table
 in increasing nu and stop where their rule is decided, typically a few
 modes in, with the same value, first-index argmin and TailBoundError as
-a scan of the whole window.  Every exact reader hands them tables that
-evaluate each mode on first read (`_ModeTable`), and so do the float
-mirror's `sweep._AModes` and `_CModes`.  `improvement_report` is the one
-place that applies both rules, and the cached C minimum is its `C`.  The
+a scan of the whole window; the exact and the float path hand them the
+same tables.  `improvement_report` is the one place that applies both
+rules on the exact path, and the cached C minimum is its `C`.  The
 curl-free Rellich-Leray scan bounds its tail by one exact comparison.
 These raise TailBoundError rather than silently truncating; the
 unconstrained Rellich-Leray window is chosen past its turn, so it needs
@@ -195,19 +198,6 @@ def _alpha_int(s, N, D):
     return s * (s + (N - 2) * D)
 
 
-def _a_gamma(G, q, N, nu):
-    """A(nu) = ((gamma-1)^2 - (nu+N/2-1)^2)^2 / ((gamma+N/2-2)^2 + alpha_nu),
-    A(0) = (gamma - N/2)^2."""
-    D = 2 * q
-    D2 = D * D
-    if nu == 0:
-        return (G - N * q) ** 2, D2
-    g1 = G - D                            # (gamma - 1) D
-    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
-    w = (2 * nu + N - 2) * q              # (nu + N/2 - 1) D
-    return (g1 * g1 - w * w) ** 2, D2 * (e * e + nu * (nu + N - 2) * D2)
-
-
 def _a_slot(G, q, N, nu):
     """A(nu) = (alpha_nu - alpha(lam))^2 / (alpha_nu + lam^2),
     A(0) = (lam + N - 2)^2."""
@@ -220,40 +210,83 @@ def _a_slot(G, q, N, nu):
     return (aD2 - _alpha_int(L, N, D)) ** 2, D2 * (aD2 + L * L)
 
 
-def _c_radial(G, q, N):
-    """C(0) = ((gamma-1)^2 - N^2/4)^2 / ((gamma+N/2-2)^2 + N - 1)."""
-    D = 2 * q
-    D2 = D * D
-    g1 = G - D                            # (gamma - 1) D
-    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
-    return (g1 * g1 - (N * q) ** 2) ** 2, D2 * (e * e + (N - 1) * D2)
+class _AModes(dict):
+    """A(nu) at one (N, gamma), from its gamma-form
+    A(nu) = ((gamma-1)^2 - (nu+N/2-1)^2)^2 / ((gamma+N/2-2)^2 + alpha_nu),
+    A(0) = (gamma - N/2)^2.  `__init__` computes the gamma-only parts and
+    A(0); `table[nu]` evaluates A(nu) on its first read and keeps
+    ratio(num, den)."""
+
+    __slots__ = ("ratio", "D", "D2", "k", "k2", "g1sq", "e2")
+
+    def __init__(self, G, q, N, ratio):
+        self.ratio = ratio
+        self.D = D = 2 * q
+        self.D2 = D2 = D * D
+        h = N * q                                 # N/2 D
+        self.k = k = h - D                        # (N/2 - 1) D
+        self.k2 = k * k
+        self.g1sq = (G - D) ** 2                  # ((gamma - 1) D)^2
+        self.e2 = (G + h - 2 * D) ** 2            # ((gamma + N/2 - 2) D)^2
+        self[0] = ratio((G - h) ** 2, D2)
+
+    def __missing__(self, nu):
+        w = nu * self.D + self.k                  # (nu + N/2 - 1) D
+        w2 = w * w
+        value = self[nu] = self.ratio((self.g1sq - w2) ** 2,
+                                      self.D2 * (self.e2 + (w2 - self.k2)))
+        return value
 
 
-def _c_one(G, q, N):
-    """C(1) = (gamma-N/2-2)^2 ((gamma+N/2-1)^2 + N - 1)
-    / ((gamma+N/2-3)^2 + 3(N - 1))."""
-    D = 2 * q
-    D2 = D * D
-    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
-    h = G - (N + 4) * q                   # (gamma - N/2 - 2) D
-    return (h * h * ((e + D) ** 2 + (N - 1) * D2),
-            D2 * ((e - D) ** 2 + 3 * (N - 1) * D2))
+class _CModes(dict):
+    """C(nu) at one (N, gamma), as `_AModes` is for A(nu), from
+    C(0) = ((gamma-1)^2 - N^2/4)^2 / ((gamma+N/2-2)^2 + N - 1),
+    C(1) = (gamma-N/2-2)^2 ((gamma+N/2-1)^2 + N - 1)
+           / ((gamma+N/2-3)^2 + 3(N - 1)),
+    C(nu), nu >= 2, = quart ((gamma+N/2-1)^2 + alpha_nu) / (quart
+           + 2(gamma-1)((2 gamma+N-5) alpha_nu + (N-1)(gamma+N/2-3)^2)),
+    with quart = ((gamma-2)^2 - (nu+N/2-1)^2)^2.  `__init__` computes the
+    gamma-only parts, C(0) and C(1); `table[nu]` evaluates C(nu), nu >= 2,
+    on its first read."""
+
+    __slots__ = ("ratio", "D", "D2", "k", "k2", "g2sq", "c_num", "c_k",
+                 "c_lin", "c_const")
+
+    def __init__(self, G, q, N, ratio):
+        self.ratio = ratio
+        self.D = D = 2 * q
+        self.D2 = D2 = D * D
+        h = N * q                                 # N/2 D
+        self.k = k = h - D                        # (N/2 - 1) D
+        self.k2 = k * k
+        gh = G + h                                # (gamma + N/2) D
+        g1 = G - D                                # (gamma - 1) D
+        c_sq3 = (gh - 3 * D) ** 2                 # ((gamma + N/2 - 3) D)^2
+        nD2 = N * D2
+        self.g2sq = (G - 2 * D) ** 2              # ((gamma - 2) D)^2
+        self.c_num = c_num = (gh - D) ** 2        # ((gamma + N/2 - 1) D)^2
+        self.c_k = 2 * g1
+        self.c_lin = 2 * G + N * D - 5 * D        # (2 gamma + N - 5) D
+        self.c_const = (N - 1) * c_sq3 * D
+        self[0] = ratio((g1 ** 2 - h * h) ** 2, D2 * ((gh - 2 * D) ** 2 + nD2 - D2))
+        self[1] = ratio((G - h - 2 * D) ** 2 * (c_num + nD2 - D2),
+                        D2 * (c_sq3 + 3 * (nD2 - D2)))
+
+    def __missing__(self, nu):
+        w = nu * self.D + self.k                  # (nu + N/2 - 1) D
+        w2 = w * w
+        a = w2 - self.k2                          # alpha_nu D^2
+        quart = (self.g2sq - w2) ** 2             # D^4 quart
+        value = self[nu] = self.ratio(
+            quart * (self.c_num + a),
+            self.D2 * (quart + self.c_k * (self.c_lin * a + self.c_const)))
+        return value
 
 
-def _c_nu(G, q, N, nu):
-    """C(nu), nu >= 2, = quart ((gamma+N/2-1)^2 + alpha_nu) / (quart
-    + 2(gamma-1)((2 gamma+N-5) alpha_nu + (N-1)(gamma+N/2-3)^2))."""
-    D = 2 * q
-    D2 = D * D
-    a = nu * (nu + N - 2)                 # alpha_nu
-    g1 = G - D                            # (gamma - 1) D
-    g2 = G - 2 * D                        # (gamma - 2) D
-    e = G + (N - 4) * q                   # (gamma + N/2 - 2) D
-    w = (2 * nu + N - 2) * q              # (nu + N/2 - 1) D
-    k = G + (N - 5) * q                   # (2 gamma + N - 5) D / 2
-    quart = (g2 * g2 - w * w) ** 2        # ((gamma-2)^2 - (nu+N/2-1)^2)^2 D^4
-    return (quart * ((e + D) ** 2 + a * D2),
-            D2 * (quart + 2 * g1 * D * (2 * k * a * D + (N - 1) * (e - D) ** 2)))
+def _exact(table, p: Params):
+    """`table` at p over Fraction: G = 2 num(gamma), q = den(gamma)."""
+    g = p.gamma
+    return table(2 * g.numerator, g.denominator, p.N, Fraction)
 
 
 def rellich_hardy_A(p: Params, nu: int) -> Fraction:
@@ -262,8 +295,7 @@ def rellich_hardy_A(p: Params, nu: int) -> Fraction:
     G, q and N free), so it is not evaluated here."""
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    g = p.gamma
-    return Fraction(*_a_gamma(2 * g.numerator, g.denominator, p.N, nu))
+    return _exact(_AModes, p)[nu]
 
 
 def rellich_hardy_C(p: Params, nu: int) -> Fraction:
@@ -273,32 +305,12 @@ def rellich_hardy_C(p: Params, nu: int) -> Fraction:
     free), so the radial branch does not evaluate A."""
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    g, N = p.gamma, p.N
-    q, G = g.denominator, 2 * g.numerator
-    if nu == 0:
-        return Fraction(*_c_radial(G, q, N))
-    if nu == 1:
-        return Fraction(*_c_one(G, q, N))
-    return Fraction(*_c_nu(G, q, N, nu))
+    return _exact(_CModes, p)[nu]
 
 
 # ---------------------------------------------------------------------------
 # minimisation over the mode index
 # ---------------------------------------------------------------------------
-
-class _ModeTable(dict):
-    """The modes mode(p, nu) of one family at p, evaluated on demand:
-    `table[nu]` evaluates the mode on its first read and keeps it."""
-
-    __slots__ = ("mode", "p")
-
-    def __init__(self, mode, p: Params):
-        self.mode, self.p = mode, p
-
-    def __missing__(self, nu: int):
-        value = self[nu] = self.mode(self.p, nu)
-        return value
-
 
 def _a_window_min(a, nu_max: int) -> tuple:
     """First-index minimum of A(nu) over nu >= 0, certified by the window
@@ -352,7 +364,7 @@ def rellich_hardy_A_min(p: Params, nu_max: int | None = None) -> MinResult:
     the modes up to the turn of A."""
     if nu_max is None:
         nu_max = default_nu_max(p.N, p.gamma)
-    return MinResult(*_a_window_min(_ModeTable(rellich_hardy_A, p), nu_max), nu_max)
+    return MinResult(*_a_window_min(_exact(_AModes, p), nu_max), nu_max)
 
 
 @lru_cache(maxsize=4096)
@@ -389,7 +401,7 @@ def in_improvement_region(p: Params) -> bool:
 
 def _in_region(N: int, g) -> bool:
     """The improvement-region test, generic in gamma's type: exact on a
-    Fraction, the float mirror's test on a float."""
+    Fraction, the float path's test on a float."""
     return (6 * g - (N + 4)) ** 2 < 4 * (N * N - N + 1)
 
 
@@ -397,7 +409,7 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
     """Compare the unconstrained and curl-free sharp constants at (N, gamma).
 
     `A` and `C` are the window rules `_a_window_min` and then
-    `_c_window_min` applied to one A and one C mode table (`_ModeTable`),
+    `_c_window_min` applied to one exact `_AModes` and `_CModes` table,
     kept as `A_modes` and `C_modes`: they hold the modes the rules read
     and evaluate any other on its first read.  `C` is
     rellich_hardy_C_min(p, nu_max); `A` equals rellich_hardy_A_min(p,
@@ -416,9 +428,9 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
     """
     if nu_max is None:
         nu_max = default_nu_max(p.N, p.gamma)
-    a = _ModeTable(rellich_hardy_A, p)
-    c = _ModeTable(rellich_hardy_C, p)
+    a = _exact(_AModes, p)
     a_min = MinResult(*_a_window_min(a, nu_max), nu_max)
+    c = _exact(_CModes, p)
     c_min = MinResult(*_c_window_min(c, a, nu_max), nu_max)
     return ImprovementReport(
         params=p,

@@ -219,13 +219,13 @@ def test_a_forms_sympy(nu):
     forms = _sympy_a_forms(sympy.Symbol("s") if nu == "s" else nu)
     (ng, dg), (nl, dl) = forms
     assert sympy.cancel(ng / dg - nl / dl) == 0
-    half = F(1, 2)
+    args = (certs._gamma_d(F(1, 2)), F(1, 2), pf.N)
     at = pf.S if nu == "s" else nu
-    for body, (num, den) in zip((constants._a_gamma, constants._a_slot), forms):
-        got_num, got_den = (_sympy(x) for x in
-                            body(certs._gamma_d(half), half, pf.N, at))
-        assert sympy.expand(got_num - num) == 0, body.__name__
-        assert sympy.expand(got_den - den) == 0, body.__name__
+    pairs = (constants._AModes(*args, certs._pair)[at], constants._a_slot(*args, at))
+    for label, pair, (num, den) in zip(("gamma-form", "slot form"), pairs, forms):
+        got_num, got_den = (_sympy(x) for x in pair)
+        assert sympy.expand(got_num - num) == 0, label
+        assert sympy.expand(got_den - den) == 0, label
 
 
 def test_link_forms_equal_rellich_hardy_C():
@@ -251,7 +251,14 @@ def _numerator_plus_nu(real):
 
 
 def _zero_pair(real):
-    return lambda *args: (MultiPoly(), MultiPoly())
+    """A mode table's __init__ whose pairs for the certificate layer are
+    all (0, 0); the exact path's Fraction tables keep their values."""
+    def zero(num, den):
+        return MultiPoly(), MultiPoly()
+
+    def init(self, G, q, N, ratio):
+        real(self, G, q, N, zero if ratio is certs._pair else ratio)
+    return init
 
 
 def _doubled(real):
@@ -259,19 +266,36 @@ def _doubled(real):
 
 
 def _mutant(old, new):
-    """A constants body with the source text `old` replaced by `new`."""
+    """A constants function or table method with the source text `old`
+    replaced by `new`."""
     def make(real):
         src = textwrap.dedent(inspect.getsource(real))
-        assert src.count(old) == 1, (real.__name__, old)
+        assert src.count(old) == 1, (real.__qualname__, old)
         scope = dict(vars(constants))
         exec(src.replace(old, new), scope)
         return scope[real.__name__]
     return make
 
 
-# equals the true (nu + N/2 - 1) D at q = 1/2 only: a D = 1 check misses it
-_W_TIMES_D = _mutant("w = (2 * nu + N - 2) * q", "w = (2 * nu + N - 2) * q * (2 * q)")
-_C_BODIES = ("_c_radial", "_c_one", "_c_nu")
+def _patch(monkeypatch, target, perturb):
+    """Replace `target`, a polyfamily name (`q0`) or a constants name
+    (`_a_slot`, `_CModes.__missing__`), by `perturb` of itself."""
+    owner_name, _, name = target.rpartition(".")
+    owner = getattr(constants, owner_name) if owner_name else \
+        constants if target.startswith("_") else pf
+    monkeypatch.setattr(owner, name, perturb(getattr(owner, name)))
+
+
+# numerators + nu in A(nu) and C(nu >= 2), on every path alike
+_A_NUMERATOR_PLUS_NU = _mutant("self.ratio((self.g1sq - w2) ** 2,",
+                               "self.ratio((self.g1sq - w2) ** 2 + nu,")
+_C_NUMERATOR_PLUS_NU = _mutant("quart * (self.c_num + a),",
+                               "quart * (self.c_num + a) + nu,")
+# equals the true (nu + N/2 - 1) D at q = 1/2 only: a D = 1 check misses
+# it, and so does every table but the exact path's, where D = 2q >= 2
+_W_TIMES_D = _mutant("w = nu * self.D + self.k", "w = (nu * self.D + self.k) * self.D")
+# C(nu >= 2)'s linear coefficient 2 gamma + N - 4 instead of 2 gamma + N - 5
+_C_LIN = _mutant("5 * D", "4 * D")
 
 
 @pytest.mark.parametrize("targets,perturb,fails", [
@@ -282,21 +306,26 @@ _C_BODIES = ("_c_radial", "_c_one", "_c_nu")
      ["nu=1 link", "nu>=2 link"]),
     (["q1", "q1_at_zero"], lambda f: lambda: f() + pf.A ** 3,
      ["nu=1 link", "nu>=2 link"]),
-    (["_c_nu"], _numerator_plus_nu, ["nu>=2 link"]),
-    # zero num and den would satisfy the cross-multiplied identity vacuously
-    (_C_BODIES, _zero_pair,
-     ["radial link", "nu=1 link", "nu>=2 link", "C(0) = A(1)"]),
-    (["_a_gamma"], _zero_pair, ["A(0) forms", "A(s) forms", "C(0) = A(1)"]),
+    # + nu on a D-scaled numerator is a different fault at each D, so the
+    # exact path (D = 2q) differs from its q = 1/2 pairs too
+    (["_CModes.__missing__"], _C_NUMERATOR_PLUS_NU, ["nu>=2 link", "C wrapper"]),
+    # zero num and den would satisfy the cross-multiplied identity
+    # vacuously; the exact path then differs from its q = 1/2 pairs
+    (["_CModes.__init__"], _zero_pair,
+     ["radial link", "nu=1 link", "nu>=2 link", "C(0) = A(1)", "C wrapper"]),
+    (["_AModes.__init__"], _zero_pair,
+     ["A(0) forms", "A(s) forms", "C(0) = A(1)", "A wrapper"]),
     (["_alpha_int"], _doubled, ["A(s) forms"]),
-    (["_c_nu"], _W_TIMES_D, ["nu>=2 link"]),
-    (["_a_gamma"], _W_TIMES_D, ["A(s) forms", "C(0) = A(1)"]),
+    (["_CModes.__missing__"], _W_TIMES_D, ["nu>=2 link", "C wrapper"]),
+    (["_AModes.__missing__"], _W_TIMES_D, ["A(s) forms", "C(0) = A(1)", "A wrapper"]),
+    # the float path runs the same table: test_float_path_runs_the_certified_c_table
+    (["_CModes.__init__"], _C_LIN, ["nu>=2 link"]),
 ], ids=["q0", "p1", "q1", "c-numerator", "c-zero", "a-zero", "alpha-doubled",
-        "c-q-only", "a-q-only"])
+        "c-q-only", "a-q-only", "c-lin"])
 def test_links_report_a_perturbed_closed_form(monkeypatch, targets, perturb,
                                               fails):
     for target in targets:
-        owner = constants if target.startswith("_") else pf
-        monkeypatch.setattr(owner, target, perturb(getattr(owner, target)))
+        _patch(monkeypatch, target, perturb)
     got = certs.quotient_constant_links()
     assert [f.split(" fail")[0] for f in got] == fails
 
@@ -308,11 +337,11 @@ _A_SLOT_REFS = ["a1-a0-identity", "a-diff-identity", "c-minus-a-prev",
 @pytest.mark.parametrize("target,perturb,fails", [
     ("_a_slot", _numerator_plus_nu, _A_SLOT_REFS),
     ("_alpha_int", _doubled, _A_SLOT_REFS),
-    ("_a_gamma", _numerator_plus_nu, ["a-rewrite-nu"]),
-    ("_a_gamma", _zero_pair, ["a-rewrite-nu", "a-rewrite-0"]),
+    ("_AModes.__missing__", _A_NUMERATOR_PLUS_NU, ["a-rewrite-nu"]),
+    ("_AModes.__init__", _zero_pair, ["a-rewrite-nu", "a-rewrite-0"]),
 ], ids=["slot-numerator", "alpha-doubled", "gamma-numerator", "gamma-zero"])
 def test_section5_reports_a_perturbed_a_form(monkeypatch, target, perturb, fails):
-    monkeypatch.setattr(constants, target, perturb(getattr(constants, target)))
+    _patch(monkeypatch, target, perturb)
     got = [r.name for r in certs.run_suite(["section5"]).reports if not r.ok]
     assert got == fails
 
@@ -346,16 +375,24 @@ def test_links_name_perturbed_forms_under_python_O():
     # the mode evaluators run one form each, so a fault in another form
     # (A's slot form, the radial branch against A(1), Q1's factored form)
     # is named by the links and the structural reports, and fails
-    # `certify --regime all`, with asserts stripped
+    # `certify --regime all`, with asserts stripped.  C(0)'s numerator + 1
+    # is D-scaled, so the exact path (D = 2q) also leaves its q = 1/2 pair
     code = textwrap.dedent("""
-        import contextlib, io, json, sys
+        import contextlib, inspect, io, json, sys, textwrap
         from curlsharp import certificates as certs, cli, constants as c
         from curlsharp import polyfamily as pf
         if __debug__:
             sys.exit(4)
-        alpha_int, c_radial, q1_factored = c._alpha_int, c._c_radial, pf.q1_factored
+        alpha_int, q1_factored = c._alpha_int, pf.q1_factored
         c._alpha_int = lambda s, n, d: 2 * alpha_int(s, n, d)
-        c._c_radial = lambda G, q, N: (lambda nd: (nd[0] + 1, nd[1]))(c_radial(G, q, N))
+        # C(0)'s numerator + 1, in the one table every path runs
+        src = textwrap.dedent(inspect.getsource(c._CModes.__init__))
+        old = "ratio((g1 ** 2 - h * h) ** 2,"
+        if src.count(old) != 1:
+            sys.exit(5)
+        scope = dict(vars(c))
+        exec(src.replace(old, "ratio((g1 ** 2 - h * h) ** 2 + 1,"), scope)
+        c._CModes.__init__ = scope["__init__"]
         pf.q1_factored = lambda: q1_factored() + pf.TAU
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -372,12 +409,43 @@ def test_links_name_perturbed_forms_under_python_O():
     proc = _run_python_O(code)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["links"] == ["radial link", "A(s) forms", "C(0) = A(1)"]
+    assert got["links"] == ["radial link", "A(s) forms", "C(0) = A(1)", "C wrapper"]
     assert got["structural"] == ["q1-forms-agree"]
     rc, all_ok, link_failures, failed_reports = got["certify"]
     assert (rc, all_ok) == (1, False)
     assert [f.split(" fail")[0] for f in link_failures] == got["links"]
     assert "q1-forms-agree" in failed_reports
+
+
+def test_links_name_a_faulty_mode_wrapper_under_python_O():
+    # the public rellich_hardy_A returning A(1) + 1 at nu = 1: its tables
+    # are right, so only the links' check of the wrapper against the
+    # tables' q = 1/2 pairs at lam can name it
+    code = textwrap.dedent("""
+        import json, sys
+        from curlsharp import certificates as certs, constants as c
+        if __debug__:
+            sys.exit(4)
+        real = c.rellich_hardy_A
+        c.rellich_hardy_A = lambda p, nu: real(p, nu) + (nu == 1)
+        json.dump(certs.quotient_constant_links(), sys.stdout)
+    """)
+    proc = _run_python_O(code)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == ["A wrapper fails at N=3 gamma=1/2 nu=1: "
+                   "rellich_hardy_A != its q = 1/2 pair at lam"]
+
+
+def test_run_suite_selection():
+    # None is every regime, structural reports included; an empty list is
+    # no selection at all, not a second spelling of every regime
+    everything = certs.run_suite()
+    assert everything.counts == certs.run_suite(list(certs.REGIMES)).counts
+    assert len(everything.structural) == 3
+    with pytest.raises(certs.CertificateError, match="no regime selected"):
+        certs.run_suite([])
+    assert certs.run_suite(["section5"]).structural == []
 
 
 def test_interleaving_spot_checks():

@@ -1,9 +1,11 @@
 """Closed-form sharp constants: frozen values, certified minima, invariants."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
+import textwrap
 from collections import Counter
 from fractions import Fraction as F
 
@@ -357,7 +359,7 @@ def test_improvement_report_equals_public_minima():
 
 def test_report_and_minima_share_the_window_rules(monkeypatch):
     # one statement of each rule: the report, the cached minima and the
-    # float mirror all apply it, by module name, where a caller can wrap it
+    # float path all apply it, by module name, where a caller can wrap it
     called = Counter()
 
     def counting(name, fn):
@@ -405,14 +407,25 @@ def test_point_f_raises_where_the_exact_path_does(monkeypatch, capsys, n, gamma,
         improvement_report(Params(n, F(gamma)), nu_max=window)
     assert str(exact.value) == message
     monkeypatch.setattr(sweep, "default_nu_max", lambda N, g: window)
-    with pytest.raises(TailBoundError) as mirror:
+    with pytest.raises(TailBoundError) as float_path:
         sweep.point(n, float(gamma))
-    assert str(mirror.value) == message
-    # a decimal gamma reaches the mirror through the CLI: a math failure,
+    assert str(float_path.value) == message
+    # a decimal gamma reaches the float path through the CLI: a math failure,
     # not an unchecked minimum on stdout
     assert cli.main(["constants", "--N", str(n), f"--gamma={gamma}.0"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+def _count_evaluations(mp, calls):
+    """Patch the mode tables so that `calls[kind, nu]` counts the
+    evaluations of mode nu of A or C: each evaluation stores its mode in
+    its table once, in `__init__` or on its first read."""
+    for kind, table in (("A", constants._AModes), ("C", constants._CModes)):
+        def store(self, nu, value, kind=kind):
+            calls[kind, nu] += 1
+            dict.__setitem__(self, nu, value)
+        mp.setattr(table, "__setitem__", store)
 
 
 @pytest.mark.parametrize("argv", [
@@ -425,16 +438,7 @@ def test_constants_op_evaluates_each_mode_once(monkeypatch, capsys, argv):
     rellich_hardy_A_min.cache_clear()
     rellich_hardy_C_min.cache_clear()
     calls = Counter()
-
-    def counting(kind, fn):
-        def wrapper(p, nu):
-            calls[kind, nu] += 1
-            return fn(p, nu)
-        return wrapper
-
-    for kind, name in (("A", "rellich_hardy_A"), ("C", "rellich_hardy_C")):
-        wrapped = counting(kind, getattr(constants, name))
-        monkeypatch.setattr(constants, name, wrapped)
+    _count_evaluations(monkeypatch, calls)
     assert cli.main(["constants"] + argv) == 0
     capsys.readouterr()
     # every mode is evaluated exactly once
@@ -504,21 +508,13 @@ def test_constants_output_equals_the_eager_path(n, data):
     q = data.draw(st.integers(1, 24))
     gamma = data.draw(st.one_of(st.builds(F, st.integers(-30 * q, 30 * q), st.just(q)),
                                 st.just(F(4 - n, 2))))        # lam = 0
-
-    def counting(kind, fn):
-        def wrapper(p, nu):
-            calls[kind, nu] += 1
-            return fn(p, nu)
-        return wrapper
-
     for nu_cli in (0, 8, 70):
         rc, out, a_read, c_read = _eager_constants(n, gamma, nu_cli)
         calls = Counter()
         buf = io.StringIO()
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(buf), \
                 contextlib.redirect_stderr(io.StringIO()):
-            for kind, name in (("A", "rellich_hardy_A"), ("C", "rellich_hardy_C")):
-                mp.setattr(constants, name, counting(kind, getattr(constants, name)))
+            _count_evaluations(mp, calls)
             got = cli.main(["constants", "--N", str(n), f"--gamma={gamma}",
                             "--nu-max", str(nu_cli)])
         assert (got, buf.getvalue()) == (rc, out), (n, gamma, nu_cli)
@@ -531,22 +527,14 @@ def test_cold_minima_read_modes_only_up_to_the_stop(monkeypatch):
     # at (5, 0) A turns at k = 1 (A(1) <= A(2)); C(0) = A(1), so the C rule
     # stops at m = 2, the first m >= k with A(m) > min C(0..m).  The window
     # runs to nu_max = 21, yet no mode past m + 1 is read
-    reads = Counter()
-
-    def recording(kind, fn):
-        def wrapper(p, nu):
-            reads[kind] = max(reads[kind], nu)
-            return fn(p, nu)
-        return wrapper
-
-    for kind, name in (("A", "rellich_hardy_A"), ("C", "rellich_hardy_C")):
-        monkeypatch.setattr(constants, name, recording(kind, getattr(constants, name)))
+    calls = Counter()
+    _count_evaluations(monkeypatch, calls)
     rellich_hardy_A_min.cache_clear()
     rellich_hardy_C_min.cache_clear()
     res = rellich_hardy_C_min(Params(5, F(0)))
     assert res == constants.MinResult(F(441, 68), 0, 21)
-    assert reads == {"A": 3, "C": 2}
-    # the float mirror reads the same modes
+    assert sorted(calls) == [("A", nu) for nu in range(4)] + [("C", nu) for nu in range(3)]
+    # the float path reads the same modes
     row, a, c = sweep.point(5, 0.0)
     assert (row.C_min, row.C_argmin) == (441 / 68, 0)
     assert (len(a), len(c)) == (4, 3)
@@ -636,6 +624,24 @@ def test_float_tables_bit_identical_to_closed_forms(n, data):
     assert sweep.sweep_gamma(n, [gamma]) == [row]
     assert repr((row.A_min, row.A_argmin)) == repr(_ref_min(ref_a))
     assert repr((row.C_min, row.C_argmin)) == repr(_ref_min(ref_c))
+
+
+def test_float_path_runs_the_certified_c_table(monkeypatch):
+    # one statement of C(nu): C(nu >= 2)'s linear coefficient changed from
+    # 5 D to 4 D in the certified table (the links name it, see
+    # test_links_report_a_perturbed_closed_form[c-lin]) moves the float
+    # path off its term-by-term reference, C(0) and C(1) aside
+    n, gamma = 5, 0.3
+    src = textwrap.dedent(inspect.getsource(constants._CModes.__init__))
+    assert src.count("5 * D") == 1
+    scope = dict(vars(constants))
+    exec(src.replace("5 * D", "4 * D"), scope)
+    monkeypatch.setattr(constants._CModes, "__init__", scope["__init__"])
+    row, a, c = sweep.point(n, gamma)
+    got = [c[nu] for nu in range(6)]
+    ref = [_ref_C_f(n, gamma, nu) for nu in range(6)]
+    assert got[:2] == ref[:2]
+    assert all(x != y for x, y in zip(got[2:], ref[2:])), (got, ref)
 
 
 def test_sweep_rows():

@@ -51,8 +51,6 @@ SCAN_DIRS = [ROOT / "src", ROOT / "bench", ROOT / "demos"]
 
 # Public API that only the tests reach, each kept for a stated reason.
 ALLOWLIST = {
-    "MultiPoly.eval": "exact point evaluation, the reference that tests "
-                      "check substitution and the float paths against",
     "Profile.norm2": "L2 norm of a profile, the reference for the frozen "
                      "closed-form norms BUMP_NORM2 and COS4_NORM2",
     "IntervalQ.real_line": "the whole-line interval of the nonnegativity "
