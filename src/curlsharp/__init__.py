@@ -41,7 +41,7 @@ from .constants import (
 from .certificates import c0_for, run_suite
 from .nonneg import IntervalQ, nonneg_on_interval
 from .poly import MultiPoly, Rational, parse_poly
-from .polyfamily import PolyFamily, build_family
+from .polyfamily import build_family
 
 __all__ = [
     "Fraction",
@@ -63,7 +63,6 @@ __all__ = [
     "rellich_hardy_C_min",
     "improvement_report",
     "in_improvement_region",
-    "PolyFamily",
     "NonPositiveFormError",
     "build_family",
     "run_suite",

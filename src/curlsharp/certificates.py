@@ -18,17 +18,13 @@ all in exact rational arithmetic, with the dimension variable N free.  A
 passing symbolic check covers every N in the file's ``domain:``:
 substituting any such N keeps an identity an identity and keeps shifted
 nonnegative coefficients (and even powers of a free N) nonnegative, and
-every ``uni`` factor is free of N.  A certificate whose target uses N
-declares ``nrange`` (2..12 by default), the integers N at which a failed
-check is instantiated again, one at a time, to name the N that breaks;
-the parser rejects an ``nrange`` that is not ``lo..hi`` with integers
-lo <= hi, or that reaches below a ``domain: N >=`` bound.
+every ``uni`` factor is free of N.  When a check fails and the target
+uses N, it is instantiated again at each integer N from the domain's
+bound (2 if none) to 12, one at a time, to name the N that breaks.
 
 Certificate file syntax::
 
-    name: <the file's stem>
-    nrange: 3..12            # N a failure is named at, within the domain; 'none' if N fixed
-    domain: N >= 3, s >= 0   # variable lower bounds (used by nne / coeffs)
+    domain: N >= 3, s >= 0   # variable lower bounds, one per variable
     let mu = 2*lam + N - 2   # named alias polynomial
     assume mu                # hypothesis: alias (or variable) is >= 0
     target: <polynomial expression, may reference @Name>
@@ -38,12 +34,14 @@ Certificate file syntax::
     ...
     note: free text          # documentation, not checked
 
-``name:``, ``nrange:``, ``target:`` and ``nonneg:`` may each appear
-once.  A repeated one is a parse error, and so is a line of a kind not
+A file states only what the checker cannot work out.  Its name is its
+file's stem, and the N a failure is named at follow from ``domain:``.
+``target:`` and ``nonneg:`` may each appear once, and a variable may be
+bounded once.  A repeat is a parse error, and so is a line of a kind not
 shown above, so a stale line cannot sit in a file unchecked.
-``nonneg:`` is ``coeffs`` or ``terms``; ``terms``, the default when a
-file has ``term:`` lines, needs at least one.  Any other value is a
-parse error, so a misspelt rule cannot drop a sign check.
+``nonneg:`` takes only ``coeffs``: a file with ``term:`` lines is
+checked by its terms, and any other value is a parse error, so a
+misspelt rule cannot drop a sign check.
 
 A file's regime and the builder of its reference polynomial are not
 lines of the file but its name's one entry in this module's table of
@@ -65,6 +63,7 @@ P1_0_lam0 and W_s.  `load_corpus` names the file of any parse failure.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,7 +76,7 @@ from .constants import Params, alpha
 from .nonneg import IntervalQ, nonneg_on_interval
 from .poly import VARS, MultiPoly, format_poly, parse_poly
 
-_N_RANGE_DEFAULT = range(2, 13)
+_N_MAX = 12  # the largest N a failed check is instantiated at
 
 
 class DivisionInvariantError(RuntimeError):
@@ -327,7 +326,7 @@ def _at_table() -> dict[str, MultiPoly]:
     builders so that a Q1 fault fails q1-forms-agree instead of the load,
     plus four slices."""
     p1_0 = pf.p1_at_zero()
-    return {**{name: build() for name, build in pf._MEMBERS.items()},
+    return {**pf.build_family(),
             "P1_0": p1_0,
             "P1_0n2": p1_0.subs("N", 2),
             "P1_0_lam0": p1_0.subs("lam", 0),
@@ -369,7 +368,7 @@ class Certificate:
     strategy: str  # terms | coeffs | none
     domain_bounds: dict[str, Fraction]  # var -> lower bound
     assumed: frozenset[str]  # aliases/vars assumed >= 0
-    n_values: tuple[int, ...]  # integer N instantiations ((), if N fixed)
+    n_values: tuple[int, ...]  # integer N a failure is named at (() if N-free)
 
 
 @dataclass(frozen=True)
@@ -457,7 +456,8 @@ def _parse_factor(text: str, table, aliases, assumed) -> Factor | Fraction:
     return Factor(kind, poly, exp, label=body.strip())
 
 
-def parse_certificate(text: str, table=None) -> Certificate:
+def parse_certificate(name: str, text: str, table=None) -> Certificate:
+    """Parse the text of certificate `name` (its file's stem)."""
     table = table if table is not None else _at_table()
     fields: dict[str, str] = {}
     aliases: dict[str, MultiPoly] = {}
@@ -470,8 +470,8 @@ def parse_certificate(text: str, table=None) -> Certificate:
             continue
         key, _, value = line.partition(":")
         if line.startswith("let "):
-            name, _, expr = line[4:].partition("=")
-            aliases[name.strip()] = parse_poly(expr, table)
+            alias, _, expr = line[4:].partition("=")
+            aliases[alias.strip()] = parse_poly(expr, table)
             continue
         if line.startswith("assume "):
             assumed.add(line[len("assume "):].strip())
@@ -482,19 +482,22 @@ def parse_certificate(text: str, table=None) -> Certificate:
         elif key == "domain":
             for clause in value.split(","):
                 var, _, bound = clause.partition(">=")
-                if not bound or var.strip() not in VARS:
+                var = var.strip()
+                if not bound or var not in VARS:
                     raise CertificateError(f"bad domain clause {clause!r}")
-                bounds[var.strip()] = Fraction(bound.strip())
+                if var in bounds:
+                    raise CertificateError(f"repeated domain bound on {var}")
+                bounds[var] = Fraction(bound.strip())
         elif key == "note":
             pass  # documentation for the reader, not checked
-        elif key in ("name", "nrange", "target", "nonneg"):
+        elif key in ("target", "nonneg"):
             if key in fields:
                 raise CertificateError(f"repeated {key}: line {line!r}")
             fields[key] = value
         else:
             raise CertificateError(f"unknown certificate line {line!r}")
-    if "name" not in fields or "target" not in fields:
-        raise CertificateError("certificate needs name: and target:")
+    if "target" not in fields:
+        raise CertificateError("certificate needs target:")
     target = parse_poly(fields["target"], table)
     terms = []
     for tline in term_lines:
@@ -507,35 +510,17 @@ def parse_certificate(text: str, table=None) -> Certificate:
             else:
                 factors.append(got)
         terms.append(CertTerm(coeff, tuple(factors)))
-    if fields.get("nonneg", "terms") not in ("coeffs", "terms"):
-        raise CertificateError(
-            f"nonneg: {fields['nonneg']!r} is neither coeffs nor terms")
-    strategy = fields.get("nonneg", "terms" if terms else "none")
-    if strategy == "terms" and not terms:
-        raise CertificateError("nonneg: terms needs a term: line")
-    nrange_text = fields.get("nrange", "")
-    if nrange_text == "none" or "N" not in target.variables_used() and not nrange_text:
-        n_values: tuple[int, ...] = ()
-    elif nrange_text:
-        lo, _, hi = nrange_text.partition("..")
-        try:
-            n_values = tuple(range(int(lo), int(hi) + 1))
-        except ValueError:
-            n_values = ()
-        if not n_values:
-            raise CertificateError(
-                f"nrange {nrange_text!r} is not lo..hi with integers lo <= hi")
+    if fields.get("nonneg", "coeffs") != "coeffs":
+        raise CertificateError(f"nonneg: {fields['nonneg']!r} is not coeffs")
+    if "N" in target.variables_used():
+        n_values = tuple(range(max(2, math.ceil(bounds.get("N", 2))), _N_MAX + 1))
     else:
-        n_values = tuple(_N_RANGE_DEFAULT)
-    if n_values and "N" in bounds and n_values[0] < bounds["N"]:
-        raise CertificateError(
-            f"nrange {n_values[0]}..{n_values[-1]} reaches below the domain "
-            f"bound N >= {bounds['N']}")
+        n_values = ()
     return Certificate(
-        name=fields["name"],
+        name=name,
         target=target,
         terms=tuple(terms),
-        strategy=strategy,
+        strategy=fields.get("nonneg", "terms" if terms else "none"),
         domain_bounds=bounds,
         assumed=frozenset(assumed),
         n_values=n_values,
@@ -554,12 +539,9 @@ def load_corpus() -> list[Certificate]:
             raise CertificateError(
                 f"{path.name}: no regime of the certificate table names it")
         try:
-            cert = parse_certificate(path.read_text(), table)
+            certs.append(parse_certificate(path.stem, path.read_text(), table))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             raise CertificateError(f"{path.name}: {exc}") from exc
-        if cert.name != path.stem:
-            raise CertificateError(f"{path.name}: name field says {cert.name!r}")
-        certs.append(cert)
     return certs
 
 

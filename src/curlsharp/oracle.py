@@ -97,13 +97,6 @@ class _Zonal:
     def y(self, ang):
         return self.samples(ang)["y"]
 
-    def cot_dy(self, ang):
-        """cot(theta) dY/dtheta; only the N = 3 phi-phi entry reads it."""
-        if self.dim == 2:
-            raise ValueError("cot(theta) dY/dtheta exists for N = 3 only: "
-                             "the phi-phi entry has no N = 2 counterpart")
-        return self.samples(ang)["cot_dy"]
-
 
 def _angular_rule(dim: int, nu: int, points: int | None = None):
     """(theta nodes, surface weights): trapezoid on the circle (exact for

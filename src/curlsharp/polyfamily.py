@@ -16,11 +16,12 @@ C(nu) between the unconstrained A(nu -/+ 1).
 Everything is exact: coefficients live in Fraction, symbols in MultiPoly
 over (tau, a, lam, N) with shift variables s, m, mu reserved for Taylor
 re-expansions.  `_MEMBERS` states the family's names once, each with
-its builder: `build_family` fills `PolyFamily` from it, symbolic or with
-lam, N substituted by rationals, and certificate files reference its
-members as @name.  `channel_polys` is the numeric builder of one
-channel's (Q, P) pair: it substitutes (lam, N) into Q0/P0/Q1/P1 only,
-once per Params, then alpha_nu, and memoises both steps.
+its builder.  `build_family` reads it into one {name: polynomial} dict,
+symbolic or with lam, N substituted by rationals; certificate files
+reference the symbolic members as @name.  `channel_polys` is the
+numeric builder of one channel's (Q, P) pair: it substitutes (lam, N)
+into Q0/P0/Q1/P1 only, once per Params, then alpha_nu, and memoises
+both steps.
 
 Q1 has two displayed closed forms, `q1` and `q1_factored`.  The builders
 use `q1`; the certificate suite's structural report q1-forms-agree proves
@@ -29,7 +30,6 @@ the two equal, so no builder compares them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -214,34 +214,7 @@ def w_interleave() -> MultiPoly:
             + (N - 2) ** 2 - (A + LAM ** 2 - 1) ** 2)
 
 
-@dataclass(frozen=True)
-class PolyFamily:
-    """The named family, symbolic (lam, N free) or numeric (substituted)."""
-
-    P0: MultiPoly
-    P1: MultiPoly
-    Q0: MultiPoly
-    Q1: MultiPoly
-    G0: MultiPoly
-    G1: MultiPoly
-    scriptG1: MultiPoly
-    scriptG2: MultiPoly
-    E1: MultiPoly
-    E0: MultiPoly
-    E12: MultiPoly
-    E11: MultiPoly
-    E10: MultiPoly
-    E03: MultiPoly
-    E02: MultiPoly
-    E01: MultiPoly
-    E00: MultiPoly
-    F1: MultiPoly
-    F0: MultiPoly
-    W: MultiPoly
-    params: Params | None = None
-
-
-# PolyFamily's fields, in order, each with its cached builder
+# the family: each member's name and its cached builder, stated once
 _MEMBERS = dict(
     P0=p0, P1=p1, Q0=q0, Q1=q1, G0=g0, G1=g1,
     scriptG1=script_g1, scriptG2=script_g2,
@@ -251,13 +224,13 @@ _MEMBERS = dict(
 )
 
 
-def build_family(params: Params | None = None) -> PolyFamily:
-    """Construct the family; numeric mode substitutes rational lam and N."""
-    fields = {name: build() for name, build in _MEMBERS.items()}
+def build_family(params: Params | None = None) -> dict[str, MultiPoly]:
+    """The family by name, symbolic or with rational lam and N substituted."""
+    family = {name: build() for name, build in _MEMBERS.items()}
     if params is not None:
         subs = {"lam": params.lam, "N": Fraction(params.N)}
-        fields = {k: v.subs_many(subs) for k, v in fields.items()}
-    return PolyFamily(params=params, **fields)
+        family = {k: v.subs_many(subs) for k, v in family.items()}
+    return family
 
 
 @lru_cache(maxsize=4096)
@@ -271,8 +244,8 @@ def _numeric_channels(params: Params) -> tuple[MultiPoly, ...]:
 def channel_polys(params: Params, nu: int) -> tuple[MultiPoly, MultiPoly]:
     """(Q, P) univariate in tau for channel nu at numeric parameters.
 
-    Equal to `build_family(params)`'s (Q0, P0) for nu = 0 and its
-    (Q1, P1) at a = alpha_nu otherwise, without building the other 16
+    Equal to `build_family(params)`'s "Q0", "P0" for nu = 0 and its
+    "Q1", "P1" at a = alpha_nu otherwise, without building the other 16
     family members.  Memoised; MultiPoly is immutable, so the shared
     result is safe to hand out.
     """

@@ -73,14 +73,14 @@ def test_criterion_3_identity_links():
                 p = Params(n, g)
                 fam = pf.build_family(p)
                 q0, p0 = (f.subs("tau", 0).constant_value()
-                          for f in (fam.Q0, fam.P0))
+                          for f in (fam["Q0"], fam["P0"]))
                 assert q0 / p0 == rellich_hardy_C(p, 0) \
                     == rellich_hardy_A(p, 1), (n, g)
                 for nu in range(1, 9):
                     if p.degenerate and nu == 1:
                         continue  # P1(0, alpha_1) = 0 exactly there
                     q1, p1 = (f.subs("tau", 0).subs("a", alpha(nu, n))
-                              .constant_value() for f in (fam.Q1, fam.P1))
+                              .constant_value() for f in (fam["Q1"], fam["P1"]))
                     assert q1 / p1 == rellich_hardy_C(p, nu), (n, g, nu)
 
 

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -525,63 +526,61 @@ def test_c0_for():
 
 
 def test_checker_catches_broken_identity():
-    cert = certs.parse_certificate(
-        "name: wrong\ntarget: lam^2 + 1\n")
+    cert = certs.parse_certificate("wrong", "target: lam^2 + 1\n")
     report = certs.check_certificate(cert, parse_poly("lam^2"))
     assert not report.identity_ok and "difference" in report.detail
 
 
 def test_checker_catches_broken_signs():
     text = """
-name: wrong-signs
 assume s
 target: s - 1
 term: dom(s)
 term: -1
 """
-    cert = certs.parse_certificate(text)
+    cert = certs.parse_certificate("wrong-signs", text)
     report = certs.check_certificate(cert, parse_poly("s - 1"))
     assert report.identity_ok and not report.signs_ok
 
 
 def test_checker_rejects_unassumed_domain_factor():
     text = """
-name: bad-dom
 target: s
 term: dom(s)
 """
     with pytest.raises(certs.CertificateError):
-        certs.parse_certificate(text)
+        certs.parse_certificate("bad-dom", text)
     # a certificate built without the parser is checked all the same
-    cert = certs.parse_certificate("assume s\n" + text)
+    cert = certs.parse_certificate("bad-dom", "assume s\n" + text)
     report = certs.check_certificate(
         dataclasses.replace(cert, assumed=frozenset()), parse_poly("s"))
     assert (report.identity_ok, report.signs_ok) == (True, False)
     assert report.detail == "term 0: dom(s) not assumed"
 
 
-_BAD_RULE_HEAD = "name: bad\ndomain: N >= 2\nnrange: 2..4\n"
+# the domain's N bound makes 10..12 the N a failure is named at
+_BAD_RULE_HEAD = "domain: N >= 10\n"
 
 
 @pytest.mark.parametrize("body,reference,identity_ok,detail", [
     ("target: N^2 + 1\n", "N^2 + N", False,
      "display != reference, difference N - 1; "
-     "N=2: display != reference, difference 1; "
-     "N=3: display != reference, difference 2; "
-     "N=4: display != reference, difference 3"),
+     "N=10: display != reference, difference 9; "
+     "N=11: display != reference, difference 10; "
+     "N=12: display != reference, difference 11"),
     ("target: 2*N\nterm: nne(N)\n", "2*N", False,
      "terms sum != display, difference -N; "
-     "N=2: terms sum != display, difference -2; "
-     "N=3: terms sum != display, difference -3; "
-     "N=4: terms sum != display, difference -4"),
-    ("target: N - 3\nnonneg: coeffs\n", "N - 3", True,
+     "N=10: terms sum != display, difference -10; "
+     "N=11: terms sum != display, difference -11; "
+     "N=12: terms sum != display, difference -12"),
+    ("target: N - 11\nnonneg: coeffs\n", "N - 11", True,
      "target has a negative shifted coefficient; "
-     "N=2: target has a negative shifted coefficient"),
+     "N=10: target has a negative shifted coefficient"),
     ("target: -N\nterm: -1 * nne(N)\n", "-N", True,
      "term 0 has negative constant -1"),
-    ("target: N - 3\nterm: nne(N - 3)\n", "N - 3", True,
-     "term 0: nne(N - 3) has a negative shifted coefficient; "
-     "N=2: term 0: nne(N - 3) has a negative shifted coefficient"),
+    ("target: N - 11\nterm: nne(N - 11)\n", "N - 11", True,
+     "term 0: nne(N - 11) has a negative shifted coefficient; "
+     "N=10: term 0: nne(N - 11) has a negative shifted coefficient"),
     ("target: N*s - 1/2*N\nterm: nne(N) * uni(s - 1/2 ; s ; [0, 1])\n",
      "N*s - 1/2*N", True,
      "term 0: uni(s - 1/2) on [0, 1]: negative-value, p(0)=-1/2"),
@@ -589,57 +588,52 @@ _BAD_RULE_HEAD = "name: bad\ndomain: N >= 2\nnrange: 2..4\n"
 def test_each_rule_names_its_failure(body, reference, identity_ok, detail):
     # one failing certificate per rule.  The text before the first "N="
     # is the symbolic verdict; each rule whose input can hold N (the two
-    # identities, coeffs and nne) is then run again at every N of the
-    # nrange and repeats its text after "N=<n>: " where it fails, while a
-    # term's constant and a uni factor, free of N, are decided once.
-    cert = certs.parse_certificate(_BAD_RULE_HEAD + body)
+    # identities, coeffs and nne) is then run again at every N from the
+    # domain's bound to 12 and repeats its text after "N=<n>: " where it
+    # fails, while a term's constant and a uni factor, free of N, are
+    # decided once.
+    cert = certs.parse_certificate("bad", _BAD_RULE_HEAD + body)
     report = certs.check_certificate(cert, parse_poly(reference))
     assert (report.identity_ok, report.signs_ok) == (identity_ok, not identity_ok)
     assert report.detail == detail
 
 
 @pytest.mark.parametrize("line,error", [
-    ("nonneg: coefs\n", "neither coeffs nor terms"),
-    ("nonneg: none\n", "neither coeffs nor terms"),
-    ("nonneg: terms\n", "needs a term: line"),
+    ("nonneg: coefs\n", "is not coeffs"),
+    ("nonneg: none\n", "is not coeffs"),
+    ("nonneg: terms\nterm: nne(N - 3)\n", "is not coeffs"),
     ("term: uni(N*s + 1 ; s ; [0, 1])\n", "in its variable alone"),
     ("term: uni(s + 1 ; x ; [0, 1])\n", "in its variable alone"),
     ("term: uni(s + 1 ; lam ; [0, 1])\n", "in its variable alone"),
     ("term: uni(2 ; x ; [0, 1])\n", "in its variable alone"),
-    ("name: y\n", "repeated name: line"),
-    ("nrange: 3..4\n", "repeated nrange: line"),
     ("target: N - 4\n", "repeated target: line"),
     ("nonneg: coeffs\nnonneg: coeffs\n", "repeated nonneg: line"),
-], ids=["misspelt", "none", "terms-without-term", "uni-with-n", "uni-unknown-var",
-        "uni-other-var", "uni-constant-unknown-var", "repeated-name",
-        "repeated-nrange", "repeated-target", "repeated-nonneg"])
+    ("domain: N >= 6\n", "repeated domain bound on N"),
+    ("domain: s >= 0, s >= 1\n", "repeated domain bound on s"),
+    ("name: x\n", "unknown certificate line"),
+    ("nrange: 3..12\n", "unknown certificate line"),
+], ids=["misspelt", "none", "terms", "uni-with-n", "uni-unknown-var",
+        "uni-other-var", "uni-constant-unknown-var", "repeated-target",
+        "repeated-nonneg", "repeated-domain-line", "repeated-domain-clause",
+        "stale-name", "stale-nrange"])
 def test_parser_rejects_what_the_checker_cannot_decide(line, error):
-    text = ("name: x\ndomain: N >= 3\nnrange: 3..4\n"
-            "target: N - 3\n" + line)
+    text = "domain: N >= 3\ntarget: N - 3\n" + line
     with pytest.raises(certs.CertificateError, match=error):
-        certs.parse_certificate(text)
+        certs.parse_certificate("x", text)
 
 
-_N_AT_LEAST_3 = ("name: low\n{}domain: N >= 3\n"
-                 "target: N - 3\nnonneg: coeffs\n")
-
-
-@pytest.mark.parametrize("nrange", ["nrange: 2..12\n", ""],
-                         ids=["explicit", "default"])
-def test_nrange_below_domain_is_rejected(nrange):
-    with pytest.raises(certs.CertificateError, match="below the domain"):
-        certs.parse_certificate(_N_AT_LEAST_3.format(nrange))
-    cert = certs.parse_certificate(_N_AT_LEAST_3.format("nrange: 3..12\n"))
-    assert cert.n_values == tuple(range(3, 13))
-
-
-@pytest.mark.parametrize("nrange", ["5..3", "5", "a..b"],
-                         ids=["reversed", "one-number", "not-integers"])
-def test_malformed_nrange_is_rejected(nrange):
-    # a reversed range used to parse as the empty one, so a failure was
-    # never named at any N
-    with pytest.raises(certs.CertificateError, match="is not lo..hi"):
-        certs.parse_certificate(_N_AT_LEAST_3.format(f"nrange: {nrange}\n"))
+def test_n_range_follows_the_domain():
+    # a failure is named at each N from the domain's N bound, rounded up
+    # (2 without one), to 12, and at no N when the target is free of N
+    head = "target: N - 3\nnonneg: coeffs\n"
+    for domain, want in (("", range(2, 13)), ("domain: N >= 5/2\n", range(3, 13)),
+                         ("domain: N >= 1\n", range(2, 13))):
+        cert = certs.parse_certificate("x", domain + head)
+        assert cert.n_values == tuple(want), domain
+    assert certs.parse_certificate("x", "domain: N >= 3\ntarget: lam\n").n_values == ()
+    ranges = Counter((c.n_values[0], c.n_values[-1]) if c.n_values else None
+                     for c in certs.load_corpus())
+    assert ranges == {(2, 12): 38, (3, 12): 6, (4, 12): 1, (6, 12): 1, None: 23}
 
 
 def _count_n_substitutions(monkeypatch):
@@ -656,16 +650,14 @@ def _count_n_substitutions(monkeypatch):
 
 
 _FAILING_NNE = """
-name: bad-nne
 domain: N >= 2
-nrange: 2..4
 target: N - 3
 term: nne(N - 3)
 """
 
 
 def test_failing_certificate_names_the_n(monkeypatch):
-    cert = certs.parse_certificate(_FAILING_NNE)
+    cert = certs.parse_certificate("bad-nne", _FAILING_NNE)
     seen = _count_n_substitutions(monkeypatch)
     report = certs.check_certificate(cert, parse_poly("N - 3"))
     assert report.identity_ok and not report.signs_ok
@@ -753,11 +745,13 @@ def test_at_names_in_corpus_match_the_table():
 
 
 def test_let_colon_spelling_is_rejected():
-    text = "name: x\nlet: mu = lam\nassume mu\ntarget: lam\nterm: dom(mu)\n"
+    text = "let: mu = lam\nassume mu\ntarget: lam\nterm: dom(mu)\n"
     with pytest.raises(certs.CertificateError, match="unknown certificate line"):
-        certs.parse_certificate(text)
-    # the alias reaches the target: dom(mu) is lam, not the variable mu
-    cert = certs.parse_certificate(text.replace("let:", "let"))
+        certs.parse_certificate("x", text)
+    # the alias reaches the target: dom(mu) is lam, not the variable mu,
+    # and the certificate keeps the name its caller gave
+    cert = certs.parse_certificate("x", text.replace("let:", "let"))
+    assert cert.name == "x"
     assert cert.terms[0].polynomial() == cert.target == parse_poly("lam")
     assert certs.check_certificate(cert, parse_poly("lam")).ok
 
@@ -773,9 +767,14 @@ _CORRUPTIONS = {
     "uni-unknown-var": ("e01-series-n3.cert", "; s ; [0, oo))", "; x ; [0, oo))"),
     "duplicate-target": ("qp1-identity.cert", "target:", "target: 0\ntarget:"),
     # a file's regime is its entry in the certificate table, not a line
-    "stale-regime-line": ("qp1-identity.cert", "\ntarget:", "\nregime: base\ntarget:"),
+    "stale-regime-line": ("qp1-identity.cert", "target:", "regime: base\ntarget:"),
+    # the name is the file's stem and the N range follows from domain:
+    "stale-name-line": ("qp1-identity.cert", "target:", "name: qp1-identity\ntarget:"),
+    "stale-nrange-line": ("e00-square-form.cert", "domain:", "nrange: 3..12\ndomain:"),
+    # a variable is bounded once (the last of two bounds used to win)
+    "repeated-domain-bound": ("taylor-g1-c1.cert", "N >= 2", "N >= 6, N >= 2"),
     # a file no regime names would never be checked (old None: a new file)
-    "file-not-in-table": ("p1-alpha3.cert", None, "name: p1-alpha3\ntarget: lam\n"),
+    "file-not-in-table": ("p1-alpha3.cert", None, "target: lam\n"),
 }
 
 

@@ -235,14 +235,16 @@ def test_a_monotone_after_turning_index():
 
 
 def test_two_a_forms_agree_on_random_points():
-    # rellich_hardy_A evaluates both closed forms and asserts equality
+    # rellich_hardy_A reads the gamma-form table; the slot form, run on
+    # the same integers G = 2 num(gamma) and q = den(gamma), must agree
     import random
     rng = random.Random(23)
     for _ in range(500):
         n = rng.randint(2, 12)
         g = F(rng.randint(-24, 24), rng.randint(1, 6))
         nu = rng.randint(0, 10)
-        rellich_hardy_A(Params(n, g), nu)
+        slot = F(*constants._a_slot(2 * g.numerator, g.denominator, n, nu))
+        assert rellich_hardy_A(Params(n, g), nu) == slot, (n, g, nu)
 
 
 # The exact mode constants as Fraction closed forms, term by term: the

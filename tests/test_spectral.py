@@ -270,7 +270,8 @@ def test_backend_agreement(kind, n):
     prof = Profile.make(kind, n)
     p = Params(3, F(0))
     fam = pf.build_family(p)
-    for poly in [fam.P0, fam.Q0, fam.P1.subs("a", F(2)), fam.Q1.subs("a", F(2))]:
+    for poly in [fam["P0"], fam["Q0"],
+                 fam["P1"].subs("a", F(2)), fam["Q1"].subs("a", F(2))]:
         fv = quadratic_form(prof, poly)
         assert fv.rel_diff < 1e-8
 
@@ -289,7 +290,7 @@ def test_p0_form_decomposes():
     # P0 form = (lam^2 + N - 1) norm + first-derivative norm, independently
     p = Params(3, F(0))
     prof = Profile.make("bump", 1)
-    fv = quadratic_form(prof, pf.build_family(p).P0)
+    fv = quadratic_form(prof, pf.build_family(p)["P0"])
     norms = derivative_norms(prof, 1)
     manual = (float(p.lam) ** 2 + 2) * norms[0] + norms[1]
     assert abs(fv.value - manual) < 1e-8 * manual
@@ -303,8 +304,8 @@ def test_quotient_scaling_invariance():
     fam = pf.build_family(p)
     from curlsharp.constants import alpha
     anu = alpha(1, 4)
-    num = quadratic_form(prof, fam.Q1.subs("a", anu)).value
-    den = quadratic_form(prof, fam.P1.subs("a", anu)).value
+    num = quadratic_form(prof, fam["Q1"].subs("a", anu)).value
+    den = quadratic_form(prof, fam["P1"].subs("a", anu)).value
     for c in (3.0, 0.125):
         assert abs((c * c * num) / (c * c * den) - rep.quotient) \
             <= 1e-12 * abs(rep.quotient)
@@ -551,10 +552,10 @@ def test_channel_polys_match_family():
     assert any(p.degenerate for p in CHANNEL_PARAMS)
     for p in CHANNEL_PARAMS:
         fam = pf.build_family(p)
-        assert pf.channel_polys(p, 0) == (fam.Q0, fam.P0)
+        assert pf.channel_polys(p, 0) == (fam["Q0"], fam["P0"])
         for nu in range(1, 9):
             anu = alpha(nu, p.N)
-            want = (fam.Q1.subs("a", anu), fam.P1.subs("a", anu))
+            want = (fam["Q1"].subs("a", anu), fam["P1"].subs("a", anu))
             assert pf.channel_polys(p, nu) == want, (p, nu)
 
 
