@@ -4,21 +4,13 @@ Rellich-Hardy inequalities for curl-free fields.
 Exact rational evaluation of every closed-form constant, machine
 verification of the polynomial identity / nonnegativity certificates
 behind them, and desk-scale numerical validation of sharpness, the
-spectral reduction, and the remainder inequality.
+spectral reduction, and the remainder inequality.  Each module's
+docstring states its layer's mechanism; the layout table of README.md
+maps the modules.
 
-Modules
--------
-poly          exact sparse multivariate polynomials (Fraction coefficients)
-nonneg        exact nonnegativity on intervals by Sturm root isolation
-constants     closed-form sharp constants, the A and C mode tables that
-              every path runs, exact mode minimisation
-sweep         gamma sweeps on the float path of the mode tables
-polyfamily    the P/Q quotient framework and auxiliary G/E/F/W families
-certificates  data-driven certificate corpus and its checker
-spectral      profiles, reduced quadratic forms, quotients, remainder
-oracle        full-dimensional N = 2, 3 verification of the reduction
-cli           command-line interface (constants / certify / quotient /
-              sweep / oracle / remainder)
+Everything is immutable after construction and the computations are
+pure functions, so all scans and suites are safe to parallelise
+externally; the package itself runs single-threaded and deterministic.
 """
 
 from fractions import Fraction

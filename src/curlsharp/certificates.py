@@ -14,11 +14,14 @@ into manifestly nonnegative pieces.  The checker
   3. validates every factor's nonnegativity rule under the declared
      domain hypotheses (sign check),
 
-all in exact rational arithmetic, with the dimension variable N free.  A
-passing symbolic check covers every N in the file's ``domain:``:
-substituting any such N keeps an identity an identity and keeps shifted
-nonnegative coefficients (and even powers of a free N) nonnegative, and
-every ``uni`` factor is free of N.  When a check fails and the target
+all in exact rational arithmetic, with the dimension variable N free.
+Certificates are data, not code: a failure localises to one transcribed
+display (its file) or one defining construction (its reference builder),
+never to an opaque recomputation.  A passing symbolic check covers
+every N in the file's ``domain:``: substituting any such N keeps an
+identity an identity and keeps shifted nonnegative coefficients (and
+even powers of a free N) nonnegative, and every ``uni`` factor is free
+of N.  When a check fails and the target
 uses N, it is instantiated again at each integer N from the domain's
 bound (2 if none) to 12, one at a time, to name the N that breaks.
 
@@ -38,7 +41,10 @@ A file states only what the checker cannot work out.  Its name is its
 file's stem, and the N a failure is named at follow from ``domain:``.
 ``target:`` and ``nonneg:`` may each appear once, and a variable may be
 bounded once.  A repeat is a parse error, and so is a line of a kind not
-shown above, so a stale line cannot sit in a file unchecked.
+shown above, a ``let`` or ``assume`` name that no ``dom(...)`` factor
+reads, and a ``let`` alias named after a variable of `poly.VARS` (where
+``dom`` would read the alias and ``target:`` the variable), so a stale
+line cannot sit in a file unchecked.
 ``nonneg:`` takes only ``coeffs``: a file with ``term:`` lines is
 checked by its terms, and any other value is a parse error, so a
 misspelt rule cannot drop a sign check.
@@ -471,7 +477,10 @@ def parse_certificate(name: str, text: str, table=None) -> Certificate:
         key, _, value = line.partition(":")
         if line.startswith("let "):
             alias, _, expr = line[4:].partition("=")
-            aliases[alias.strip()] = parse_poly(expr, table)
+            alias = alias.strip()
+            if alias in VARS:
+                raise CertificateError(f"let {alias}: the name of a variable")
+            aliases[alias] = parse_poly(expr, table)
             continue
         if line.startswith("assume "):
             assumed.add(line[len("assume "):].strip())
@@ -510,6 +519,11 @@ def parse_certificate(name: str, text: str, table=None) -> Certificate:
             else:
                 factors.append(got)
         terms.append(CertTerm(coeff, tuple(factors)))
+    read = {f.label for t in terms for f in t.factors if f.kind == "dom"}
+    for kind, names in (("let", aliases), ("assume", assumed)):
+        unread = sorted(set(names) - read)
+        if unread:
+            raise CertificateError(f"{kind} {unread[0]}: read by no dom(...) factor")
     if fields.get("nonneg", "coeffs") != "coeffs":
         raise CertificateError(f"nonneg: {fields['nonneg']!r} is not coeffs")
     if "N" in target.variables_used():
@@ -737,10 +751,12 @@ _WRAPPER_POINTS = ((2, Fraction(-7, 3), 0), (3, Fraction(1, 2), 1),
 
 def quotient_constant_links() -> list[str]:
     """Identities on the mode tables with q free (D = 2m); returns failures.
+    Each is checked once, symbolically, not on a grid, and with q free a
+    fault that shows only at q != 1/2 cannot hide.
     Q0(0)/P0(0) = C(0) and Q1(0, alpha_nu)/P1(0, alpha_nu) = C(nu) in
     (lam, N, s, m), one per branch of C, hold wherever P(0) and den are
     nonzero (not at lam = 0, nu = 1).  A's two forms agree at nu = 0 and
-    nu = s, and C(0) = A(1), in free G = mu, q = m and N.  Last, the
+    nu = s, and C(0) = A(1), in free G = g, q = m and N.  Last, the
     public rellich_hardy_A and _C, whose tables take gamma's numerator and
     denominator, equal the q = 1/2 pairs in lam at _WRAPPER_POINTS (the
     first point that differs is named)."""
@@ -748,7 +764,7 @@ def quotient_constant_links() -> list[str]:
     for branch in _LINK_BRANCHES:
         if _differ(*_channel_at_zero(branch), *_c_branch(branch, pf.M)):
             failures.append(f"{branch} link fails: Q(0) * den != P(0) * num")
-    G, q, n = MultiPoly.var("mu"), pf.M, pf.N
+    G, q, n = MultiPoly.var("g"), pf.M, pf.N
     a = constants._AModes(G, q, n, _pair)
     for nu, label in ((0, "0"), (pf.S, "s")):
         if _differ(*a[nu], *constants._a_slot(G, q, n, nu)):

@@ -414,8 +414,12 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
     and evaluate any other on its first read.  `C` is
     rellich_hardy_C_min(p, nu_max); `A` equals rellich_hardy_A_min(p,
     nu_max), TailBoundError included, and fills no cache.  `equal` and
-    `strict_improvement` are exact; `in_region` is the exact
-    strict-improvement criterion for the C = C(0) regime.
+    `strict_improvement` are exact.  `in_region` holds exactly where
+    A(0) < A(1): tested on N = 2..24, gamma in Z/8, |gamma| <= 12, not
+    yet proven (the improvement-region item of ROADMAP.md sketches the
+    proof).  It is not the strict-improvement test: at N = 3, gamma = -1
+    the point is outside the region, yet C_min = C(0) = 49/68 > A_min =
+    A(2) = 27/44.
 
     `sandwich_ok` is the claim min(A(nu-1), A(nu+1)) <= C(nu) <=
     max(A(nu-1), A(nu+1)) for every nu >= 1, taken from its proof:

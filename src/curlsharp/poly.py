@@ -3,12 +3,14 @@
 A polynomial is a dict mapping exponent vectors to ``fractions.Fraction``
 coefficients.  The variable set is a closed enumeration
 
-    tau, a, lam, N, s, m, mu
+    tau, a, lam, N, s, m, g
 
 (tau: Fourier-side variable, a: spherical-eigenvalue slot, lam: shifted
-weight exponent, N: dimension, s/m/mu: shift variables used in Taylor
-re-expansions).  Unknown variable names are rejected at construction so a
-typo in a certificate file cannot silently create a fresh symbol.
+weight exponent, N: dimension, s/m: shift variables used in Taylor
+re-expansions; s, m and g are also the free nu, q and G = gamma D of the
+mode-table identities in `certificates.quotient_constant_links`).
+Unknown variable names are rejected at construction so a typo in a
+certificate file cannot silently create a fresh symbol.
 
 All arithmetic is exact; there is no floating-point fallback in this
 module.  Values are immutable after construction.
@@ -21,7 +23,7 @@ from typing import Mapping, Union
 
 Rational = Fraction
 
-VARS = ("tau", "a", "lam", "N", "s", "m", "mu")
+VARS = ("tau", "a", "lam", "N", "s", "m", "g")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 _NVARS = len(VARS)
 _ZERO_EXP = (0,) * _NVARS

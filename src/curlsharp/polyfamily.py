@@ -14,14 +14,13 @@ defined here.  W controls the interleaving of the curl-free constants
 C(nu) between the unconstrained A(nu -/+ 1).
 
 Everything is exact: coefficients live in Fraction, symbols in MultiPoly
-over (tau, a, lam, N) with shift variables s, m, mu reserved for Taylor
+over (tau, a, lam, N) with shift variables s, m reserved for Taylor
 re-expansions.  `_MEMBERS` states the family's names once, each with
-its builder.  `build_family` reads it into one {name: polynomial} dict,
-symbolic or with lam, N substituted by rationals; certificate files
-reference the symbolic members as @name.  `channel_polys` is the
-numeric builder of one channel's (Q, P) pair: it substitutes (lam, N)
-into Q0/P0/Q1/P1 only, once per Params, then alpha_nu, and memoises
-both steps.
+its builder.  `build_family` reads it into one symbolic {name:
+polynomial} dict; certificate files reference the members as @name.
+`channel_polys` is the one numeric builder of a channel's (Q, P) pair:
+it substitutes (lam, N) into Q0/P0/Q1/P1 only, once per Params, then
+alpha_nu, and memoises both steps.
 
 Q1 has two displayed closed forms, `q1` and `q1_factored`.  The builders
 use `q1`; the certificate suite's structural report q1-forms-agree proves
@@ -224,13 +223,9 @@ _MEMBERS = dict(
 )
 
 
-def build_family(params: Params | None = None) -> dict[str, MultiPoly]:
-    """The family by name, symbolic or with rational lam and N substituted."""
-    family = {name: build() for name, build in _MEMBERS.items()}
-    if params is not None:
-        subs = {"lam": params.lam, "N": Fraction(params.N)}
-        family = {k: v.subs_many(subs) for k, v in family.items()}
-    return family
+def build_family() -> dict[str, MultiPoly]:
+    """The symbolic family by name."""
+    return {name: build() for name, build in _MEMBERS.items()}
 
 
 @lru_cache(maxsize=4096)
@@ -244,10 +239,10 @@ def _numeric_channels(params: Params) -> tuple[MultiPoly, ...]:
 def channel_polys(params: Params, nu: int) -> tuple[MultiPoly, MultiPoly]:
     """(Q, P) univariate in tau for channel nu at numeric parameters.
 
-    Equal to `build_family(params)`'s "Q0", "P0" for nu = 0 and its
-    "Q1", "P1" at a = alpha_nu otherwise, without building the other 16
-    family members.  Memoised; MultiPoly is immutable, so the shared
-    result is safe to hand out.
+    Equal to `build_family()`'s "Q0", "P0" for nu = 0 and its "Q1", "P1"
+    at a = alpha_nu otherwise, with (lam, N) substituted, without
+    building the other 16 family members.  Memoised; MultiPoly is
+    immutable, so the shared result is safe to hand out.
     """
     q0n, p0n, q1n, p1n = _numeric_channels(params)
     if nu == 0:

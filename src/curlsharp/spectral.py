@@ -33,6 +33,12 @@ own, GL norm against FFT moment, to ORDER_REL_TOL relative, and a basis
 that fails the check is not cached.  The (Q, P) pair of a channel comes
 from `polyfamily.channel_polys`.
 
+No number of this layer stands alone.  Each order of a form's two
+backends must agree to ORDER_REL_TOL = 1e-8, `brute_min_tau_nu` must
+reproduce the certified C minimum to 1e-10 relative, and
+`oracle.crosscheck` must match the reduced forms to 1e-6 at N = 2 and
+1e-5 at N = 3 (they agree to rounding).
+
 The closed-form derivative tables hold orders 0..4.  A pointwise
 evaluation builds its table only up to the highest order it asks for;
 the FFT window samples the single order s.  On the composite GL nodes,

@@ -2,11 +2,12 @@
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from curlsharp import spectral
+from curlsharp import polyfamily, spectral
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -27,6 +28,16 @@ def load_bench():
     """The loader of a `bench/` module by name (`"workloads"`,
     `"checks"`), imported from its file without touching `bench/`."""
     return _load
+
+
+@pytest.fixture
+def family_at():
+    """The numeric family at a Params: `polyfamily.build_family()` with
+    (lam, N) substituted, the reference `channel_polys` answers to."""
+    def at(p):
+        subs = {"lam": p.lam, "N": Fraction(p.N)}
+        return {k: v.subs_many(subs) for k, v in polyfamily.build_family().items()}
+    return at
 
 
 @pytest.fixture

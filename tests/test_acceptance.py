@@ -64,14 +64,14 @@ def test_criterion_2_certificate_suite():
     assert timer.elapsed < 30.0, "criterion 2 must finish under 30 s"
 
 
-def test_criterion_3_identity_links():
+def test_criterion_3_identity_links(family_at):
     with _Timer("3 identity links"):
         assert certs.quotient_constant_links() == []
         # the grid the identities cover: Q/P at tau = 0 against C, per cell
         for n in range(2, 11):
             for g in GAMMA_GRID:
                 p = Params(n, g)
-                fam = pf.build_family(p)
+                fam = family_at(p)
                 q0, p0 = (f.subs("tau", 0).constant_value()
                           for f in (fam["Q0"], fam["P0"]))
                 assert q0 / p0 == rellich_hardy_C(p, 0) \

@@ -612,10 +612,15 @@ def test_each_rule_names_its_failure(body, reference, identity_ok, detail):
     ("domain: s >= 0, s >= 1\n", "repeated domain bound on s"),
     ("name: x\n", "unknown certificate line"),
     ("nrange: 3..12\n", "unknown certificate line"),
+    ("assume s\n", "assume s: read by no dom"),
+    ("let s1 = 1 - s\n", "let s1: read by no dom"),
+    ("let lam = N - 3\nassume lam\nterm: dom(lam)\n",
+     "let lam: the name of a variable"),
 ], ids=["misspelt", "none", "terms", "uni-with-n", "uni-unknown-var",
         "uni-other-var", "uni-constant-unknown-var", "repeated-target",
         "repeated-nonneg", "repeated-domain-line", "repeated-domain-clause",
-        "stale-name", "stale-nrange"])
+        "stale-name", "stale-nrange", "unread-assume", "unread-let",
+        "let-variable"])
 def test_parser_rejects_what_the_checker_cannot_decide(line, error):
     text = "domain: N >= 3\ntarget: N - 3\n" + line
     with pytest.raises(certs.CertificateError, match=error):
@@ -748,8 +753,8 @@ def test_let_colon_spelling_is_rejected():
     text = "let: mu = lam\nassume mu\ntarget: lam\nterm: dom(mu)\n"
     with pytest.raises(certs.CertificateError, match="unknown certificate line"):
         certs.parse_certificate("x", text)
-    # the alias reaches the target: dom(mu) is lam, not the variable mu,
-    # and the certificate keeps the name its caller gave
+    # the alias reaches the target: dom(mu) is lam, and the certificate
+    # keeps the name its caller gave
     cert = certs.parse_certificate("x", text.replace("let:", "let"))
     assert cert.name == "x"
     assert cert.terms[0].polynomial() == cert.target == parse_poly("lam")
@@ -773,6 +778,11 @@ _CORRUPTIONS = {
     "stale-nrange-line": ("e00-square-form.cert", "domain:", "nrange: 3..12\ndomain:"),
     # a variable is bounded once (the last of two bounds used to win)
     "repeated-domain-bound": ("taylor-g1-c1.cert", "N >= 2", "N >= 6, N >= 2"),
+    # every let and assume line is read by a dom(...) factor
+    "unread-assume": ("q0p0-identity.cert", "assume tau", "assume tau\nassume lam"),
+    "unread-let": ("taylor-g1-c1.cert", "let mu", "let s1 = 1 - s\nlet mu"),
+    # dom(a) would read the alias while target: reads the variable a
+    "let-shadows-variable": ("p1-tau-slope.cert", "assume a", "let a = a\nassume a"),
     # a file no regime names would never be checked (old None: a new file)
     "file-not-in-table": ("p1-alpha3.cert", None, "target: lam\n"),
 }

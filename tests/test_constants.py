@@ -550,6 +550,20 @@ def test_improvement_region_boundary_exact():
     assert in_improvement_region(Params(3, F(1)))
 
 
+def test_improvement_region_is_where_a0_is_below_a1():
+    # the tested reading of in_region, not yet proven;
+    # it is not strict improvement: at N = 3, gamma = -1 the point is
+    # outside the region, and yet C_min = C(0) > A_min = A(2)
+    for n in range(2, 25):
+        for k in range(-96, 97):
+            p = Params(n, F(k, 8))
+            a0, a1 = rellich_hardy_A(p, 0), rellich_hardy_A(p, 1)
+            assert in_improvement_region(p) == (a0 < a1), (n, k)
+    rep = improvement_report(Params(3, F(-1)))
+    assert not rep.in_region and rep.strict_improvement
+    assert (rep.A.argmin_nu, rep.C.argmin_nu) == (2, 0)
+
+
 def test_float_path_matches_exact():
     for n in (2, 3, 5, 9, 12):
         for g in GAMMA_GRID:

@@ -266,10 +266,10 @@ def test_derivatives_match_finite_differences(kind):
 
 @pytest.mark.parametrize("kind,n", [("bump", 1), ("bump", 3), ("cos4", 1),
                                     ("cos4", 4)])
-def test_backend_agreement(kind, n):
+def test_backend_agreement(kind, n, family_at):
     prof = Profile.make(kind, n)
     p = Params(3, F(0))
-    fam = pf.build_family(p)
+    fam = family_at(p)
     for poly in [fam["P0"], fam["Q0"],
                  fam["P1"].subs("a", F(2)), fam["Q1"].subs("a", F(2))]:
         fv = quadratic_form(prof, poly)
@@ -286,22 +286,22 @@ def test_form_identity_polynomial():
     assert abs(tau_form.value - d1) < 1e-8 * d1
 
 
-def test_p0_form_decomposes():
+def test_p0_form_decomposes(family_at):
     # P0 form = (lam^2 + N - 1) norm + first-derivative norm, independently
     p = Params(3, F(0))
     prof = Profile.make("bump", 1)
-    fv = quadratic_form(prof, pf.build_family(p)["P0"])
+    fv = quadratic_form(prof, family_at(p)["P0"])
     norms = derivative_norms(prof, 1)
     manual = (float(p.lam) ** 2 + 2) * norms[0] + norms[1]
     assert abs(fv.value - manual) < 1e-8 * manual
 
 
-def test_quotient_scaling_invariance():
+def test_quotient_scaling_invariance(family_at):
     # the quotient is 0-homogeneous in the profile; forms scale by c^2
     p = Params(4, F(1, 2))
     prof = Profile.make("bump", 3)
     rep = rh_quotient(SpectralField(p, 1, prof))
-    fam = pf.build_family(p)
+    fam = family_at(p)
     from curlsharp.constants import alpha
     anu = alpha(1, 4)
     num = quadratic_form(prof, fam["Q1"].subs("a", anu)).value
@@ -548,10 +548,10 @@ CHANNEL_PARAMS = sorted({Params(n, g) for n in range(2, 7)
                         key=lambda p: (p.N, p.gamma))
 
 
-def test_channel_polys_match_family():
+def test_channel_polys_match_family(family_at):
     assert any(p.degenerate for p in CHANNEL_PARAMS)
     for p in CHANNEL_PARAMS:
-        fam = pf.build_family(p)
+        fam = family_at(p)
         assert pf.channel_polys(p, 0) == (fam["Q0"], fam["P0"])
         for nu in range(1, 9):
             anu = alpha(nu, p.N)
