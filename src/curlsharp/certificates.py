@@ -371,7 +371,7 @@ class Certificate:
     name: str
     target: MultiPoly
     terms: tuple[CertTerm, ...]
-    strategy: str  # terms | coeffs | none
+    coeffs: bool  # "nonneg: coeffs": check the target's shifted coefficients
     domain_bounds: dict[str, Fraction]  # var -> lower bound
     assumed: frozenset[str]  # aliases/vars assumed >= 0
     n_values: tuple[int, ...]  # integer N a failure is named at (() if N-free)
@@ -534,7 +534,7 @@ def parse_certificate(name: str, text: str, table=None) -> Certificate:
         name=name,
         target=target,
         terms=tuple(terms),
-        strategy=fields.get("nonneg", "terms" if terms else "none"),
+        coeffs="nonneg" in fields,
         domain_bounds=bounds,
         assumed=frozenset(assumed),
         n_values=n_values,
@@ -598,7 +598,7 @@ def _problems(cert: Certificate, reference: MultiPoly,
         sums.append(("terms sum != display", total.subs_many(at_n)))
     problems = [(False, f"{text}, difference {format_poly(poly - target)[:200]}")
                 for text, poly in sums if poly != target]
-    if cert.strategy == "coeffs" and not _shifted_coeffs_nonneg(target, bounds):
+    if cert.coeffs and not _shifted_coeffs_nonneg(target, bounds):
         problems.append((True, "target has a negative shifted coefficient"))
     for i, t in enumerate(cert.terms):
         if n is None and t.coeff < 0:

@@ -32,11 +32,9 @@ path whose directory is missing or not a directory, or that is itself a
 directory, is rejected before any work; any other reason is found by
 opening the path once the document is made.
 
-Each subcommand is declared once in COMMANDS; `main` uses the parser
-of the invoked subcommand only, and the full parser when argv names no
-known subcommand (`-h`, a missing or an unknown one).  Each parser is
-built on its first use in a process and reused after that; nothing is
-built at import.
+Each subcommand is declared once in COMMANDS.  The parser is built on
+its first use in a process and reused after that; nothing is built at
+import.
 """
 
 from __future__ import annotations
@@ -492,33 +490,20 @@ COMMANDS = (
     ("remainder", "seeded random remainder checks", _add_remainder,
      cmd_remainder),
 )
-_COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
 
 
 @lru_cache(maxsize=None)
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with `command` alone.
-
-    A parser narrowed to one subcommand parses that subcommand's argv to
-    the same Namespace, and prints the same help, usage and errors, as
-    the full one: its usage line still lists every subcommand.
-
-    Each parser is built once per process and shared by every call.
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every call.
     Parsing leaves it unchanged: each parse starts from a fresh Namespace
     and converts the string defaults anew, and help reads the terminal
-    width when it is printed.
-    """
+    width when it is printed."""
     ap = argparse.ArgumentParser(
         prog="curlsharp",
         description="Sharp constants and certificates for curl-free "
                     "Hardy/Rellich-type inequalities.")
-    # argparse names a metavar in its errors, so only the narrowed parser,
-    # which cannot raise "invalid choice" or "required", sets one
-    metavar = None if command is None else "{%s}" % ",".join(_COMMAND_NAMES)
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = ap.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, handler in COMMANDS:
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.add_argument("--output", help="write the document to this path "
@@ -528,9 +513,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
-    parser = build_parser(command)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -42,6 +42,10 @@ curl-free Rellich-Leray scan bounds its tail by one exact comparison.
 These raise TailBoundError rather than silently truncating; the
 unconstrained Rellich-Leray window is chosen past its turn, so it needs
 no check.
+
+The improvement region |gamma - (N+4)/6| < sqrt(N^2 - N + 1)/3 is
+A(0) < A(1) on a mode table (`in_improvement_region` gives the proof),
+and the exact and the float path read it there.
 """
 
 from __future__ import annotations
@@ -395,14 +399,19 @@ class ImprovementReport:
 
 
 def in_improvement_region(p: Params) -> bool:
-    """Exact test of |gamma - (N+4)/6| < sqrt(N^2 - N + 1)/3 via squares."""
-    return _in_region(p.N, p.gamma)
+    """Exact test of |gamma - (N+4)/6| < sqrt(N^2 - N + 1)/3, read off the
+    mode table as A(0) < A(1).
 
-
-def _in_region(N: int, g) -> bool:
-    """The improvement-region test, generic in gamma's type: exact on a
-    Fraction, the float path's test on a float."""
-    return (6 * g - (N + 4)) ** 2 < 4 * (N * N - N + 1)
+    Proof that the two agree for every N >= 2 and real gamma: in A's slot
+    form at D = 1, where den A(0) = 1 and den A(1) = lam^2 + N - 1,
+    num A(1) - num A(0) den A(1) is the target of a1-a0-identity, which
+    equals (N - 1)/12 (4(N^2 - N + 1) - (6 gamma - (N + 4))^2) at lam =
+    2 - N/2 - gamma.  The A-forms links of quotient_constant_links equate
+    the slot form with the gamma-form `_AModes` evaluates, and den A(1) >
+    0, so A(1) - A(0) has the sign of that difference of squares.
+    """
+    a = _exact(_AModes, p)
+    return a[0] < a[1]
 
 
 def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementReport:
@@ -414,12 +423,11 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
     and evaluate any other on its first read.  `C` is
     rellich_hardy_C_min(p, nu_max); `A` equals rellich_hardy_A_min(p,
     nu_max), TailBoundError included, and fills no cache.  `equal` and
-    `strict_improvement` are exact.  `in_region` holds exactly where
-    A(0) < A(1): tested on N = 2..24, gamma in Z/8, |gamma| <= 12, not
-    yet proven (the improvement-region item of ROADMAP.md sketches the
-    proof).  It is not the strict-improvement test: at N = 3, gamma = -1
-    the point is outside the region, yet C_min = C(0) = 49/68 > A_min =
-    A(2) = 27/44.
+    `strict_improvement` are exact.  `in_region` is A(0) < A(1) on the
+    same table, which is the improvement region (`in_improvement_region`
+    gives the proof).  It is not the strict-improvement test: at N = 3,
+    gamma = -1 the point is outside the region, yet C_min = C(0) = 49/68
+    > A_min = A(2) = 27/44.
 
     `sandwich_ok` is the claim min(A(nu-1), A(nu+1)) <= C(nu) <=
     max(A(nu-1), A(nu+1)) for every nu >= 1, taken from its proof:
@@ -442,7 +450,7 @@ def improvement_report(p: Params, nu_max: int | None = None) -> ImprovementRepor
         C=c_min,
         equal=(a_min.value == c_min.value),
         strict_improvement=(c_min.value > a_min.value),
-        in_region=in_improvement_region(p),
+        in_region=a[0] < a[1],
         sandwich_ok=None if p.degenerate else True,
         degenerate_mode_nu1=p.degenerate,
         A_modes=a,

@@ -585,7 +585,10 @@ def minimizing_sequence(params: Params, nu_star: int, ns,
     constant C(N, gamma, nu_star) (the global sharp constant when nu_star
     is the argmin); the fitted log-log slope of the gap is reported, or
     NaN unless every gap is positive and ns holds two distinct n.
+    An empty ns is a ValueError.
     """
+    if len(ns) == 0:
+        raise ValueError("ns must hold at least one dilation")
     if params.degenerate and nu_star == 1:
         raise DegenerateModeError("(lam = 0, nu = 1) excluded")
     reports = []

@@ -3,16 +3,17 @@
 A point's mode tables are the certified `constants._AModes` and
 `_CModes`, run on float at G = gamma and q = 1/2 with operator.truediv,
 so each float is bit-identical to the closed form evaluated term by term
-(while 4 (nu + N/2 - 1)^2 < 2^53; see `constants`).  The improvement-region
-test (`constants._in_region`) and the scan window
-(`constants.default_nu_max`) are the exact path's too, and so are the
+(while 4 (nu + N/2 - 1)^2 < 2^53; see `constants`).  The scan window
+(`constants.default_nu_max`) is the exact path's too, and so are the
 two window rules (`constants._a_window_min` and `_c_window_min`), which
 read the modes in increasing nu and stop where the rule is decided; so a
-point raises TailBoundError where the exact path would.  The result is
-not a certificate: the rules compare rounded floats.  The exact path is
-authoritative; on rational grid points the float modes, minima and
-argmins are tested equal to `float()` of the exact ones, and the `equal`
-flag to exact equality.
+point raises TailBoundError where the exact path would.  The improvement
+region is A(0) < A(1) on the float table, as the exact path reads it
+(`constants.in_improvement_region`).  The result is not a certificate:
+the rules compare rounded floats.  The exact path is authoritative; on
+rational grid points the float modes, minima and argmins are tested
+equal to `float()` of the exact ones, and the `equal` and region flags
+to the exact ones.
 
 A point's result is a `SweepRow`, a `NamedTuple`: immutable, hashable
 and comparable, built in one tuple allocation.  `sweep_gamma` builds the
@@ -26,7 +27,7 @@ from operator import truediv
 from typing import NamedTuple
 
 from .constants import (_AModes, _CModes, _a_window_min, _c_window_min,
-                        _in_region, default_nu_max)
+                        default_nu_max)
 
 # relative tolerance under which float minima count as equal; on rational
 # grid points it coincides with exact equality
@@ -58,7 +59,7 @@ def point(N: int, gamma: float) -> tuple[SweepRow, _AModes, _CModes]:
         N=N, gamma=float(gamma), A_min=a_min, A_argmin=a_argmin,
         C_min=c_min, C_argmin=c_argmin,
         equal=abs(c_min - a_min) <= EQUAL_REL_TOL * max(abs(a_min), abs(c_min), 1.0),
-        in_improvement_region=_in_region(N, gamma),
+        in_improvement_region=a[0] < a[1],
     )
     return row, a, c
 

@@ -229,6 +229,24 @@ def test_a_forms_sympy(nu):
         assert sympy.expand(got_den - den) == 0, label
 
 
+def test_a1_a0_target_is_the_region_polynomial():
+    # the proof of in_improvement_region: in A's slot form at D = 1,
+    # den A(0) = 1 and den A(1) = lam^2 + N - 1 > 0, and a1-a0-identity's
+    # target, num A(1) - num A(0) den A(1), is (N - 1)/12 times the
+    # region's difference of squares at lam = 2 - N/2 - gamma
+    lam, n, g = sympy.symbols("lam N gamma")
+    name = "a1-a0-identity"
+    cert = certs.parse_certificate(
+        name, (certs._corpus_dir() / f"{name}.cert").read_text())
+    region = 4 * (n ** 2 - n + 1) - (6 * g - (n + 4)) ** 2
+    target = _sympy(cert.target).subs(lam, 2 - n / 2 - g)
+    assert sympy.expand(target - (n - 1) * region / 12) == 0
+    args = (certs._gamma_d(F(1, 2)), F(1, 2), pf.N)
+    assert constants._a_slot(*args, 0)[1] == 1
+    assert sympy.expand(_sympy(constants._a_slot(*args, 1)[1])
+                        - (lam ** 2 + n - 1)) == 0
+
+
 def test_link_forms_equal_rellich_hardy_C():
     forms = {b: certs._c_branch(b, F(1, 2)) for b in certs._LINK_BRANCHES}
     for n in range(2, 9):
@@ -761,35 +779,58 @@ def test_let_colon_spelling_is_rejected():
     assert certs.check_certificate(cert, parse_poly("lam")).ok
 
 
+# case: (file, text, its replacement, the start of the rule's message)
 _CORRUPTIONS = {
-    "unknown-at-name": ("qp1-identity.cert", "@G0", "@G9"),
-    "bad-polynomial": ("qp1-identity.cert", "(@G0 + @G1 * tau)", "(@G0 + * tau)"),
-    "dom-unknown-variable": ("taylor-g1-c1.cert", "assume mu", "assume x\nterm: dom(x)"),
-    "bad-domain-bound": ("taylor-g1-c1.cert", "N >= 2", "N >= two"),
-    "domain-unknown-variable": ("taylor-g1-c1.cert", "N >= 2", "N >= 2, x >= 0"),
-    "nonneg-misspelt": ("g0-case2-bound.cert", "nonneg: coeffs", "nonneg: coefs"),
-    "uni-uses-n": ("g1-case1-c1.cert", "uni(21-10*s-3*s^2 ;", "uni(21-10*s-3*N*s^2 ;"),
-    "uni-unknown-var": ("e01-series-n3.cert", "; s ; [0, oo))", "; x ; [0, oo))"),
-    "duplicate-target": ("qp1-identity.cert", "target:", "target: 0\ntarget:"),
+    "unknown-at-name": ("qp1-identity.cert", "@G0", "@G9",
+                        "unknown @reference 'G9'"),
+    "bad-polynomial": ("qp1-identity.cert", "(@G0 + @G1 * tau)", "(@G0 + * tau)",
+                       "unexpected token '*'"),
+    "dom-unknown-variable": ("taylor-g1-c1.cert", "assume mu",
+                             "assume x\nterm: dom(x)", "unknown variable 'x'"),
+    "bad-domain-bound": ("taylor-g1-c1.cert", "N >= 2", "N >= two",
+                         "Invalid literal for Fraction: 'two'"),
+    "domain-unknown-variable": ("taylor-g1-c1.cert", "N >= 2", "N >= 2, x >= 0",
+                                "bad domain clause ' x >= 0'"),
+    "nonneg-misspelt": ("g0-case2-bound.cert", "nonneg: coeffs", "nonneg: coefs",
+                        "nonneg: 'coefs' is not coeffs"),
+    "uni-uses-n": ("g1-case1-c1.cert", "uni(21-10*s-3*s^2 ;", "uni(21-10*s-3*N*s^2 ;",
+                   "uni(...) needs a polynomial in its variable alone: "
+                   "'uni(21-10*s-3*N*s^2 ; s ;"),
+    "uni-unknown-var": ("e01-series-n3.cert", "; s ; [0, oo))", "; x ; [0, oo))",
+                        "uni(...) needs a polynomial in its variable alone: "
+                        "'uni(601/8*s^2 - 15*s + 125/32 ; x ;"),
+    "duplicate-target": ("qp1-identity.cert", "target:", "target: 0\ntarget:",
+                         "repeated target: line 'target: tau"),
     # a file's regime is its entry in the certificate table, not a line
-    "stale-regime-line": ("qp1-identity.cert", "target:", "regime: base\ntarget:"),
+    "stale-regime-line": ("qp1-identity.cert", "target:", "regime: base\ntarget:",
+                          "unknown certificate line 'regime: base'"),
     # the name is the file's stem and the N range follows from domain:
-    "stale-name-line": ("qp1-identity.cert", "target:", "name: qp1-identity\ntarget:"),
-    "stale-nrange-line": ("e00-square-form.cert", "domain:", "nrange: 3..12\ndomain:"),
+    "stale-name-line": ("qp1-identity.cert", "target:",
+                        "name: qp1-identity\ntarget:",
+                        "unknown certificate line 'name: qp1-identity'"),
+    "stale-nrange-line": ("e00-square-form.cert", "domain:",
+                          "nrange: 3..12\ndomain:",
+                          "unknown certificate line 'nrange: 3..12'"),
     # a variable is bounded once (the last of two bounds used to win)
-    "repeated-domain-bound": ("taylor-g1-c1.cert", "N >= 2", "N >= 6, N >= 2"),
+    "repeated-domain-bound": ("taylor-g1-c1.cert", "N >= 2", "N >= 6, N >= 2",
+                              "repeated domain bound on N"),
     # every let and assume line is read by a dom(...) factor
-    "unread-assume": ("q0p0-identity.cert", "assume tau", "assume tau\nassume lam"),
-    "unread-let": ("taylor-g1-c1.cert", "let mu", "let s1 = 1 - s\nlet mu"),
+    "unread-assume": ("q0p0-identity.cert", "assume tau",
+                      "assume tau\nassume lam",
+                      "assume lam: read by no dom(...) factor"),
+    "unread-let": ("taylor-g1-c1.cert", "let mu", "let s1 = 1 - s\nlet mu",
+                   "let s1: read by no dom(...) factor"),
     # dom(a) would read the alias while target: reads the variable a
-    "let-shadows-variable": ("p1-tau-slope.cert", "assume a", "let a = a\nassume a"),
+    "let-shadows-variable": ("p1-tau-slope.cert", "assume a", "let a = a\nassume a",
+                             "let a: the name of a variable"),
     # a file no regime names would never be checked (old None: a new file)
-    "file-not-in-table": ("p1-alpha3.cert", None, "target: lam\n"),
+    "file-not-in-table": ("p1-alpha3.cert", None, "target: lam\n",
+                          "no regime of the certificate table names it"),
 }
 
 
 def _corrupt_corpus(tmp_path, case):
-    name, old, new = _CORRUPTIONS[case]
+    name, old, new, _ = _CORRUPTIONS[case]
     corpus = tmp_path / "certs"
     shutil.copytree(certs._corpus_dir(), corpus)
     path = corpus / name
@@ -810,14 +851,13 @@ def test_malformed_corpus_file_is_named(monkeypatch, capsys, tmp_path, case):
     monkeypatch.setattr(certs, "_corpus_dir", lambda: corpus)
     assert cli.main(["certify", "--regime", "base"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"math failure: {name}: ")
+    assert err.startswith(f"math failure: {name}: {_CORRUPTIONS[case][3]}"), err
     assert "Traceback" not in err
 
 
 def test_malformed_corpus_file_is_named_under_python_O(tmp_path):
-    for case, error in (("unknown-at-name", "unknown @reference 'G9'"),
-                        ("file-not-in-table",
-                         "no regime of the certificate table names it")):
+    for case in ("unknown-at-name", "file-not-in-table"):
+        error = _CORRUPTIONS[case][3]
         corpus, name = _corrupt_corpus(tmp_path / case, case)
         code = ("import sys\n"
                 "from pathlib import Path\n"

@@ -316,34 +316,6 @@ def test_malformed_value_exits_2(argv, capsys):
     assert out == "" and "error" in err
 
 
-# a representative argv per subcommand, options in a mixed order
-PARITY_ARGV = {
-    "constants": ["constants", "--gamma=1/2", "--N", "5", "--nu-max", "3"],
-    "certify": ["certify", "--seed", "4", "--regime", "n2"],
-    "quotient": ["quotient", "--N", "3", "--gamma", "-1", "--nu", "2",
-                 "--ns", "5,10", "--kind", "cos4", "--output", "q.json"],
-    "sweep": ["sweep", "--format", "json", "--N", "4",
-              "--gamma-grid=-1:1:0.25"],
-    "oracle": ["oracle", "--N", "3", "--gamma", "0", "--nu", "2", "--n", "1"],
-    "remainder": ["remainder", "--count", "2", "--seed", "9"],
-}
-
-
-@pytest.mark.parametrize("name", [name for name, *_ in COMMANDS])
-def test_narrowed_parser_parity(name, capsys):
-    argv = PARITY_ARGV[name]
-    assert (build_parser(name).parse_args(argv)
-            == build_parser().parse_args(argv))
-    helps = []
-    for parser in (build_parser(name), build_parser()):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args([name, "--help"])
-        assert exc.value.code == 0
-        helps.append(capsys.readouterr())
-    assert helps[0] == helps[1] and helps[0].out.startswith(
-        f"usage: curlsharp {name} ")
-
-
 FULL_USAGE = ("usage: curlsharp [-h] "
               "{constants,certify,quotient,sweep,oracle,remainder} ...\n")
 
@@ -421,13 +393,19 @@ def test_one_distinct_dilation_fits_no_exponent():
     assert len(doc["rows"]) == 2 and math.isnan(doc["fitted_exponent"])
 
 
-# every parser `build_parser` makes: one per subcommand, and the full one
-PARSERS = [*(name for name, *_ in COMMANDS), None]
+# the argv heads that reach the parser: each subcommand, and none
+HEADS = [*(name for name, *_ in COMMANDS), None]
 
 
-@pytest.mark.parametrize("name", PARSERS)
-def test_each_parser_is_built_once(name):
-    assert build_parser(name) is build_parser(name)
+@pytest.mark.parametrize("name", HEADS)
+def test_each_parser_is_built_once(name, capsys):
+    # every subcommand parses with the one parser, built once per process
+    parser = build_parser()
+    misses = build_parser.cache_info().misses
+    assert main(["--help"] if name is None else [name, "--help"]) == 0
+    capsys.readouterr()
+    assert build_parser() is parser
+    assert build_parser.cache_info().misses == misses
 
 
 def test_import_builds_no_parser():
@@ -470,8 +448,9 @@ def test_reused_parser_gives_each_call_its_own_grid(monkeypatch, capsys):
     assert received == [default, default]
 
 
-@pytest.mark.parametrize("name", PARSERS)
+@pytest.mark.parametrize("name", HEADS)
 def test_cached_help_follows_columns(name, monkeypatch, capsys):
+    # the cached parser prints the help a freshly built one prints
     argv = ["--help"] if name is None else [name, "--help"]
     helps = []
     for columns in ("40", "120"):
@@ -479,6 +458,8 @@ def test_cached_help_follows_columns(name, monkeypatch, capsys):
         assert main(argv) == 0
         helps.append(capsys.readouterr().out)
         with pytest.raises(SystemExit):
-            build_parser.__wrapped__(name).parse_args(argv)
+            build_parser.__wrapped__().parse_args(argv)
         assert capsys.readouterr().out == helps[-1]
     assert helps[0] != helps[1]
+    assert helps[1].startswith("usage: curlsharp "
+                               + ("[-h]" if name is None else f"{name} "))

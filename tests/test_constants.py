@@ -551,14 +551,17 @@ def test_improvement_region_boundary_exact():
 
 
 def test_improvement_region_is_where_a0_is_below_a1():
-    # the tested reading of in_region, not yet proven;
-    # it is not strict improvement: at N = 3, gamma = -1 the point is
-    # outside the region, and yet C_min = C(0) > A_min = A(2)
+    # both paths read the region as A(0) < A(1) off their mode table; the
+    # closed form it stands for is stated here only.  It is not strict
+    # improvement: at N = 3, gamma = -1 the point is outside the region,
+    # and yet C_min = C(0) > A_min = A(2)
     for n in range(2, 25):
         for k in range(-96, 97):
-            p = Params(n, F(k, 8))
-            a0, a1 = rellich_hardy_A(p, 0), rellich_hardy_A(p, 1)
-            assert in_improvement_region(p) == (a0 < a1), (n, k)
+            g = F(k, 8)
+            # |gamma - (N+4)/6| < sqrt(N^2 - N + 1)/3, squared out
+            inside = (6 * g - (n + 4)) ** 2 < 4 * (n * n - n + 1)
+            assert in_improvement_region(Params(n, g)) == inside, (n, k)
+            assert sweep.point(n, float(g))[0].in_improvement_region == inside, (n, k)
     rep = improvement_report(Params(3, F(-1)))
     assert not rep.in_region and rep.strict_improvement
     assert (rep.A.argmin_nu, rep.C.argmin_nu) == (2, 0)

@@ -341,6 +341,14 @@ def test_degenerate_mode_raises():
         minimizing_sequence(p, 1, (5, 10))
 
 
+def test_minimizing_sequence_needs_a_dilation(monkeypatch):
+    # refused before any field is built, even at the degenerate mode
+    monkeypatch.setattr(spectral, "Profile", None)
+    for p, nu in ((Params(3, F(0)), 0), (Params(2, F(1)), 1)):
+        with pytest.raises(ValueError, match="at least one dilation"):
+            minimizing_sequence(p, nu, [])
+
+
 def test_minimizing_sequence_gap_ratios():
     res = minimizing_sequence(Params(3, F(0)), 0, (10, 20, 40))
     g1, g2, g3 = (r.gap for r in res.reports)
