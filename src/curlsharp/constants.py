@@ -14,7 +14,10 @@ gamma; the derived exponent is lam = 2 - N/2 - gamma.
 A(nu) and C(nu) are each stated once, as the lazy mode tables `_AModes`
 and `_CModes`.  With gamma = r/q in lowest terms, D = 2q and G = gamma D,
 a table at (G, q, N) computes its gamma-only parts once, using only
-+ - * **, and keeps ratio(num, den) of each mode on its first read.  The
++ - *, and keeps ratio(num, den) of each mode on its first read.  Each
+square is a product x * x of a bound temporary: IEEE rounds a float
+product correctly, while x ** 2 calls the C library's pow, which need
+not, so the float path does not depend on the platform's libm.  The
 exact path runs it on int with ratio = Fraction (`_exact`), `sweep` on
 float at G = gamma, q = 1/2 with operator.truediv, and the certificate
 layer on MultiPoly, nu = s free, keeping the pair: the corpus and
@@ -122,9 +125,11 @@ def hardy_leray(p: Params) -> Fraction:
 def _hardy_leray(N: int, g, h):
     """The Hardy-Leray closed form, generic in gamma's type: g and h = N/2
     are both Fraction (exact) or both float (the float path of `cli`)."""
-    base = (g + h - 1) ** 2
-    if (g + h) ** 2 <= N + 1:
-        shift = (g + h - 2) ** 2
+    b, gh = g + h - 1, g + h
+    base = b * b
+    if gh * gh <= N + 1:
+        t = g + h - 2
+        shift = t * t
         return base * (3 * (N - 1) + shift) / (N - 1 + shift)
     return base + N - 1
 
@@ -230,15 +235,18 @@ class _AModes(dict):
         h = N * q                                 # N/2 D
         self.k = k = h - D                        # (N/2 - 1) D
         self.k2 = k * k
-        self.g1sq = (G - D) ** 2                  # ((gamma - 1) D)^2
-        self.e2 = (G + h - 2 * D) ** 2            # ((gamma + N/2 - 2) D)^2
-        self[0] = ratio((G - h) ** 2, D2)
+        g1 = G - D                                # (gamma - 1) D
+        self.g1sq = g1 * g1
+        e = G + h - 2 * D                         # (gamma + N/2 - 2) D
+        self.e2 = e * e
+        g0 = G - h                                # (gamma - N/2) D
+        self[0] = ratio(g0 * g0, D2)
 
     def __missing__(self, nu):
         w = nu * self.D + self.k                  # (nu + N/2 - 1) D
         w2 = w * w
-        value = self[nu] = self.ratio((self.g1sq - w2) ** 2,
-                                      self.D2 * (self.e2 + (w2 - self.k2)))
+        t = self.g1sq - w2
+        value = self[nu] = self.ratio(t * t, self.D2 * (self.e2 + (w2 - self.k2)))
         return value
 
 
@@ -265,22 +273,29 @@ class _CModes(dict):
         self.k2 = k * k
         gh = G + h                                # (gamma + N/2) D
         g1 = G - D                                # (gamma - 1) D
-        c_sq3 = (gh - 3 * D) ** 2                 # ((gamma + N/2 - 3) D)^2
+        e3 = gh - 3 * D                           # (gamma + N/2 - 3) D
+        c_sq3 = e3 * e3
         nD2 = N * D2
-        self.g2sq = (G - 2 * D) ** 2              # ((gamma - 2) D)^2
-        self.c_num = c_num = (gh - D) ** 2        # ((gamma + N/2 - 1) D)^2
+        g2 = G - 2 * D                            # (gamma - 2) D
+        self.g2sq = g2 * g2
+        e1 = gh - D                               # (gamma + N/2 - 1) D
+        self.c_num = c_num = e1 * e1
         self.c_k = 2 * g1
         self.c_lin = 2 * G + N * D - 5 * D        # (2 gamma + N - 5) D
         self.c_const = (N - 1) * c_sq3 * D
-        self[0] = ratio((g1 ** 2 - h * h) ** 2, D2 * ((gh - 2 * D) ** 2 + nD2 - D2))
-        self[1] = ratio((G - h - 2 * D) ** 2 * (c_num + nD2 - D2),
+        r0 = g1 * g1 - h * h                      # ((gamma - 1)^2 - N^2/4) D^2
+        e2 = gh - 2 * D                           # (gamma + N/2 - 2) D
+        self[0] = ratio(r0 * r0, D2 * (e2 * e2 + nD2 - D2))
+        r1 = G - h - 2 * D                        # (gamma - N/2 - 2) D
+        self[1] = ratio(r1 * r1 * (c_num + nD2 - D2),
                         D2 * (c_sq3 + 3 * (nD2 - D2)))
 
     def __missing__(self, nu):
         w = nu * self.D + self.k                  # (nu + N/2 - 1) D
         w2 = w * w
         a = w2 - self.k2                          # alpha_nu D^2
-        quart = (self.g2sq - w2) ** 2             # D^4 quart
+        t = self.g2sq - w2
+        quart = t * t                             # D^4 quart
         value = self[nu] = self.ratio(
             quart * (self.c_num + a),
             self.D2 * (quart + self.c_k * (self.c_lin * a + self.c_const)))

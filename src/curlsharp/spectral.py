@@ -453,22 +453,18 @@ class FormValue:
 
 
 def _tau_coefficients(poly: MultiPoly) -> list[float]:
-    """[c_0, ..., c_d] as floats, with poly = sum c_k tau^k and d <= 3.
-
-    Read straight off the exponent dict (a zero poly gives [0.0]); raises
-    ValueError when a variable other than tau is left, or when the degree
-    in tau exceeds MAX_TAU_DEGREE.
+    """[c_0, ..., c_d] as floats, with poly = sum c_k tau^k and d <= 3
+    (a zero poly gives [0.0]); raises ValueError when a variable other
+    than tau is left, or when the degree in tau exceeds MAX_TAU_DEGREE.
     """
-    terms = poly.terms
-    if any(sum(exp) != exp[_TAU] for exp in terms):
+    try:
+        coeffs = poly.to_univariate_float("tau")
+    except ValueError:
         raise ValueError(f"form polynomial still has free variables "
-                         f"{poly.variables_used()}")
-    coeffs = [0.0] * (max((exp[_TAU] for exp in terms), default=0) + 1)
+                         f"{poly.variables_used()}") from None
     if len(coeffs) > MAX_TAU_DEGREE + 1:
         raise ValueError(
             f"form polynomial must have degree <= {MAX_TAU_DEGREE} in tau")
-    for exp, c in terms.items():
-        coeffs[exp[_TAU]] = float(c)
     return coeffs
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import curlsharp
 from curlsharp import certificates as certs
@@ -161,7 +162,7 @@ def _sympy(poly):
     syms = sympy.symbols(VARS)
     return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*(v ** e for v, e in zip(syms, exp)))
-                       for exp, c in poly.terms.items()))
+                       for exp, c in poly.terms()))
 
 
 def _sympy_c_gamma_form(branch):
@@ -306,8 +307,7 @@ def _patch(monkeypatch, target, perturb):
 
 
 # numerators + nu in A(nu) and C(nu >= 2), on every path alike
-_A_NUMERATOR_PLUS_NU = _mutant("self.ratio((self.g1sq - w2) ** 2,",
-                               "self.ratio((self.g1sq - w2) ** 2 + nu,")
+_A_NUMERATOR_PLUS_NU = _mutant("self.ratio(t * t,", "self.ratio(t * t + nu,")
 _C_NUMERATOR_PLUS_NU = _mutant("quart * (self.c_num + a),",
                                "quart * (self.c_num + a) + nu,")
 # equals the true (nu + N/2 - 1) D at q = 1/2 only: a D = 1 check misses
@@ -406,11 +406,11 @@ def test_links_name_perturbed_forms_under_python_O():
         c._alpha_int = lambda s, n, d: 2 * alpha_int(s, n, d)
         # C(0)'s numerator + 1, in the one table every path runs
         src = textwrap.dedent(inspect.getsource(c._CModes.__init__))
-        old = "ratio((g1 ** 2 - h * h) ** 2,"
+        old = "ratio(r0 * r0,"
         if src.count(old) != 1:
             sys.exit(5)
         scope = dict(vars(c))
-        exec(src.replace(old, "ratio((g1 ** 2 - h * h) ** 2 + 1,"), scope)
+        exec(src.replace(old, "ratio(r0 * r0 + 1,"), scope)
         c._CModes.__init__ = scope["__init__"]
         pf.q1_factored = lambda: q1_factored() + pf.TAU
         out = io.StringIO()
@@ -520,6 +520,31 @@ def test_guard_cases_are_instances_of_the_qp_identities():
         want = targets[name].subs_many({"lam": p.lam, "N": F(p.N),
                                         "a": alpha(nu, p.N)})
         assert got == want, (p, nu, name)
+
+
+def test_guard_numerator_is_the_qp1_reference_plus_tau_p1_p1z():
+    # D = Q1 P1(0) - Q1(0) P1, formed once per guard call, is the
+    # qp1-identity reference plus tau P1 P1(0); its constant term is 0
+    d = certs._guard_numerator()
+    assert d == certs.REFERENCES["qp1-identity"]() + pf.TAU * pf.p1() * pf.p1_at_zero()
+    assert d.coeffs_in("tau")[0].is_zero()
+
+
+_GUARD_POLYS = certs._guard_numerator().coeffs_in("tau") + pf.p1().coeffs_in("tau")
+_GUARD_FORMS = certs._integer_forms(_GUARD_POLYS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.integers(1, 8), n=st.integers(2, 10),
+       lam=st.builds(F, st.integers(-40, 40), st.integers(1, 8)))
+def test_guard_integer_evaluation_matches_substitution(nu, n, lam):
+    # each tau-coefficient of D and P1, evaluated as one integer sum at
+    # (alpha_nu, lam, N), equals its exact substitution
+    a = nu * (nu + n - 2)
+    got = certs._values_at(_GUARD_FORMS, lam, n, a)
+    want = [c.subs_many({"lam": lam, "N": n, "a": a}).constant_value()
+            for c in _GUARD_POLYS]
+    assert got == want
 
 
 def test_difference_quotient_limit_is_c0():

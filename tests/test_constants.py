@@ -587,29 +587,34 @@ def test_float_path_matches_exact():
 
 
 # The float mode formulas as closed forms per nu: the reference for the
-# per-(N, gamma) tables of sweep.point, which must be bit-identical.
+# per-(N, gamma) tables of sweep.point, which must be bit-identical.  A
+# square is a product, as in the tables, so no C library's pow enters.
+
+def _sq(x):
+    return x * x
+
 
 def _ref_A_f(N, gamma, nu):
     if nu == 0:
-        return (gamma - N / 2.0) ** 2
+        return _sq(gamma - N / 2.0)
     anu = nu * (nu + N - 2)
-    return ((gamma - 1.0) ** 2 - (nu + N / 2.0 - 1.0) ** 2) ** 2 \
-        / ((gamma + N / 2.0 - 2.0) ** 2 + anu)
+    return _sq(_sq(gamma - 1.0) - _sq(nu + N / 2.0 - 1.0)) \
+        / (_sq(gamma + N / 2.0 - 2.0) + anu)
 
 
 def _ref_C_f(N, gamma, nu):
     if nu == 0:
-        return ((gamma - 1.0) ** 2 - N * N / 4.0) ** 2 \
-            / ((gamma + N / 2.0 - 2.0) ** 2 + N - 1)
+        return _sq(_sq(gamma - 1.0) - N * N / 4.0) \
+            / (_sq(gamma + N / 2.0 - 2.0) + N - 1)
     if nu == 1:
-        return (gamma - N / 2.0 - 2.0) ** 2 \
-            * ((gamma + N / 2.0 - 1.0) ** 2 + N - 1) \
-            / ((gamma + N / 2.0 - 3.0) ** 2 + 3.0 * (N - 1))
+        return _sq(gamma - N / 2.0 - 2.0) \
+            * (_sq(gamma + N / 2.0 - 1.0) + N - 1) \
+            / (_sq(gamma + N / 2.0 - 3.0) + 3.0 * (N - 1))
     anu = nu * (nu + N - 2)
-    quart = ((gamma - 2.0) ** 2 - (nu + N / 2.0 - 1.0) ** 2) ** 2
+    quart = _sq(_sq(gamma - 2.0) - _sq(nu + N / 2.0 - 1.0))
     den = quart + 2.0 * (gamma - 1.0) * ((2.0 * gamma + N - 5.0) * anu
-                                         + (N - 1) * (gamma + N / 2.0 - 3.0) ** 2)
-    return quart * ((gamma + N / 2.0 - 1.0) ** 2 + anu) / den
+                                         + (N - 1) * _sq(gamma + N / 2.0 - 3.0))
+    return quart * (_sq(gamma + N / 2.0 - 1.0) + anu) / den
 
 
 def _ref_min(vals):

@@ -1,15 +1,20 @@
 """Exact polynomial arithmetic, substitution, Taylor re-expansion, text format."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curlsharp
 from curlsharp.certificates import _at_table
 from curlsharp.poly import (VARS, MultiPoly, PolyParseError,
                             UnknownVariableError, format_poly, parse_poly)
+from fraction_kernel import FractionPoly, format_poly as reference_format
 
 TAU, A, LAM, N, S, M, MU = (MultiPoly.var(v) for v in VARS)
 
@@ -206,3 +211,82 @@ def test_every_at_name_parses_to_its_polynomial():
 def test_at_atom_errors_name_the_problem(text, names, problem):
     with pytest.raises(PolyParseError, match=re.escape(problem)):
         parse_poly(text, names)
+
+
+# ---- the integer kernel against the Fraction kernel it replaced ----------
+
+def _same(got, want):
+    """A MultiPoly result equals a FractionPoly one, term by term, and is
+    canonical: equal and hash-equal to its own terms, re-validated."""
+    again = MultiPoly(dict(got.terms()))
+    return dict(got.terms()) == want.terms and got == again and hash(got) == hash(again)
+
+
+# 7-variable polynomials as dicts, exponents 0..3, mostly non-integer
+# coefficients: each is built in both kernels
+TERMS7 = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(VARS)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 8)), max_size=5)
+SCALARS = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tp=TERMS7, tq=TERMS7, c=SCALARS, k=st.integers(0, 3),
+       var=st.sampled_from(VARS), other=st.sampled_from(VARS),
+       data=st.data())
+def test_integer_kernel_matches_fraction_kernel(tp, tq, c, k, var, other, data):
+    p, q, rp, rq = MultiPoly(tp), MultiPoly(tq), FractionPoly(tp), FractionPoly(tq)
+    assert _same(p, rp) and _same(q, rq)
+    assert _same(p + q, rp + rq) and _same(p - q, rp - rq) and _same(-p, -rp)
+    assert _same(p + c, rp + c) and _same(c - p, c - rp)
+    assert _same(p * q, rp * rq) and _same(p.scale(c), rp.scale(c))
+    assert _same(p ** k, rp ** k)
+    assert _same(p.subs(var, c), rp.subs(var, c))
+    assert _same(p.subs(var, q), rp.subs(var, rq))
+    values, ref_values = ({var: c, other: q}, {var: c, other: rq}) if other != var \
+        else ({var: q}, {var: rq})
+    assert _same(p.subs_many(values), rp.subs_many(ref_values))
+    point = {v: data.draw(SCALARS) for v in VARS}
+    assert p.eval(point) == rp.eval(point)
+    got, want = p.coeffs_in(var), rp.coeffs_in(var)
+    assert len(got) == len(want) and all(map(_same, got, want))
+    got, want = p.taylor(var, q.subs(var, 0)), rp.taylor(var, rq.subs(var, 0))
+    assert len(got) == len(want) and all(map(_same, got, want))
+    assert _same(p.diff(var), rp.diff(var))
+    others = {v: c for v in VARS if v != var}
+    uni, ref_uni = p.subs_many(others), rp.subs_many(others).to_univariate(var)
+    assert uni.to_univariate(var) == ref_uni
+    assert uni.to_univariate_float(var) == [float(x) for x in ref_uni]
+    assert p.degree() == rp.degree() and p.degree(var) == rp.degree(var)
+    assert p.variables_used() == rp.variables_used()
+    assert format_poly(p) == reference_format(rp)
+    assert format_poly(p * q) == reference_format(rp * rq)
+    assert (p == q) == (rp == rq) and (p == c) == (rp == c)
+    assert p * q == q * p and hash(p * q) == hash(q * p)
+
+
+def test_exponent_overflow_raises_under_python_O():
+    # a real exception, not an assert: it fires with asserts stripped,
+    # for a product, a power and a constructed exponent past the field
+    code = ("import sys\n"
+            "from curlsharp.poly import MAX_EXPONENT, MultiPoly, ExponentOverflowError\n"
+            "if __debug__:\n"
+            "    sys.exit(4)\n"
+            "x = MultiPoly.var('lam') ** MAX_EXPONENT\n"
+            "raised = 0\n"
+            "for call in (lambda: x * MultiPoly.var('lam'),\n"
+            "             lambda: (x + 1) * (x + MultiPoly.var('N')),\n"
+            "             lambda: MultiPoly.var('tau') ** (MAX_EXPONENT + 1),\n"
+            "             lambda: MultiPoly({(0, 0, MAX_EXPONENT + 1, 0, 0, 0, 0): 1})):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ExponentOverflowError:\n"
+            "        raised += 1\n"
+            "ok = x.degree('lam') == MAX_EXPONENT and x.variables_used() == ('lam',)\n"
+            "sys.exit(0 if raised == 4 and ok else 3)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(curlsharp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
