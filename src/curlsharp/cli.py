@@ -15,22 +15,24 @@ for byte json.dumps(payload, indent=2, sort_keys=True) plus a newline;
 `_json` writes it with one C-encoder call per container of scalars, and
 one call for a whole list of rows (non-empty dicts of scalars), such as
 the rows of a sweep or the reports of certify.
-gamma accepts an exact rational literal "p/q" or an integer; a decimal
-value is routed to the float path and flagged with a "float_path"
-warning field in the output.
+gamma is the exact rational its literal names: "p/q", an integer, or a
+decimal with or without an exponent (0.35 is 7/20).  Only sweep
+evaluates the closed forms in float, on its grid of floats.
 
 Exit codes: 0 success, 1 mathematical failure (certificate violation,
 invariant breach, unconverged quadrature), 2 usage error.  Every
 malformed value is a usage error, rejected before any work with a
 message on stderr and nothing on stdout: a dimension below 2, a negative
-mode, seed, count or nu-max, a dilation below 1, a gamma that does not
-parse or is not finite, an --ns that is not a list of integers, a
+mode, seed, count or nu-max, a nu-max above 100 000, a dilation below 1,
+a gamma that does not parse, a gamma above 100 000 in magnitude or with
+a denominator above 10^20, an --ns that is not a list of integers, a
 --gamma-grid that is not finite lo:hi:step with a nonzero step toward
-hi or that has more than 100 000 points.  So is an --output path that
-cannot be written: "error: cannot write <path>: <reason>" on stderr.  A
-path whose directory is missing or not a directory, or that is itself a
-directory, is rejected before any work; any other reason is found by
-opening the path once the document is made.
+hi, that has more than 100 000 points or that reaches past |gamma| =
+100 000.  So is an --output path that cannot be written: "error: cannot
+write <path>: <reason>" on stderr.  A path whose directory is missing or
+not a directory, or that is itself a directory, is rejected before any
+work; any other reason is found by opening the path once the document
+is made.
 
 Each subcommand is declared once in COMMANDS.  The parser is built on
 its first use in a process and reused after that; nothing is built at
@@ -48,11 +50,11 @@ import math
 import os
 import stat
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
-from .constants import (Params, TailBoundError, _hardy_leray, hardy_leray,
-                        improvement_report)
+from .constants import Params, TailBoundError, hardy_leray, improvement_report
 from . import certificates as certs
 from . import sweep as sweep_mod
 
@@ -65,20 +67,37 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_gamma(text: str) -> tuple[Fraction | None, float, bool]:
-    """Returns (exact, float value, is_float_path)."""
-    text = text.strip()
+GAMMA_MAX = 10 ** 5  # a gamma above it in magnitude is a usage error
+GAMMA_DEN_MAX = 10 ** 20  # and so is one whose denominator passes it
+
+
+def _parse_gamma(text: str) -> Fraction:
+    """The exact value of a gamma literal: p/q, an integer, or a decimal
+    with or without an exponent.  Raises UsageError for any other text, for
+    |gamma| > GAMMA_MAX and for a denominator above GAMMA_DEN_MAX."""
+    shown = (repr(text) if len(text) <= 40
+             else f"{text[:30]!r}... ({len(text)} characters)")
+    g = None
     try:
-        if "/" in text or text.lstrip("+-").isdigit():
+        if "/" in text:
             g = Fraction(text)
-            return g, float(g), False
-        val = float(text)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise UsageError(f"cannot parse gamma {text!r}; use p/q, an integer, "
+        else:
+            d = Decimal(text)
+            # a nonzero gamma in range has its leading digit at 10^k with
+            # -len(str(GAMMA_DEN_MAX)) <= k < len(str(GAMMA_MAX)); only then
+            # is the exponent expanded, so 1e-999999999 builds no 10^999999999
+            if not d or (-len(str(GAMMA_DEN_MAX)) <= d.adjusted()
+                         < len(str(GAMMA_MAX))):
+                g = Fraction(d)
+    except (ValueError, ArithmeticError):
+        raise UsageError(f"cannot parse gamma {shown}; use p/q, an integer, "
                          "or a decimal") from None
-    if not math.isfinite(val):
-        raise UsageError(f"gamma {text!r} is not a finite number")
-    return None, val, True
+    if (g is None or abs(g.numerator) > GAMMA_MAX * g.denominator
+            or g.denominator > GAMMA_DEN_MAX):
+        raise UsageError(f"gamma {shown} is out of range: |gamma| must be at "
+                         f"most {GAMMA_MAX} and its denominator at most "
+                         f"{GAMMA_DEN_MAX}")
+    return g
 
 
 def _output_path(args) -> str | None:
@@ -194,33 +213,14 @@ def _json(payload) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> int:
-    exact, gf, float_path = _parse_gamma(args.gamma)
-    if float_path:
-        row, a, c = sweep_mod.point(args.N, gf)
-        payload = {
-            "command": "constants",
-            "N": args.N,
-            "gamma": gf,
-            "float_path": True,
-            "warning": "decimal gamma evaluated on the float path",
-            "H": _hardy_leray(args.N, gf, args.N / 2.0),
-            "A": [a[nu] for nu in range(args.nu_max + 1)],
-            "C": [c[nu] for nu in range(args.nu_max + 1)],
-            "A_min": row.A_min, "A_argmin": row.A_argmin,
-            "C_min": row.C_min, "C_argmin": row.C_argmin,
-            "equal": row.equal,
-            "in_improvement_region": row.in_improvement_region,
-        }
-        _emit(_json(payload), args)
-        return EXIT_OK
-    p = Params(args.N, exact)
+    p = Params(args.N, _parse_gamma(args.gamma))
     rep = improvement_report(p)
     payload = {
         "command": "constants",
         "N": p.N,
         "gamma": str(p.gamma),
         "lam": str(p.lam),
-        "float_path": False,
+        "float_path": False,  # kept: the golden digests hash it
         "H": str(hardy_leray(p)),
         "A": [str(rep.A_modes[nu]) for nu in range(args.nu_max + 1)],
         "C": [str(rep.C_modes[nu]) for nu in range(args.nu_max + 1)],
@@ -271,10 +271,7 @@ def cmd_certify(args) -> int:
 def cmd_quotient(args) -> int:
     from .spectral import DegenerateModeError, minimizing_sequence
 
-    exact, gf, float_path = _parse_gamma(args.gamma)
-    if float_path:
-        raise UsageError("quotient needs an exact gamma (p/q or integer)")
-    p = Params(args.N, exact)
+    p = Params(args.N, _parse_gamma(args.gamma))
     try:
         res = minimizing_sequence(p, args.nu, args.ns, kind=args.kind)
     except DegenerateModeError as exc:
@@ -317,10 +314,7 @@ def cmd_oracle(args) -> int:
     from .oracle import CrosscheckMismatch, crosscheck
     from .spectral import NotConvergedError, Profile
 
-    exact, gf, float_path = _parse_gamma(args.gamma)
-    if float_path:
-        raise UsageError("oracle needs an exact gamma (p/q or integer)")
-    p = Params(args.N, exact)
+    p = Params(args.N, _parse_gamma(args.gamma))
     profile = Profile.make(args.kind, args.n)
     try:
         rep = crosscheck(p, args.nu, profile)
@@ -385,8 +379,8 @@ def cmd_remainder(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _int_at_least(lo: int):
-    """argparse type: an integer >= lo."""
+def _int_at_least(lo: int, hi: int | None = None):
+    """argparse type: an integer >= lo, and <= hi when hi is given."""
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -395,6 +389,8 @@ def _int_at_least(lo: int):
                 f"invalid int value: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
     return convert
 
@@ -412,6 +408,7 @@ def _dilations(text: str) -> list[int]:
 
 
 GAMMA_GRID_MAX_POINTS = 100_000
+NU_MAX_LIMIT = 10 ** 5  # constants stores one mode of A and of C per nu
 
 
 def _gamma_grid(text: str) -> list[float]:
@@ -419,7 +416,8 @@ def _gamma_grid(text: str) -> list[float]:
     with k the largest count of steps that does not pass hi.  A tolerance
     of 1e-9 steps keeps a grid whose last step lands on hi up to rounding,
     such as 0:0.3:0.1, at that point.  A grid of more than
-    GAMMA_GRID_MAX_POINTS points is rejected before any is made."""
+    GAMMA_GRID_MAX_POINTS points, or with an end past GAMMA_MAX in
+    magnitude, is rejected before any point is made."""
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
         count = math.floor((hi - lo) / step + 1e-9) + 1
@@ -433,13 +431,16 @@ def _gamma_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"{text!r} has {count} points, more than the "
             f"{GAMMA_GRID_MAX_POINTS} a sweep allows")
+    if max(abs(lo), abs(lo + (count - 1) * step)) > GAMMA_MAX:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} reaches past |gamma| = {GAMMA_MAX}")
     return [lo + k * step for k in range(count)]
 
 
 def _add_constants(p) -> None:
     p.add_argument("--N", type=_int_at_least(2), required=True)
     p.add_argument("--gamma", required=True)
-    p.add_argument("--nu-max", type=_int_at_least(0), default=8,
+    p.add_argument("--nu-max", type=_int_at_least(0, NU_MAX_LIMIT), default=8,
                    dest="nu_max")
 
 

@@ -119,17 +119,10 @@ def hardy_leray(p: Params) -> Fraction:
     Two-branch closed form; the branch condition (gamma + N/2)^2 <= N + 1
     is decided exactly.
     """
-    return _hardy_leray(p.N, p.gamma, Fraction(p.N, 2))
-
-
-def _hardy_leray(N: int, g, h):
-    """The Hardy-Leray closed form, generic in gamma's type: g and h = N/2
-    are both Fraction (exact) or both float (the float path of `cli`)."""
-    b, gh = g + h - 1, g + h
-    base = b * b
-    if gh * gh <= N + 1:
-        t = g + h - 2
-        shift = t * t
+    N, gh = p.N, p.gamma + Fraction(p.N, 2)
+    base = (gh - 1) ** 2
+    if gh ** 2 <= N + 1:
+        shift = (gh - 2) ** 2
         return base * (3 * (N - 1) + shift) / (N - 1 + shift)
     return base + N - 1
 

@@ -1,6 +1,8 @@
 """CLI: values, exit codes, determinism, schema validity."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -65,12 +67,46 @@ def test_constants_rational_literal(capsys):
     assert doc["C_min"] == "2"
 
 
-def test_constants_decimal_goes_float_path(capsys):
-    code, out = run(capsys, "constants", "--N", "3", "--gamma", "0.25")
+def test_constants_decimal_is_its_exact_rational(capsys):
+    assert run(capsys, "constants", "--N", "3", "--gamma", "0.25") == run(
+        capsys, "constants", "--N", "3", "--gamma", "1/4")
+    code, out = run(capsys, "constants", "--N", "3", "--gamma", "0.35")
     doc = json.loads(out)
-    assert code == 0 and doc["float_path"] is True and "warning" in doc
+    assert code == 0 and doc["gamma"] == "7/20" and doc["lam"] == "3/20"
+    assert doc["float_path"] is False and doc["sandwich_ok"] is True
     validate(out)
     assert_canonical(out)
+
+
+def _decimal_literals():
+    """Decimal literals: integer part in [-12, 12], up to 6 fractional
+    digits, with or without a small exponent."""
+    return st.builds(
+        lambda whole, frac, exp: f"{whole}{frac}{exp}",
+        st.integers(-12, 12).map(str),
+        st.one_of(st.just(""), st.just("."),
+                  st.text("0123456789", min_size=1, max_size=6).map(
+                      lambda d: "." + d)),
+        st.one_of(st.just(""), st.integers(-3, 1).map(lambda e: f"e{e}")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(literal=_decimal_literals(), n=st.integers(2, 3), nu=st.integers(0, 2))
+def test_decimal_gamma_prints_what_its_fraction_prints(literal, n, nu):
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    exact = str(Fraction(literal))
+    for head, tail in [
+        (["constants", "--N", str(n)], []),
+        (["quotient", "--N", str(n)], ["--nu", str(nu), "--ns", "4,8"]),
+        (["oracle", "--N", str(n)], ["--nu", str(nu)]),
+    ]:
+        got = call([*head, f"--gamma={literal}", *tail])
+        assert got == call([*head, f"--gamma={exact}", *tail]), (head, literal)
 
 
 def test_certify_single_regime(capsys):
@@ -246,7 +282,7 @@ def test_json_rejects_what_dumps_rejects(tree):
 def test_usage_errors():
     assert main(["constants", "--N", "3"]) == 2          # missing gamma
     assert main(["nonsense"]) == 2
-    assert main(["quotient", "--N", "3", "--gamma", "0.1", "--nu", "0"]) == 2
+    assert main(["quotient", "--N", "3", "--gamma", "1e300", "--nu", "0"]) == 2
 
 
 def test_output_file_and_outdir(tmp_path, monkeypatch, capsys):
@@ -299,6 +335,12 @@ MALFORMED = [
     ("sweep", "--N", "3", "--gamma-grid=0:-0.4:1"),
     ("constants", "--N", "3", "--gamma", "inf"),
     ("constants", "--N", "3", "--gamma", "1e400"),
+    ("constants", "--N", "3", "--gamma=1e300"),
+    ("constants", "--N", "3", "--gamma=1000000000"),
+    ("constants", "--N", "3", "--gamma=1/1" + "0" * 2000),
+    ("constants", "--N", "3", "--gamma=1e-999999999"),
+    ("sweep", "--N", "3", "--gamma-grid=1e300:1e300:1"),
+    ("constants", "--N", "3", "--gamma", "0", "--nu-max", "100001"),
     ("constants", "--N", "3", "--gamma", "0", "--nu-max", "-1"),
     ("quotient", "--N", "1", "--gamma", "0", "--nu", "0"),
     ("oracle", "--N", "2", "--gamma", "0", "--nu", "-1"),
@@ -309,7 +351,7 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+@pytest.mark.parametrize("argv", MALFORMED, ids=lambda a: " ".join(a)[:60])
 def test_malformed_value_exits_2(argv, capsys):
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
@@ -383,6 +425,42 @@ def test_gamma_grid_past_the_cap_is_a_usage_error():
         cli._gamma_grid("0:100000:1")
 
 
+def test_gamma_grid_ends_past_the_gamma_bound():
+    assert cli._gamma_grid("-1e5:1e5:1e5") == [-1e5, 0.0, 1e5]
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match=r"reaches past \|gamma\| = 100000"):
+        cli._gamma_grid("99999:100001:1")
+
+
+def test_nu_max_past_the_cap_is_a_usage_error():
+    convert = cli._int_at_least(0, cli.NU_MAX_LIMIT)
+    assert convert("100000") == cli.NU_MAX_LIMIT == 100_000
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match="must be <= 100000, got 100001"):
+        convert("100001")
+
+
+def test_gamma_bounds():
+    assert cli.GAMMA_MAX == 10 ** 5 and cli.GAMMA_DEN_MAX == 10 ** 20
+    for text, value in [
+        ("100000", 10 ** 5), ("-1e5", -10 ** 5), (" 0.35 ", Fraction(7, 20)),
+        ("1e-20", Fraction(1, 10 ** 20)),
+        ("-1/100000000000000000000", Fraction(-1, 10 ** 20)),
+        ("0e-999999999", 0), ("1" + "0" * 1000 + "e-1000", 1),
+    ]:
+        assert cli._parse_gamma(text) == value, text
+    for text, message in [
+        *((t, "is out of range") for t in [
+            "100000.00000000000000000001", "1e-21", "2e-21", "1e999999999",
+            "1/100000000000000000001", "1e-999999999", "1/1" + "0" * 2000,
+            "1" * 5000]),
+        *((t, "cannot parse") for t in ["-inf", "nan", "1/0", "1/" + "1" * 5000]),
+    ]:
+        with pytest.raises(cli.UsageError, match=message) as exc:
+            cli._parse_gamma(text)
+        assert len(str(exc.value)) < 200  # a long literal is not echoed whole
+
+
 def test_one_distinct_dilation_fits_no_exponent():
     # --ns 10,10 is one point twice: no slope to fit, so NaN, and no
     # warning of a rank-deficient fit on stderr
@@ -426,8 +504,8 @@ def test_reused_parser_keeps_the_default_dilations(capsys):
 def test_reused_parser_after_a_usage_error(capsys):
     argv = ["quotient", "--N", "3", "--gamma", "0", "--nu", "0"]
     assert main([*argv, "--ns", "10,x"]) == 2  # rejected by argparse
-    assert main([*argv, "--gamma", "0.1"]) == 2  # rejected by the handler
-    assert "needs an exact gamma" in capsys.readouterr().err
+    assert main([*argv, "--gamma", "1e300"]) == 2  # rejected by the handler
+    assert "is out of range" in capsys.readouterr().err
     proc = _run_module(argv)
     assert proc.returncode == main(argv) == 0
     assert capsys.readouterr().out == proc.stdout

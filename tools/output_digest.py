@@ -11,10 +11,11 @@ stdout).  Two trees that print the same lines produce the same output
 on every op the benchmark can draw.  The script reads `bench/` and
 writes nothing there.
 
-The set `float` covers the float path, which no benchmark op reaches:
-`constants` at a decimal gamma and `sweep` in both formats (`float_ops`).
-Its sha256 is taken over repr((argv, exit code, stdout, stderr)) of
-each CLI call in order.
+The set `float` covers CLI calls no benchmark op makes (`float_ops`):
+`constants` at a decimal gamma literal, which is read as the exact
+rational it names, and `sweep`, the float path, in both formats.  Its
+sha256 is taken over repr((argv, exit code, stdout, stderr)) of each CLI
+call in order.
 
     PYTHONPATH=src python tools/output_digest.py [workload|float ...]
 
