@@ -51,8 +51,10 @@ misspelt rule cannot drop a sign check.
 
 A file's regime and the builder of its reference polynomial are not
 lines of the file but its name's one entry in this module's table of
-the corpus, read as `REGIMES` and `REFERENCES`.  `load_corpus` rejects
-a file that the table does not name, since no suite would check it.
+the corpus, read as `REGIMES` and `REFERENCES`.  A suite parses only
+the files its regimes name, but every load lists the whole corpus and
+rejects a file that the table does not name, since no suite would check
+it.
 
 Term factors: a rational constant (must be >= 0), ``sq(expr)`` for a
 square, ``dom(name)`` for an assumed-nonnegative alias or variable,
@@ -64,7 +66,8 @@ other variable, else the file does not parse.
 
 ``@Name`` in an expression is a `parse_poly` atom for `_at_table`'s
 polynomial: the `polyfamily` members plus the slices P1_0, P1_0n2,
-P1_0_lam0 and W_s.  `load_corpus` names the file of any parse failure.
+P1_0_lam0 and W_s.  `load_corpus` names the file of any parse failure
+among the files it reads, and a named file that does not exist.
 """
 
 from __future__ import annotations
@@ -545,17 +548,29 @@ def _corpus_dir() -> Path:
     return Path(resources.files("curlsharp") / "certs")
 
 
-def load_corpus() -> list[Certificate]:
+def load_corpus(names: list[str] | None = None) -> list[Certificate]:
+    """The certificates named by `names`, in that order, each parsed from
+    its file ``<name>.cert``, or every file of the corpus, sorted, when
+    `names` is None.  No other file is parsed.  The corpus is listed once
+    either way, and a ``*.cert`` file that no regime of the table names
+    fails every load, so no file sits in the corpus unchecked."""
+    corpus = _corpus_dir()
+    stems = sorted(path.stem for path in corpus.glob("*.cert"))
+    for stem in stems:
+        if stem not in REFERENCES:
+            raise CertificateError(
+                f"{stem}.cert: no regime of the certificate table names it")
+    present = set(stems)
     table = _at_table()
     certs = []
-    for path in sorted(_corpus_dir().glob("*.cert")):
-        if path.stem not in REFERENCES:
-            raise CertificateError(
-                f"{path.name}: no regime of the certificate table names it")
+    for name in stems if names is None else names:
+        if name not in present:
+            raise CertificateError(f"certificate file missing: {name}")
         try:
-            certs.append(parse_certificate(path.stem, path.read_text(), table))
+            text = (corpus / f"{name}.cert").read_text()
+            certs.append(parse_certificate(name, text, table))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
-            raise CertificateError(f"{path.name}: {exc}") from exc
+            raise CertificateError(f"{name}.cert: {exc}") from exc
     return certs
 
 
@@ -664,13 +679,8 @@ def _structural_reports() -> list[CertReport]:
 # ---------------------------------------------------------------------------
 
 def _run_names(names: list[str]) -> list[CertReport]:
-    by_name = {c.name: c for c in load_corpus()}
-    reports = []
-    for name in names:
-        if name not in by_name:
-            raise CertificateError(f"certificate file missing: {name}")
-        reports.append(check_certificate(by_name[name], REFERENCES[name]()))
-    return reports
+    return [check_certificate(cert, REFERENCES[cert.name]())
+            for cert in load_corpus(names)]
 
 
 def c0_for(p: Params) -> Fraction:
@@ -870,18 +880,20 @@ def _integer_forms(polys: list[MultiPoly]) -> tuple[tuple, list]:
     return tops, forms
 
 
-def _values_at(integer_forms, lam: Fraction, n: int, a: int) -> list[Fraction]:
+def _values_at(integer_forms, lam: Fraction, n: int,
+               a: int) -> list[tuple[int, int]]:
     """Each polynomial of `integer_forms` at (a, lam, N) = (a, lam, n) for
-    integers a and n: with lam = r/d and J the top lam degree, one integer
-    sum over den d^J per polynomial."""
+    integers a and n, as an unreduced (numerator, denominator) pair: with
+    lam = r/d and J the top lam degree, one integer sum over den d^J > 0
+    per polynomial."""
     (top_a, top_lam, top_n), forms = integer_forms
     r, d = lam.numerator, lam.denominator
     a_pow = [a ** i for i in range(top_a + 1)]
     n_pow = [n ** k for k in range(top_n + 1)]
     lam_pow = [r ** j * d ** (top_lam - j) for j in range(top_lam + 1)]
     d_top = d ** top_lam
-    return [Fraction(sum(c * a_pow[i] * lam_pow[j] * n_pow[k] for c, i, j, k in mono),
-                     den * d_top)
+    return [(sum(c * a_pow[i] * lam_pow[j] * n_pow[k] for c, i, j, k in mono),
+             den * d_top)
             for den, mono in forms]
 
 
@@ -892,7 +904,9 @@ def difference_quotient_guard(seed: int = 0, count: int = 10_000):
 
     D = `_guard_numerator()` is formed once per call, and its
     tau-coefficients and P1's are evaluated exactly at each case's
-    (alpha_nu, lam, N), as integer sums (`_values_at`).  D/tau is exact
+    (alpha_nu, lam, N), as integer sums (`_values_at`).  Each sum over
+    its denominator becomes a float by one int division, which is
+    correctly rounded, so it is float() of the exact value.  D/tau is exact
     in tau, so the division loses no precision at small tau.  A case
     whose D has a nonzero constant term raises DivisionInvariantError.
     The float quotient then runs for all cases in one numpy pass, in the
@@ -909,11 +923,11 @@ def difference_quotient_guard(seed: int = 0, count: int = 10_000):
     rows = []
     for p, nu in cases:
         values = _values_at(forms, p.lam, p.N, nu * (nu + p.N - 2))
-        if values[0]:
+        if values[0][0]:
             raise DivisionInvariantError(
                 f"difference-quotient numerator at N={p.N} gamma={p.gamma} "
-                f"nu={nu} has constant term {values[0]}")
-        rows.append([float(v) for v in values])
+                f"nu={nu} has constant term {Fraction(*values[0])}")
+        rows.append([num / den for num, den in values])
     # one column per case; rows: D's tau^0.. coefficients, then P1's
     values = np.array(rows, dtype=float).reshape(len(cases), len(forms[1])).T
     dq, pp = values[1:len(d_coeffs)], values[len(d_coeffs):]

@@ -22,17 +22,18 @@ evaluates the closed forms in float, on its grid of floats.
 Exit codes: 0 success, 1 mathematical failure (certificate violation,
 invariant breach, unconverged quadrature), 2 usage error.  Every
 malformed value is a usage error, rejected before any work with a
-message on stderr and nothing on stdout: a dimension below 2, a negative
-mode, seed, count or nu-max, a nu-max above 100 000, a dilation below 1,
-a gamma that does not parse, a gamma above 100 000 in magnitude or with
-a denominator above 10^20, an --ns that is not a list of integers, a
---gamma-grid that is not finite lo:hi:step with a nonzero step toward
-hi, that has more than 100 000 points or that reaches past |gamma| =
-100 000.  So is an --output path that cannot be written: "error: cannot
-write <path>: <reason>" on stderr.  A path whose directory is missing or
-not a directory, or that is itself a directory, is rejected before any
-work; any other reason is found by opening the path once the document
-is made.
+message on stderr and nothing on stdout: a dimension below 2 or above
+100 000, a negative mode, seed, count or nu-max, a nu-max above 100 000,
+a dilation below 1, a gamma that does not parse, a gamma above 100 000
+in magnitude or with a denominator above 10^20, an --ns that is not a
+list of integers, a --gamma-grid that is not finite lo:hi:step with a
+nonzero step toward hi, that has more than 100 000 points or that
+reaches past |gamma| = 100 000.  So is an --output path that cannot be
+written: "error: cannot write <path>: <reason>" on stderr.  A path whose
+directory is missing or not a directory, or that is itself a directory,
+is rejected before any work; any other reason is found by opening the
+path once the document is made.  A message shows a rejected literal over
+40 characters as its first 30 and its length.
 
 Each subcommand is declared once in COMMANDS.  The parser is built on
 its first use in a process and reused after that; nothing is built at
@@ -71,12 +72,20 @@ GAMMA_MAX = 10 ** 5  # a gamma above it in magnitude is a usage error
 GAMMA_DEN_MAX = 10 ** 20  # and so is one whose denominator passes it
 
 
+def _shown(text: str, show=repr) -> str:
+    """A rejected literal as its error message shows it: show(text), or
+    for a literal over 40 characters show() of its first 30 and its
+    length, so no input fills stderr."""
+    if len(text) <= 40:
+        return show(text)
+    return f"{show(text[:30])}... ({len(text)} characters)"
+
+
 def _parse_gamma(text: str) -> Fraction:
     """The exact value of a gamma literal: p/q, an integer, or a decimal
     with or without an exponent.  Raises UsageError for any other text, for
     |gamma| > GAMMA_MAX and for a denominator above GAMMA_DEN_MAX."""
-    shown = (repr(text) if len(text) <= 40
-             else f"{text[:30]!r}... ({len(text)} characters)")
+    shown = _shown(text)
     g = None
     try:
         if "/" in text:
@@ -386,11 +395,13 @@ def _int_at_least(lo: int, hi: int | None = None):
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
+                f"invalid int value: {_shown(text)}") from None
         if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"must be >= {lo}, got {_shown(str(value), str)}")
         if hi is not None and value > hi:
-            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"must be <= {hi}, got {_shown(str(value), str)}")
         return value
     return convert
 
@@ -403,12 +414,13 @@ def _dilations(text: str) -> list[int]:
         ns = []
     if not ns or min(ns) < 1:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers >= 1, got {text!r}")
+            f"expected comma-separated integers >= 1, got {_shown(text)}")
     return ns
 
 
 GAMMA_GRID_MAX_POINTS = 100_000
 NU_MAX_LIMIT = 10 ** 5  # constants stores one mode of A and of C per nu
+N_MAX_LIMIT = 10 ** 5  # a larger dimension is a usage error
 
 
 def _gamma_grid(text: str) -> list[float]:
@@ -426,19 +438,19 @@ def _gamma_grid(text: str) -> list[float]:
     if count < 1:
         raise argparse.ArgumentTypeError(
             f"expected lo:hi:step with finite lo and hi and a nonzero step "
-            f"from lo toward hi, got {text!r}")
+            f"from lo toward hi, got {_shown(text)}")
     if count > GAMMA_GRID_MAX_POINTS:
         raise argparse.ArgumentTypeError(
-            f"{text!r} has {count} points, more than the "
+            f"{_shown(text)} has {count} points, more than the "
             f"{GAMMA_GRID_MAX_POINTS} a sweep allows")
     if max(abs(lo), abs(lo + (count - 1) * step)) > GAMMA_MAX:
         raise argparse.ArgumentTypeError(
-            f"{text!r} reaches past |gamma| = {GAMMA_MAX}")
+            f"{_shown(text)} reaches past |gamma| = {GAMMA_MAX}")
     return [lo + k * step for k in range(count)]
 
 
 def _add_constants(p) -> None:
-    p.add_argument("--N", type=_int_at_least(2), required=True)
+    p.add_argument("--N", type=_int_at_least(2, N_MAX_LIMIT), required=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--nu-max", type=_int_at_least(0, NU_MAX_LIMIT), default=8,
                    dest="nu_max")
@@ -451,7 +463,7 @@ def _add_certify(p) -> None:
 
 
 def _add_quotient(p) -> None:
-    p.add_argument("--N", type=_int_at_least(2), required=True)
+    p.add_argument("--N", type=_int_at_least(2, N_MAX_LIMIT), required=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--nu", type=_int_at_least(0), required=True)
     p.add_argument("--ns", type=_dilations, default="10,20,40")
@@ -459,7 +471,7 @@ def _add_quotient(p) -> None:
 
 
 def _add_sweep(p) -> None:
-    p.add_argument("--N", type=_int_at_least(2), required=True)
+    p.add_argument("--N", type=_int_at_least(2, N_MAX_LIMIT), required=True)
     p.add_argument("--gamma-grid", type=_gamma_grid, default="-3:3:0.125",
                    dest="gamma_grid", help="lo:hi:step")
     p.add_argument("--format", default="csv", choices=["csv", "json"])

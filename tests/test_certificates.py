@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import curlsharp
 from curlsharp import certificates as certs
@@ -544,7 +544,32 @@ def test_guard_integer_evaluation_matches_substitution(nu, n, lam):
     got = certs._values_at(_GUARD_FORMS, lam, n, a)
     want = [c.subs_many({"lam": lam, "N": n, "a": a}).constant_value()
             for c in _GUARD_POLYS]
-    assert got == want
+    assert all(den > 0 for _, den in got)
+    assert [F(num, den) for num, den in got] == want
+
+
+_BIG_INTS = st.one_of(st.integers(-2 ** 60, 2 ** 60), st.integers(2 ** 53, 2 ** 1200),
+                      st.integers(-2 ** 1200, -2 ** 53))
+
+
+@settings(max_examples=300, deadline=None)
+@example(num=2 ** 53 + 1, den=1)
+@example(num=-(2 ** 1150 + 1), den=3 * 2 ** 1100 + 1)
+@example(num=2 ** 1100 + 1, den=3)
+@given(num=_BIG_INTS, den=st.one_of(st.integers(1, 2 ** 60),
+                                    st.integers(2 ** 53, 2 ** 1200)))
+def test_guard_float_of_a_pair_is_float_of_its_fraction(num, den):
+    # the guard makes a float of each (numerator, denominator) pair by
+    # int division, which rounds correctly: it is float() of the Fraction,
+    # past 2^53 (where float(num) / float(den) would round twice) and past
+    # 2^1100 (where float(num) would overflow)
+    try:
+        want = float(F(num, den))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            num / den
+    else:
+        assert num / den == want
 
 
 def test_difference_quotient_limit_is_c0():
@@ -869,29 +894,84 @@ def _corrupt_corpus(tmp_path, case):
     return corpus, name
 
 
+def _ops_reading(name):
+    """The certify regimes whose op reads corpus file `name`: the regime
+    the table puts it in (base for a file it does not name, since a
+    stray file fails every op) and all."""
+    stem = name.removesuffix(".cert")
+    home = next((r for r, members in certs.REGIMES.items() if stem in members),
+                "base")
+    return home, "all"
+
+
 @pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
 def test_malformed_corpus_file_is_named(monkeypatch, capsys, tmp_path, case):
     from curlsharp import cli
     corpus, name = _corrupt_corpus(tmp_path, case)
     monkeypatch.setattr(certs, "_corpus_dir", lambda: corpus)
-    assert cli.main(["certify", "--regime", "base"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"math failure: {name}: {_CORRUPTIONS[case][3]}"), err
-    assert "Traceback" not in err
+    for regime in _ops_reading(name):
+        assert cli.main(["certify", "--regime", regime]) == 1, regime
+        err = capsys.readouterr().err
+        assert err.startswith(f"math failure: {name}: {_CORRUPTIONS[case][3]}"), err
+        assert "Traceback" not in err
 
 
 def test_malformed_corpus_file_is_named_under_python_O(tmp_path):
-    for case in ("unknown-at-name", "file-not-in-table"):
+    for case in ("unknown-at-name", "uni-unknown-var", "file-not-in-table"):
         error = _CORRUPTIONS[case][3]
         corpus, name = _corrupt_corpus(tmp_path / case, case)
-        code = ("import sys\n"
-                "from pathlib import Path\n"
-                "from curlsharp import certificates as certs, cli\n"
-                "if __debug__:\n"
-                "    sys.exit(4)\n"
-                f"certs._corpus_dir = lambda: Path({str(corpus)!r})\n"
-                "sys.exit(cli.main(['certify', '--regime', 'base']))\n")
-        proc = _run_python_O(code)
-        assert proc.returncode == 1, (case, proc.stderr)
-        assert proc.stderr.startswith(f"math failure: {name}: {error}")
-        assert "Traceback" not in proc.stderr
+        for regime in _ops_reading(name):
+            code = ("import sys\n"
+                    "from pathlib import Path\n"
+                    "from curlsharp import certificates as certs, cli\n"
+                    "if __debug__:\n"
+                    "    sys.exit(4)\n"
+                    f"certs._corpus_dir = lambda: Path({str(corpus)!r})\n"
+                    f"sys.exit(cli.main(['certify', '--regime', {regime!r}]))\n")
+            proc = _run_python_O(code)
+            assert proc.returncode == 1, (case, regime, proc.stderr)
+            assert proc.stderr.startswith(f"math failure: {name}: {error}")
+            assert "Traceback" not in proc.stderr
+
+
+def test_a_suite_parses_only_the_files_its_regimes_name(monkeypatch, tmp_path):
+    parsed = []
+    real = certs.parse_certificate
+
+    def counting(name, text, table=None):
+        parsed.append(name)
+        return real(name, text, table)
+
+    monkeypatch.setattr(certs, "parse_certificate", counting)
+    for regime, members in certs.REGIMES.items():
+        parsed.clear()
+        certs.run_suite([regime])
+        assert parsed == list(members), regime
+    parsed.clear()
+    certs.run_suite()
+    assert parsed == [n for members in certs.REGIMES.values() for n in members]
+    assert sorted(parsed) == sorted(certs.REFERENCES) and len(parsed) == 69
+    parsed.clear()
+    names = [c.name for c in certs.load_corpus()]
+    assert names == parsed == sorted(certs.REFERENCES)
+
+    # a stray file fails every op before any file is parsed; a missing
+    # file fails the ops that read it
+    corpus = tmp_path / "certs"
+    shutil.copytree(certs._corpus_dir(), corpus)
+    monkeypatch.setattr(certs, "_corpus_dir", lambda: corpus)
+    (corpus / "stray.cert").write_text("target: lam\n")
+    parsed.clear()
+    for regimes in [[r] for r in certs.REGIMES] + [None]:
+        with pytest.raises(certs.CertificateError,
+                           match="^stray.cert: no regime of the certificate "
+                                 "table names it$"):
+            certs.run_suite(regimes)
+    assert parsed == []
+    (corpus / "stray.cert").unlink()
+    (corpus / "taylor-g1-c2.cert").unlink()
+    for regimes in (["le1"], None):
+        with pytest.raises(certs.CertificateError,
+                           match="^certificate file missing: taylor-g1-c2$"):
+            certs.run_suite(regimes)
+    assert certs.run_suite(["base"]).all_ok

@@ -341,6 +341,9 @@ MALFORMED = [
     ("constants", "--N", "3", "--gamma=1e-999999999"),
     ("sweep", "--N", "3", "--gamma-grid=1e300:1e300:1"),
     ("constants", "--N", "3", "--gamma", "0", "--nu-max", "100001"),
+    ("constants", "--N", "9" * 4000, "--gamma", "0", "--nu-max", "0"),
+    ("quotient", "--N", "100001", "--gamma", "0", "--nu", "0"),
+    ("sweep", "--N", "100001"),
     ("constants", "--N", "3", "--gamma", "0", "--nu-max", "-1"),
     ("quotient", "--N", "1", "--gamma", "0", "--nu", "0"),
     ("oracle", "--N", "2", "--gamma", "0", "--nu", "-1"),
@@ -438,6 +441,30 @@ def test_nu_max_past_the_cap_is_a_usage_error():
     with pytest.raises(argparse.ArgumentTypeError,
                        match="must be <= 100000, got 100001"):
         convert("100001")
+
+
+def test_dimension_at_the_cap_runs(capsys):
+    # one past it is a MALFORMED case for constants, quotient and sweep
+    assert cli.N_MAX_LIMIT == 100_000
+    assert main(["constants", "--N", "100000", "--gamma", "0", "--nu-max", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 100_000
+
+
+@pytest.mark.parametrize("argv,length", [
+    # 4000 digits parse but exceed the cap; 5000 exceed int()'s digit limit
+    (["constants", "--N", "9" * 4000, "--gamma", "0"], 4000),
+    (["constants", "--N", "9" * 5000, "--gamma", "0"], 5000),
+    (["quotient", "--N", "3", "--gamma", "0", "--nu", "0",
+      "--ns", "9" * 5000 + "x"], 5001),
+    (["sweep", "--N", "3", "--gamma-grid", "9" * 5000], 5000),
+], ids=["N-4000", "N-5000", "ns-5001", "grid-5000"])
+def test_a_long_rejected_literal_is_shown_short(capsys, argv, length):
+    # stderr shows the first 30 characters and the length, not the text
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err) < 400, len(err)
+    assert "9" * 30 in err and f"... ({length} characters)" in err
+    assert "9" * 31 not in err
 
 
 def test_gamma_bounds():
